@@ -33,12 +33,10 @@ from .engine import (
     advance_ruled_stage,
     apply_action,
     check_invariants,
-    is_terminal,
     legal_actions,
     new_game,
     play_game,
     resolve_random_stage,
-    snapshot,
 )
 from .errors import (
     ConfigError,

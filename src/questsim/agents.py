@@ -4,8 +4,8 @@ default rules for Travel and DeclareAttackers that every agent shares.
 Policies expose decide(state, legals, rng) -> Action. A policy whose
 needs_legals attribute is False constructs its action analytically and is
 handed legals=None by the driver; such policies still guarantee membership
-in the enumerated legal family (the expert checks the family caps through
-the engine's cap predicates instead of enumerating).
+in the enumerated legal family (they build on the engine's family helpers
+and cap predicates instead of enumerating).
 
 AgentKind is the parsed description of an agent (used by the CLI and the
 experiment harness); the search-backed kinds are instantiated in search.py.
@@ -17,26 +17,25 @@ from dataclasses import dataclass
 from random import Random
 from typing import Protocol
 
-from .cards import CardKind, Sphere
-from .engine import MAX_COMMIT_ENUM, defend_capped, planning_capped, single_card_payable
-from .errors import ConfigError, StageError
-from .state import (
-    Action,
-    Attack,
-    Commit,
-    Defend,
-    GameState,
-    PlayCards,
-    StageId,
-    TravelTo,
-    Zone,
+from .cards import Sphere
+from .engine import (
+    MAX_COMMIT_ENUM,
+    commit_pool,
+    commit_prefixes,
+    defend_overflows,
+    defender_order,
+    fits,
+    hero_pools,
+    planning_capped,
+    single_card_payable,
+    travel_actions,
 )
+from .errors import ConfigError, StageError
+from .state import Action, Attack, Commit, Defend, GameState, PlayCards, StageId
 
 # The expert's standout purchase; a card set without it simply never
 # triggers the rule.
 GANDALF_ID = "gandalf"
-
-_CHARS = frozenset({CardKind.HERO, CardKind.ALLY})
 
 
 class DecisionPolicy(Protocol):
@@ -67,15 +66,9 @@ class RandomPolicy:
 
 def default_travel(state: GameState, legals: list[Action] | None = None) -> Action:
     """Travel to the staging location with the highest threat (ties by id);
-    stay put when a location is already active or none are staged."""
-    if state.active_location() is not None:
-        return TravelTo(None)
-    locations = [c for c in state.cards
-                 if c.zone is Zone.STAGING_AREA and c.defn.kind is CardKind.LOCATION]
-    if not locations:
-        return TravelTo(None)
-    best = min(locations, key=lambda c: (-c.defn.threat, c.instance_id))
-    return TravelTo(best.instance_id)
+    stay put when a location is already active or none are staged. This is
+    the head of the travel family."""
+    return travel_actions(state)[0]
 
 
 def default_attack(state: GameState, legals: list[Action] | None = None) -> Action:
@@ -111,26 +104,15 @@ def _expert_planning(state: GameState) -> Action:
     Spirit cards by descending willpower, then the cheapest affordable card;
     ties by card id, repeated until nothing else is affordable."""
     hand = state.hand()
-    pools: dict[Sphere, int] = {}
-    total_pool = 0
-    for hero in state.heroes():
-        pools[hero.defn.sphere] = pools.get(hero.defn.sphere, 0) + hero.resource_pool
-        total_pool += hero.resource_pool
-
+    pools, total_pool = hero_pools(state.heroes())
     demand: dict[Sphere, int] = {}
     spent = 0
     chosen: list[int] = []
     chosen_set: set[int] = set()
 
-    def fits(d) -> bool:
-        if spent + d.cost > total_pool:
-            return False
-        return (d.sphere is Sphere.NEUTRAL
-                or demand.get(d.sphere, 0) + d.cost <= pools.get(d.sphere, 0))
-
     while True:
-        afford = [c for c in hand
-                  if c.instance_id not in chosen_set and fits(c.defn)]
+        afford = [c for c in hand if c.instance_id not in chosen_set
+                  and fits(c.defn, pools, total_pool, demand, spent)]
         if not afford:
             break
         gandalfs = [c for c in afford if c.defn.id == GANDALF_ID]
@@ -166,8 +148,7 @@ def _expert_commit(state: GameState) -> Action:
     total willpower strictly exceeds the staging threat; empty commit when
     that is unreachable."""
     threshold = state.staging_threat()
-    pool = [c for c in state.ready_characters()
-            if not c.committed and c.willpower > 0]
+    pool = commit_pool(state)
     preferred = ([c for c in pool if c.defn.id == GANDALF_ID]
                  + sorted((c for c in pool
                            if c.defn.sphere is Sphere.SPIRIT
@@ -184,30 +165,13 @@ def _expert_commit(state: GameState) -> Action:
         return Commit(())
 
     if len(pool) > MAX_COMMIT_ENUM:
-        # Capped family carries only willpower-descending prefixes of the
-        # whole pool: take the largest prefix inside the ideal set, or the
-        # shortest qualifying prefix when the ideal set is not a prefix.
-        chosen_set = set(chosen)
-        ordered = sorted(pool, key=lambda c: (-c.willpower, c.instance_id))
-        best: tuple[int, ...] = ()
-        prefix: list[int] = []
-        run = 0
-        for c in ordered:
-            if c.instance_id not in chosen_set:
-                break
-            prefix.append(c.instance_id)
-            run += c.willpower
-            if run > threshold:
-                best = tuple(prefix)
-        if not best:
-            prefix.clear()
-            run = 0
-            for c in ordered:
-                prefix.append(c.instance_id)
-                run += c.willpower
-                if run > threshold:
-                    return Commit(tuple(prefix))
-        return Commit(best)
+        # Capped family carries only the qualifying prefixes: take the
+        # longest one inside the ideal set, else the shortest. The whole
+        # pool beats the threshold, so there is at least one.
+        prefixes = commit_prefixes(pool, threshold)
+        ideal = set(chosen)
+        inside = [p for p in prefixes if ideal.issuperset(p)]
+        return Commit(inside[-1] if inside else prefixes[0])
     return Commit(tuple(chosen))
 
 
@@ -217,17 +181,13 @@ def _expert_defend(state: GameState) -> Action:
     undefended."""
     enemies = sorted(state.engaged_enemies(),
                      key=lambda e: (-e.attack, e.instance_id))
-    ready = state.ready_characters()
-    queue = (sorted((c for c in ready if c.defn.kind is CardKind.ALLY),
-                    key=lambda c: (c.defn.cost, c.instance_id))
-             + sorted((c for c in ready if c.defn.kind is CardKind.HERO),
-                      key=lambda c: (-c.defense, c.instance_id)))
+    queue = defender_order(state)
     ideal: dict[int, int | None] = {}
     for i, enemy in enumerate(enemies):
         ideal[enemy.instance_id] = (queue[i].instance_id
                                     if i < len(queue) else None)
 
-    if defend_capped(state):
+    if defend_overflows(len(enemies), len(queue)):
         # Capped family: all-undefended plus single-defender assignments,
         # enemies outer / characters inner, so keep the first ideal pair.
         engaged_ids = sorted(ideal)

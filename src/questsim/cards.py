@@ -218,16 +218,18 @@ def parse_card_db(obj: dict) -> CardDb:
     return CardDb(defs)
 
 
-def load_card_db(path: str | Path) -> CardDb:
-    """Load and validate a card database file."""
-    path = Path(path)
+def _read_json(path: Path, what: str) -> object:
     try:
-        obj = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except OSError as exc:
-        raise DataError(f"cannot read card file {path}: {exc}") from exc
+        raise DataError(f"cannot read {what} file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"malformed JSON in {path}: {exc}") from exc
-    return parse_card_db(obj)
+
+
+def load_card_db(path: str | Path) -> CardDb:
+    """Load and validate a card database file."""
+    return parse_card_db(_read_json(Path(path), "card"))
 
 
 @dataclass(frozen=True)
@@ -352,14 +354,7 @@ def parse_scenario(obj: dict, db: CardDb) -> Scenario:
 
 def load_scenario(path: str | Path, db: CardDb) -> Scenario:
     """Load and validate a scenario file against a card database."""
-    path = Path(path)
-    try:
-        obj = json.loads(path.read_text())
-    except OSError as exc:
-        raise DataError(f"cannot read scenario file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"malformed JSON in {path}: {exc}") from exc
-    return parse_scenario(obj, db)
+    return parse_scenario(_read_json(Path(path), "scenario"), db)
 
 
 def load_scenario_bundle(path: str | Path | None = None) -> Scenario:
@@ -373,12 +368,7 @@ def load_scenario_bundle(path: str | Path | None = None) -> Scenario:
         return load_scenario(builtin_scenario_path(),
                              load_card_db(builtin_cards_path()))
     path = Path(path)
-    try:
-        obj = json.loads(path.read_text())
-    except OSError as exc:
-        raise DataError(f"cannot read scenario file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"malformed JSON in {path}: {exc}") from exc
+    obj = _read_json(path, "scenario")
     cards_ref = obj.get("cards") if isinstance(obj, dict) else None
     if cards_ref is None:
         db = load_card_db(builtin_cards_path())

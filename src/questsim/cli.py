@@ -21,7 +21,6 @@ from .experiments import (
     budget_sweep,
     combination_grid,
     render_csv,
-    render_json,
     run_games,
     write_output,
 )
@@ -133,11 +132,7 @@ def _emit(out: str, rows, header: dict) -> None:
     if out == "-":
         sys.stdout.write(render_csv(rows, header))
         return
-    if str(out).endswith(".json"):
-        text = render_json(rows, header)
-    else:
-        text = render_csv(rows, header)
-    write_output(out, rows, header)
+    text = write_output(out, rows, header)
     print(f"wrote {len(text.splitlines())} lines to {out}", file=sys.stderr)
 
 

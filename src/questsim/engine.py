@@ -17,7 +17,7 @@ import time
 from random import Random
 from typing import Callable
 
-from .cards import CardKind, Scenario, Sphere, expand_deck
+from .cards import CHARACTER_KINDS, CardDef, CardKind, Scenario, Sphere, expand_deck
 from .errors import DataError, IllegalActionError, QuestSimError, StageError
 from .state import (
     ACTION_STAGE,
@@ -46,8 +46,6 @@ MAX_PLANNING_ACTIONS = 64
 MAX_COMMIT_ENUM = 7
 MAX_DEFEND_ACTIONS = 512
 MAX_ATTACK_ACTIONS = 512
-
-_CHARS = frozenset({CardKind.HERO, CardKind.ALLY})
 
 
 # ---- setup ------------------------------------------------------------------
@@ -103,6 +101,15 @@ def _instance(state: GameState, iid: object) -> CardInstance:
     return state.cards[iid]
 
 
+def _ready_character(state: GameState, iid: object) -> CardInstance:
+    c = _instance(state, iid)
+    if c.zone is not Zone.PLAY_AREA or c.defn.kind not in CHARACTER_KINDS:
+        raise IllegalActionError(f"{c.defn.id}#{iid} is not a character in play")
+    if c.exhausted:
+        raise IllegalActionError(f"{c.defn.id}#{iid} is exhausted")
+    return c
+
+
 def _raise_threat(state: GameState, amount: int) -> None:
     state.threat_level += amount
     if state.threat_level >= state.scenario.threat_limit:
@@ -113,7 +120,7 @@ def _raise_threat(state: GameState, amount: int) -> None:
 def _destroy(state: GameState, card: CardInstance, log: list | None) -> None:
     if log is not None:
         log.append(f"{card.defn.id} destroyed")
-    if card.defn.kind in _CHARS:
+    if card.defn.kind in CHARACTER_KINDS:
         # Attached items go to the discard pile with their bearer.
         for item in state.cards:
             if item.attached_to == card.instance_id:
@@ -189,7 +196,8 @@ def _draw_encounter(state: GameState, rng: Random) -> int | None:
     return state.encounter_deck.pop()
 
 
-def _resource_pools(heroes: list[CardInstance]) -> tuple[dict[Sphere, int], int]:
+def hero_pools(heroes: list[CardInstance]) -> tuple[dict[Sphere, int], int]:
+    """Resources per hero sphere, and in total, across these heroes."""
     pools: dict[Sphere, int] = {}
     total = 0
     for hero in heroes:
@@ -198,29 +206,37 @@ def _resource_pools(heroes: list[CardInstance]) -> tuple[dict[Sphere, int], int]
     return pools, total
 
 
-def _payment_problem(defs) -> tuple[dict[Sphere, int], int]:
-    demand: dict[Sphere, int] = {}
-    total = 0
-    for d in defs:
-        total += d.cost
-        if d.sphere is not Sphere.NEUTRAL:
-            demand[d.sphere] = demand.get(d.sphere, 0) + d.cost
-    return demand, total
+def fits(defn: CardDef, pools: dict[Sphere, int], total: int,
+         demand: dict[Sphere, int], spent: int) -> bool:
+    """Whether defn stays payable on top of a buy that already spends
+    `spent` in total and `demand` per sphere. Sphere cards draw only on
+    same-sphere heroes, neutral cards on anyone, so a set is payable iff
+    every per-sphere demand fits its sphere pool and the grand total fits
+    the grand pool: checking each card as it is added is exact."""
+    if spent + defn.cost > total:
+        return False
+    return (defn.sphere is Sphere.NEUTRAL
+            or demand.get(defn.sphere, 0) + defn.cost <= pools.get(defn.sphere, 0))
 
 
 def _payable(heroes: list[CardInstance], defs) -> tuple[bool, str]:
-    """Exact affordability: sphere cards draw only on same-sphere heroes,
-    neutral cards on anyone, so a set is payable iff every per-sphere demand
-    fits its sphere pool and the grand total fits the grand pool."""
-    pools, total_pool = _resource_pools(heroes)
-    demand, total = _payment_problem(defs)
+    """Exact affordability of a buy, with the reason when it fails."""
+    pools, total_pool = hero_pools(heroes)
+    demand: dict[Sphere, int] = {}
+    total = 0
+    ok = True
+    for d in defs:
+        ok = ok and fits(d, pools, total_pool, demand, total)
+        total += d.cost
+        if d.sphere is not Sphere.NEUTRAL:
+            demand[d.sphere] = demand.get(d.sphere, 0) + d.cost
+    if ok:
+        return True, ""
     for sphere in sorted(demand, key=lambda s: s.value):
         if demand[sphere] > pools.get(sphere, 0):
             return False, (f"needs {demand[sphere]} {sphere.value} resources, "
                            f"heroes have {pools.get(sphere, 0)}")
-    if total > total_pool:
-        return False, f"costs {total} in total, heroes have {total_pool}"
-    return True, ""
+    return False, f"costs {total} in total, heroes have {total_pool}"
 
 
 def _spend(heroes: list[CardInstance], amount: int) -> None:
@@ -244,7 +260,7 @@ def _planning_enumerate(state: GameState,
     order matters. With build=False only the overflow flag is computed
     (same traversal, no action objects)."""
     hand = state.hand()
-    pools, total_pool = _resource_pools(state.heroes())
+    pools, total_pool = hero_pools(state.heroes())
 
     subsets: list[tuple[int, tuple[int, ...]]] | None = [] if build else None
     chosen: list[int] = []
@@ -252,18 +268,12 @@ def _planning_enumerate(state: GameState,
     running = [1, 0]  # action count (incl. empty), cost of chosen subset
     overflow = [False]
 
-    def fits(d) -> bool:
-        if running[1] + d.cost > total_pool:
-            return False
-        return (d.sphere is Sphere.NEUTRAL
-                or demand.get(d.sphere, 0) + d.cost <= pools.get(d.sphere, 0))
-
     def dfs(start: int) -> None:
         for i in range(start, len(hand)):
             if overflow[0]:
                 return
             d = hand[i].defn
-            if not fits(d):
+            if not fits(d, pools, total_pool, demand, running[1]):
                 continue
             chosen.append(hand[i].instance_id)
             running[1] += d.cost
@@ -295,23 +305,26 @@ def planning_capped(state: GameState) -> bool:
     return _planning_enumerate(state, build=False)[1]
 
 
+def defend_overflows(enemies: int, defenders: int) -> bool:
+    """Whether assigning at most one distinct defender per enemy has more
+    than MAX_DEFEND_ACTIONS ways."""
+    count = sum(math.comb(enemies, j) * math.perm(defenders, j)
+                for j in range(min(enemies, defenders) + 1))
+    return count > MAX_DEFEND_ACTIONS
+
+
 def defend_capped(state: GameState) -> bool:
     """True when the defender-assignment family overflows its cap and
     DeclareDefenders legals collapse to all-undefended plus single-defender
     assignments."""
-    k = len(state.engaged_enemies())
-    n = len(state.ready_characters())
-    count = sum(math.comb(k, j) * math.perm(n, j) for j in range(min(k, n) + 1))
-    return count > MAX_DEFEND_ACTIONS
+    return defend_overflows(len(state.engaged_enemies()),
+                             len(state.ready_characters()))
 
 
 def single_card_payable(state: GameState, card: CardInstance) -> bool:
     """Whether this hand card alone is payable from current hero pools."""
-    pools, total_pool = _resource_pools(state.heroes())
-    d = card.defn
-    if d.cost > total_pool:
-        return False
-    return d.sphere is Sphere.NEUTRAL or d.cost <= pools.get(d.sphere, 0)
+    pools, total = hero_pools(state.heroes())
+    return fits(card.defn, pools, total, {}, 0)
 
 
 def _planning_actions(state: GameState) -> list[Action]:
@@ -326,27 +339,36 @@ def _planning_actions(state: GameState) -> list[Action]:
     return actions
 
 
+def commit_pool(state: GameState) -> list[CardInstance]:
+    """Characters that may commit: ready, uncommitted, nonzero willpower."""
+    return [c for c in state.ready_characters() if not c.committed and c.willpower > 0]
+
+
+def commit_prefixes(pool: list[CardInstance], threshold: int) -> list[tuple[int, ...]]:
+    """Willpower-descending prefixes of the pool (ties by id) whose
+    willpower strictly beats the threshold, shortest first: the commits
+    offered once the pool exceeds MAX_COMMIT_ENUM."""
+    prefixes = []
+    ids: list[int] = []
+    total = 0
+    for c in sorted(pool, key=lambda c: (-c.willpower, c.instance_id)):
+        ids.append(c.instance_id)
+        total += c.willpower
+        if total > threshold:
+            prefixes.append(tuple(ids))
+    return prefixes
+
+
 def _commit_actions(state: GameState) -> list[Action]:
-    """Every subset of ready, uncommitted, nonzero willpower characters
-    whose willpower strictly beats the staging threat, plus the empty
-    commit. Ordered by ascending willpower (tightest qualifying commit
-    first) with the empty commit last; past 7 candidates only
-    willpower-descending prefixes are offered."""
+    """Every subset of the commit pool whose willpower strictly beats the
+    staging threat, plus the empty commit. Ordered by ascending willpower
+    (tightest qualifying commit first) with the empty commit last; past 7
+    candidates only the willpower-descending prefixes are offered."""
     threshold = state.staging_threat()
-    pool = [c for c in state.ready_characters() if not c.committed and c.willpower > 0]
+    pool = commit_pool(state)
 
     if len(pool) > MAX_COMMIT_ENUM:
-        ordered = sorted(pool, key=lambda c: (-c.willpower, c.instance_id))
-        actions = []
-        ids: list[int] = []
-        total = 0
-        for c in ordered:
-            ids.append(c.instance_id)
-            total += c.willpower
-            if total > threshold:
-                actions.append(Commit(tuple(ids)))
-        actions.append(Commit(()))
-        return actions
+        return [Commit(ids) for ids in commit_prefixes(pool, threshold)] + [Commit(())]
 
     wills = [c.willpower for c in pool]
     ids = [c.instance_id for c in pool]
@@ -365,7 +387,9 @@ def _commit_actions(state: GameState) -> list[Action]:
     return actions
 
 
-def _travel_actions(state: GameState) -> list[Action]:
+def travel_actions(state: GameState) -> list[Action]:
+    """Staging-area locations by descending threat (ties by id), then
+    staying put; only staying put while a location is active."""
     actions: list[Action] = []
     if state.active_location() is None:
         spots = [c for c in state.cards if c.zone is Zone.STAGING_AREA
@@ -376,6 +400,15 @@ def _travel_actions(state: GameState) -> list[Action]:
     return actions
 
 
+def defender_order(state: GameState) -> list[CardInstance]:
+    """Ready characters in defending preference: allies by ascending cost,
+    then heroes by descending defense, ties by id."""
+    return sorted(state.ready_characters(),
+                  key=lambda c: ((0, c.defn.cost, c.instance_id)
+                                 if c.defn.kind is CardKind.ALLY
+                                 else (1, -c.defense, c.instance_id)))
+
+
 def _defend_actions(state: GameState) -> list[Action]:
     """Every assignment of at most one distinct ready defender per engaged
     enemy; above 512 assignments only the single-defender assignments plus
@@ -383,15 +416,10 @@ def _defend_actions(state: GameState) -> list[Action]:
     enemies blocked first; cheap-allies-then-heroes preference within a
     tier) with all-undefended always last."""
     enemies = [e.instance_id for e in state.engaged_enemies()]
-    ready = sorted(state.ready_characters(),
-                   key=lambda c: ((0, c.defn.cost, c.instance_id)
-                                  if c.defn.kind is CardKind.ALLY
-                                  else (1, -c.defense, c.instance_id)))
-    chars = [c.instance_id for c in ready]
-    k, n = len(enemies), len(chars)
-    count = sum(math.comb(k, j) * math.perm(n, j) for j in range(min(k, n) + 1))
+    chars = [c.instance_id for c in defender_order(state)]
+    k = len(enemies)
 
-    if count > MAX_DEFEND_ACTIONS:
+    if defend_overflows(k, len(chars)):
         actions = []
         for e in enemies:
             for c in chars:
@@ -469,7 +497,7 @@ def _attack_actions(state: GameState) -> list[Action]:
 _LEGAL: dict[StageId, Callable[[GameState], list[Action]]] = {
     StageId.PLANNING: _planning_actions,
     StageId.COMMIT_CHARACTERS: _commit_actions,
-    StageId.TRAVEL: _travel_actions,
+    StageId.TRAVEL: travel_actions,
     StageId.DECLARE_DEFENDERS: _defend_actions,
     StageId.DECLARE_ATTACKERS: _attack_actions,
 }
@@ -549,11 +577,7 @@ def _do_commit(state: GameState, action: Commit, log: list | None) -> None:
     insts = []
     total = 0
     for iid in action.characters:
-        c = _instance(state, iid)
-        if c.zone is not Zone.PLAY_AREA or c.defn.kind not in _CHARS:
-            raise IllegalActionError(f"{c.defn.id}#{iid} is not a character in play")
-        if c.exhausted:
-            raise IllegalActionError(f"{c.defn.id}#{iid} is exhausted")
+        c = _ready_character(state, iid)
         if c.willpower <= 0:
             raise IllegalActionError(f"{c.defn.id}#{iid} has zero willpower")
         insts.append(c)
@@ -592,12 +616,7 @@ def _do_defend(state: GameState, action: Defend, log: list | None) -> None:
         if did is None:
             dmap[eid] = None
             continue
-        defender = _instance(state, did)
-        if defender.zone is not Zone.PLAY_AREA or defender.defn.kind not in _CHARS:
-            raise IllegalActionError(f"{defender.defn.id}#{did} is not a "
-                                     f"character in play")
-        if defender.exhausted:
-            raise IllegalActionError(f"{defender.defn.id}#{did} is exhausted")
+        defender = _ready_character(state, did)
         if did in used:
             raise IllegalActionError(f"{defender.defn.id}#{did} cannot defend twice")
         used.add(did)
@@ -619,12 +638,7 @@ def _do_attack(state: GameState, action: Attack, log: list | None) -> None:
         if not group:
             raise IllegalActionError(f"empty attacker group for enemy {eid}")
         for aid in group:
-            attacker = _instance(state, aid)
-            if attacker.zone is not Zone.PLAY_AREA or attacker.defn.kind not in _CHARS:
-                raise IllegalActionError(f"{attacker.defn.id}#{aid} is not a "
-                                         f"character in play")
-            if attacker.exhausted:
-                raise IllegalActionError(f"{attacker.defn.id}#{aid} is exhausted")
+            attacker = _ready_character(state, aid)
             if aid in used:
                 raise IllegalActionError(f"{attacker.defn.id}#{aid} cannot "
                                          f"attack twice")
@@ -705,17 +719,13 @@ def _stage_quest_resolution(state: GameState, log: list | None) -> None:
 
 
 def _stage_engagement(state: GameState, log: list | None) -> None:
-    while True:
-        moved = False
-        for c in state.cards:
-            if (c.zone is Zone.STAGING_AREA and c.defn.kind is CardKind.ENEMY
-                    and c.defn.engagement_cost <= state.threat_level):
-                c.zone = Zone.ENGAGEMENT_AREA
-                moved = True
-                if log is not None:
-                    log.append(f"{c.defn.id} engages")
-        if not moved:
-            return
+    # Engaging changes no threat, so one pass engages every enemy that can.
+    for c in state.cards:
+        if (c.zone is Zone.STAGING_AREA and c.defn.kind is CardKind.ENEMY
+                and c.defn.engagement_cost <= state.threat_level):
+            c.zone = Zone.ENGAGEMENT_AREA
+            if log is not None:
+                log.append(f"{c.defn.id} engages")
 
 
 def _stage_enemy_attacks(state: GameState, log: list | None) -> None:
@@ -861,18 +871,6 @@ def resolve_random_stage(state: GameState, rng: Random) -> GameState:
     return successor
 
 
-# ---- terminal and snapshots -------------------------------------------------
-
-
-def is_terminal(state: GameState) -> Outcome | None:
-    return state.outcome
-
-
-def snapshot(state: GameState) -> GameState:
-    """Deep copy safe to mutate independently of the original."""
-    return state.clone()
-
-
 # ---- driver -----------------------------------------------------------------
 
 
@@ -980,7 +978,7 @@ def check_invariants(state: GameState) -> None:
             fail(f"{c!r} marked as a shadow of {c.attached_to} which does "
                  f"not hold it")
         if c.committed and (c.zone is not Zone.PLAY_AREA or not c.exhausted
-                            or c.defn.kind not in _CHARS):
+                            or c.defn.kind not in CHARACTER_KINDS):
             fail(f"{c!r} committed but not an exhausted character in play")
         if c.damage and c.zone in (Zone.PLAYER_DECK, Zone.ENCOUNTER_DECK,
                                    Zone.PLAYER_DISCARD, Zone.ENCOUNTER_DISCARD):

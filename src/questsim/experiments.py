@@ -21,7 +21,7 @@ from multiprocessing import Pool
 from pathlib import Path
 from random import Random
 
-from .agents import AgentKind, StagePolicyMap
+from .agents import STAGE_KEYS, AgentKind, StagePolicyMap
 from .cards import Scenario, load_scenario_bundle
 from .engine import new_game, play_game
 from .errors import ConfigError
@@ -122,9 +122,7 @@ class RunStats:
 
 
 def _search_stages(pmap: StagePolicyMap) -> frozenset[StageId]:
-    keys = {"planning": StageId.PLANNING, "commit": StageId.COMMIT_CHARACTERS,
-            "defense": StageId.DECLARE_DEFENDERS, "attack": StageId.DECLARE_ATTACKERS}
-    return frozenset(keys[stage] for stage, kind in pmap.agents().items()
+    return frozenset(STAGE_KEYS[stage] for stage, kind in pmap.agents().items()
                      if kind.is_search)
 
 

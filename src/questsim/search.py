@@ -20,6 +20,8 @@ from random import Random
 from typing import Callable
 
 from .agents import (
+    EXPERT_AGENT,
+    RANDOM_AGENT,
     AgentKind,
     ExpertPolicy,
     FixedAttackPolicy,
@@ -78,10 +80,6 @@ class SearchNode:
         self.children: dict[Action, "SearchNode"] = {}
         self.cached_legals: list[Action] | None = None
 
-    @property
-    def expanded(self) -> bool:
-        return bool(self.children)
-
     def __repr__(self) -> str:
         return (f"<SearchNode {self.action!r} {self.wins}/{self.visits} "
                 f"children={len(self.children)}>")
@@ -98,30 +96,11 @@ def ucb_score(wins: int, visits: int, parent_visits: int, c: float) -> float:
 # ---- determinization and playouts -------------------------------------------
 
 
-_RANDOM_PLAYOUT = {
-    StageId.PLANNING: RandomPolicy(),
-    StageId.COMMIT_CHARACTERS: RandomPolicy(),
-    StageId.TRAVEL: FixedTravelPolicy(),
-    StageId.DECLARE_DEFENDERS: RandomPolicy(),
-    StageId.DECLARE_ATTACKERS: FixedAttackPolicy(),
-}
-
-_EXPERT_PLAYOUT = {
-    StageId.PLANNING: ExpertPolicy(),
-    StageId.COMMIT_CHARACTERS: ExpertPolicy(),
-    StageId.TRAVEL: FixedTravelPolicy(),
-    StageId.DECLARE_DEFENDERS: ExpertPolicy(),
-    StageId.DECLARE_ATTACKERS: FixedAttackPolicy(),
-}
-
-
 def playout_policies(name: str) -> dict[StageId, object]:
     """Per-stage policy map for a playout policy name (random or expert)."""
-    if name == "random":
-        return _RANDOM_PLAYOUT
-    if name == "expert":
-        return _EXPERT_PLAYOUT
-    raise ConfigError(f"unknown playout policy {name!r}")
+    if name not in _PLAYOUTS:
+        raise ConfigError(f"unknown playout policy {name!r}")
+    return _PLAYOUTS[name]
 
 
 def determinize(state: GameState, rng: Random) -> GameState:
@@ -383,3 +362,9 @@ def build_stage_policies(pmap: StagePolicyMap) -> dict[StageId, object]:
                                     if pmap.attack is not None
                                     else FixedAttackPolicy()),
     }
+
+
+# Playouts play one agent on every configurable stage, with the fixed rules
+# on Travel and DeclareAttackers.
+_PLAYOUTS = {kind.kind: build_stage_policies(StagePolicyMap(kind, kind, kind))
+             for kind in (RANDOM_AGENT, EXPERT_AGENT)}

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .cards import CardDef, CardKind, Scenario
+from .cards import CHARACTER_KINDS, CardDef, CardKind, Scenario
 
 
 class StageKind(Enum):
@@ -267,20 +267,13 @@ class GameState:
         return [c for c in self.cards
                 if c.defn.kind is CardKind.HERO and c.zone is Zone.PLAY_AREA]
 
-    def characters_in_play(self) -> list[CardInstance]:
-        return [c for c in self.cards
-                if c.zone is Zone.PLAY_AREA and c.defn.kind in _CHARACTER_KINDS]
-
     def ready_characters(self) -> list[CardInstance]:
         return [c for c in self.cards
                 if c.zone is Zone.PLAY_AREA and not c.exhausted
-                and c.defn.kind in _CHARACTER_KINDS]
+                and c.defn.kind in CHARACTER_KINDS]
 
     def committed_characters(self) -> list[CardInstance]:
         return [c for c in self.cards if c.committed]
-
-    def shadow_id_set(self) -> set[int]:
-        return {c.shadow_card for c in self.cards if c.shadow_card is not None}
 
     def engaged_enemies(self) -> list[CardInstance]:
         # Shadow cards also sit in ENGAGEMENT_AREA but carry the attached_to
@@ -322,9 +315,6 @@ class GameState:
         return (f"<GameState r{self.round_no} {self.stage.value} "
                 f"threat={self.threat_level} quest={self.quest_index + 1}"
                 f"+{self.quest_progress} outcome={self.outcome}>")
-
-
-_CHARACTER_KINDS = frozenset({CardKind.HERO, CardKind.ALLY})
 
 
 # ---- actions ----------------------------------------------------------------

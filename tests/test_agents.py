@@ -162,6 +162,36 @@ def test_expert_commit_stays_legal_past_the_enumeration_cap(game):
     assert action != Commit(())
 
 
+def capped_commit_state(game, *staged):
+    at_stage(game, StageId.COMMIT_CHARACTERS)
+    game.cards[0].add_buff("willpower")  # hero-star: willpower 5
+    gandalf = put(game, "gandalf", Zone.PLAY_AREA)
+    for cid in ["ally-porter"] * 3 + ["ally-banner"] * 2:
+        put(game, cid, Zone.PLAY_AREA)
+    for cid in staged:
+        put(game, cid, Zone.STAGING_AREA)
+    return gandalf
+
+
+def test_expert_capped_commit_takes_longest_prefix_inside_ideal(game):
+    # Threat 4: the ideal commit is Gandalf (4, not enough) then the star
+    # (5). Both the star alone and star + Gandalf are qualifying prefixes
+    # inside it; the longer one is kept.
+    gandalf = capped_commit_state(game, "enemy-troll", "enemy-wolf")
+    action = expert_decide(game)
+    assert action == Commit((0, gandalf.instance_id))
+    assert action in legal_actions(game)
+
+
+def test_expert_capped_commit_falls_back_to_shortest_prefix(game):
+    # Threat 2: Gandalf alone is ideal but no prefix starts with him, so
+    # the shortest qualifying prefix (the star) is committed.
+    capped_commit_state(game, "enemy-warg")
+    action = expert_decide(game)
+    assert action == Commit((0,))
+    assert action in legal_actions(game)
+
+
 # ---- expert defense ---------------------------------------------------------
 
 

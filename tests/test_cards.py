@@ -2,9 +2,12 @@
 
 import copy
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from questsim import cards
 from questsim.cards import (
     CardKind,
     Sphere,
@@ -231,3 +234,21 @@ def test_malformed_json_reports_path(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(DataError, match="bad.json"):
         load_card_db(bad)
+
+
+# ---- format doc -------------------------------------------------------------
+
+
+def test_format_doc_covers_every_kind_field_and_bound():
+    doc = (Path(__file__).parent.parent / "docs" / "card_format.md").read_text()
+    for kind, fields in cards._REQUIRED.items():
+        row = next(line for line in doc.splitlines()
+                   if line.startswith(f"| `{kind.value}` "))
+        assert row.count("`") == 2 * (len(fields) + 1), row
+        for name in fields:
+            assert f"`{name}`" in row, (kind, name)
+    for name, minimum in cards._MIN_VALUE.items():
+        assert re.search(rf"^\| `{name}` +\| {minimum} \|$", doc, re.M), name
+    for value in ([s.value for s in cards._PLAYER_SPHERES] + list(cards.BUFF_STATS)
+                  + list(cards.PLAYER_EFFECTS) + list(cards.ENCOUNTER_EFFECTS)):
+        assert f"`{value}`" in doc, value

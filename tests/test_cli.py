@@ -1,0 +1,69 @@
+"""Command-line interface: batch output bytes and loud failures on bad
+flags."""
+
+import pytest
+
+from questsim import cli
+from questsim.experiments import render_csv, render_json
+
+AGENTS = "planning=expert,commit=random,defense=expert"
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Run the real batch, keeping what the CLI was handed to render."""
+    calls = []
+    real = cli.run_games
+
+    def run_games(config, label="run"):
+        stats = real(config, label=label)
+        calls.append((config, stats))
+        return stats
+
+    monkeypatch.setattr(cli, "run_games", run_games)
+    return calls
+
+
+def expected_output(calls, render) -> str:
+    (config, stats), = calls
+    return render([stats], {"command": "simulate", **config.resolved()})
+
+
+def simulate(out: str) -> int:
+    return cli.main(["simulate", "--games", "3", "--seed", "5",
+                     "--agents", AGENTS, "--out", out])
+
+
+def test_simulate_to_stdout_prints_the_csv(recorded, capsys):
+    assert simulate("-") == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected_output(recorded, render_csv)
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("name,render", [("out.csv", render_csv),
+                                         ("out.json", render_json)])
+def test_simulate_writes_the_rendered_file(recorded, capsys, tmp_path,
+                                           name, render):
+    dest = tmp_path / name
+    assert simulate(str(dest)) == 0
+    text = expected_output(recorded, render)
+    assert dest.read_text() == text
+    assert capsys.readouterr().err == \
+        f"wrote {len(text.splitlines())} lines to {dest}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--agents", "planning=bogus,commit=random,defense=random"],
+    ["simulate", "--agents", "planning=random,commit=random"],
+    ["sweep", "--agents", "planning=flat:4:random,commit=random,defense=random",
+     "--budgets", "5,many"],
+    ["grid", "--choices", "planning=random,wizard"],
+    ["grid", "--choices", "planning random"],
+])
+def test_bad_flags_exit_1_with_one_error_line(argv, capsys):
+    assert cli.main(argv + ["--games", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

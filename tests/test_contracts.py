@@ -1,0 +1,151 @@
+"""Policies that build their action without the legal family must still
+pick a member of it: the fixed rules pick its head, the expert picks some
+member. Checked on organic states of seeded games (audited after every
+stage) and on hand-built states whose families hit the caps."""
+
+from random import Random
+
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from questsim.agents import default_attack, default_travel, expert_decide
+from questsim.cards import load_scenario_bundle
+from questsim.engine import (
+    MAX_COMMIT_ENUM,
+    _apply_inplace,
+    _random_inplace,
+    _ruled_inplace,
+    check_invariants,
+    commit_pool,
+    defend_capped,
+    legal_actions,
+    new_game,
+    planning_capped,
+)
+from questsim.state import StageId, StageKind, Zone
+
+import helpers
+from helpers import at_stage, put, stash_hand
+
+SHIPPED = load_scenario_bundle()
+SYNTH = helpers.make_scenario()
+
+CONTRACT = settings(max_examples=40, deadline=None, derandomize=True,
+                    database=None,
+                    suppress_health_check=[HealthCheck.filter_too_much])
+
+EXPERT_STAGES = (StageId.PLANNING, StageId.COMMIT_CHARACTERS,
+                 StageId.DECLARE_DEFENDERS)
+HAND_CARDS = ("ally-lantern", "ally-banner", "ally-shield", "ally-porter",
+              "gandalf", "item-blade", "item-charm", "item-pack",
+              "event-respite")
+ALLIES = ("ally-lantern", "ally-banner", "ally-shield", "ally-porter",
+          "gandalf")
+ENEMIES = ("enemy-wolf", "enemy-warg", "enemy-troll")
+LOCATIONS = ("loc-clearing", "loc-ridge")
+
+
+def check_contracts(state) -> list:
+    """Assert the contract for the current decision stage; return legals."""
+    legals = legal_actions(state)
+    if state.stage is StageId.TRAVEL:
+        assert default_travel(state) == legals[0]
+    elif state.stage is StageId.DECLARE_ATTACKERS:
+        assert default_attack(state) == legals[0]
+    else:
+        assert expert_decide(state) in legals
+    return legals
+
+
+@CONTRACT
+@given(seed=st.integers(0, 2**32 - 1),
+       difficulty=st.sampled_from(["medium", "hard"]),
+       agent=st.sampled_from(["random", "expert"]))
+def test_contracts_hold_on_organic_states(seed, difficulty, agent):
+    rng = Random(seed)
+    state = new_game(SHIPPED, difficulty, rng)
+    seen = set()
+    while state.outcome is None and state.round_no <= 40:
+        kind = state.stage.kind
+        if kind is StageKind.RULED:
+            _ruled_inplace(state)
+        elif kind is StageKind.RANDOM:
+            _random_inplace(state, rng)
+        else:
+            legals = check_contracts(state)
+            seen.add(state.stage)
+            action = (rng.choice(legals) if agent == "random"
+                      else expert_decide(state))
+            _apply_inplace(state, action)
+        check_invariants(state)
+    assert set(EXPERT_STAGES) <= seen
+
+
+def synth_game():
+    return helpers.new_synth_game(seed=1, scenario=SYNTH)
+
+
+@CONTRACT
+@given(hand=st.lists(st.sampled_from(HAND_CARDS), min_size=8, max_size=11),
+       pools=st.tuples(*[st.integers(2, 9)] * 3))
+def test_expert_planning_stays_legal_when_capped(hand, pools):
+    game = at_stage(synth_game(), StageId.PLANNING)
+    stash_hand(game)
+    for cid in hand:
+        put(game, cid, Zone.HAND)
+    for hero, pool in zip(game.heroes(), pools):
+        hero.resource_pool = pool
+    assume(planning_capped(game))
+    check_contracts(game)
+
+
+@CONTRACT
+@given(allies=st.lists(st.sampled_from(ALLIES), min_size=5, max_size=9),
+       staged=st.lists(st.sampled_from(ENEMIES + LOCATIONS), max_size=6))
+def test_expert_commit_stays_legal_when_capped(allies, staged):
+    game = at_stage(synth_game(), StageId.COMMIT_CHARACTERS)
+    for cid in allies:
+        put(game, cid, Zone.PLAY_AREA)
+    for cid in staged:
+        put(game, cid, Zone.STAGING_AREA)
+    assume(len(commit_pool(game)) > MAX_COMMIT_ENUM)
+    check_contracts(game)
+
+
+@CONTRACT
+@given(enemies=st.lists(st.sampled_from(ENEMIES), min_size=2, max_size=6),
+       allies=st.lists(st.sampled_from(ALLIES), min_size=1, max_size=7),
+       exhausted=st.sets(st.integers(0, 9)))
+def test_expert_defense_stays_legal_when_capped(enemies, allies, exhausted):
+    game = at_stage(synth_game(), StageId.DECLARE_DEFENDERS)
+    for cid in enemies:
+        put(game, cid, Zone.ENGAGEMENT_AREA)
+    for i, cid in enumerate(allies):
+        put(game, cid, Zone.PLAY_AREA, exhausted=i in exhausted)
+    assume(defend_capped(game))
+    check_contracts(game)
+
+
+@CONTRACT
+@given(enemies=st.lists(st.sampled_from(ENEMIES), max_size=5),
+       damage=st.lists(st.integers(0, 1), max_size=5),
+       allies=st.lists(st.sampled_from(ALLIES), max_size=6))
+def test_default_attack_heads_the_attack_family(enemies, damage, allies):
+    game = at_stage(synth_game(), StageId.DECLARE_ATTACKERS)
+    for cid, dmg in zip(enemies, damage + [0] * len(enemies)):
+        put(game, cid, Zone.ENGAGEMENT_AREA, damage=dmg)
+    for cid in allies:
+        put(game, cid, Zone.PLAY_AREA)
+    check_contracts(game)
+
+
+@CONTRACT
+@given(staged=st.lists(st.sampled_from(LOCATIONS + ENEMIES), max_size=6),
+       active=st.booleans())
+def test_default_travel_heads_the_travel_family(staged, active):
+    game = at_stage(synth_game(), StageId.TRAVEL)
+    for cid in staged:
+        put(game, cid, Zone.STAGING_AREA)
+    if active:
+        put(game, "loc-ridge", Zone.ACTIVE_LOCATION)
+    check_contracts(game)
