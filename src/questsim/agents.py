@@ -13,7 +13,7 @@ experiment harness); the search-backed kinds are instantiated in search.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from random import Random
 from typing import Protocol
 
@@ -27,7 +27,6 @@ from .engine import (
     fits,
     hero_pools,
     planning_capped,
-    single_card_payable,
     travel_actions,
 )
 from .errors import ConfigError, StageError
@@ -64,14 +63,14 @@ class RandomPolicy:
 # ---- fixed default rules ----------------------------------------------------
 
 
-def default_travel(state: GameState, legals: list[Action] | None = None) -> Action:
+def default_travel(state: GameState) -> Action:
     """Travel to the staging location with the highest threat (ties by id);
     stay put when a location is already active or none are staged. This is
     the head of the travel family."""
     return travel_actions(state)[0]
 
 
-def default_attack(state: GameState, legals: list[Action] | None = None) -> Action:
+def default_attack(state: GameState) -> Action:
     """All ready characters attack the engaged enemy with the fewest
     remaining hit points (ties by id); empty when nothing to do."""
     enemies = state.engaged_enemies()
@@ -137,7 +136,7 @@ def _expert_planning(state: GameState) -> Action:
         # Capped family carries only singletons: keep the first ideal card
         # (in legal order) that is payable on its own.
         for c in hand:
-            if c.instance_id in chosen_set and single_card_payable(state, c):
+            if c.instance_id in chosen_set and fits(c.defn, pools, total_pool, {}, 0):
                 return PlayCards((c.instance_id,))
         return PlayCards(())
     return PlayCards(tuple(chosen))
@@ -200,10 +199,9 @@ def _expert_defend(state: GameState) -> Action:
     return Defend(tuple(ideal.items()))
 
 
-def expert_decide(state: GameState, legals: list[Action] | None = None,
-                  rng: Random | None = None) -> Action:
-    """Deterministic rule agent; ignores legals and rng (the construction
-    itself stays inside the enumerated family, caps included)."""
+def expert_decide(state: GameState) -> Action:
+    """Deterministic rule agent; its construction stays inside the
+    enumerated legal family, caps included."""
     stage = state.stage
     if stage is StageId.PLANNING:
         return _expert_planning(state)
@@ -263,9 +261,7 @@ class AgentKind:
         return ("random", "expert", "flat", "mcts").index(self.kind) + 1
 
     def with_budget(self, budget: int) -> "AgentKind":
-        if not self.is_search:
-            return self
-        return AgentKind(self.kind, budget, self.exploration_c, self.playout)
+        return replace(self, budget=budget) if self.is_search else self
 
     def __str__(self) -> str:
         if self.kind == "flat":
@@ -327,18 +323,9 @@ class StagePolicyMap:
             out["attack"] = self.attack
         return out
 
-    def replace(self, **kw) -> "StagePolicyMap":
-        cur = {"planning": self.planning, "commit": self.commit,
-               "defense": self.defense, "attack": self.attack}
-        cur.update(kw)
-        return StagePolicyMap(**cur)
-
     def with_budget(self, budget: int) -> "StagePolicyMap":
-        return StagePolicyMap(self.planning.with_budget(budget),
-                              self.commit.with_budget(budget),
-                              self.defense.with_budget(budget),
-                              self.attack.with_budget(budget)
-                              if self.attack is not None else None)
+        return replace(self, **{stage: kind.with_budget(budget)
+                                for stage, kind in self.agents().items()})
 
     def has_search_agent(self) -> bool:
         return any(kind.is_search for kind in self.agents().values())

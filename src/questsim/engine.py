@@ -20,7 +20,6 @@ from typing import Callable
 from .cards import CHARACTER_KINDS, CardDef, CardKind, Scenario, Sphere, expand_deck
 from .errors import DataError, IllegalActionError, QuestSimError, StageError
 from .state import (
-    ACTION_STAGE,
     Action,
     Attack,
     CardInstance,
@@ -34,7 +33,6 @@ from .state import (
     TravelTo,
     Zone,
     describe_action,
-    next_stage,
 )
 
 STARTING_HAND_SIZE = 6
@@ -321,19 +319,14 @@ def defend_capped(state: GameState) -> bool:
                              len(state.ready_characters()))
 
 
-def single_card_payable(state: GameState, card: CardInstance) -> bool:
-    """Whether this hand card alone is payable from current hero pools."""
-    pools, total = hero_pools(state.heroes())
-    return fits(card.defn, pools, total, {}, 0)
-
-
 def _planning_actions(state: GameState) -> list[Action]:
     """Every payable subset of the hand, capped at 64 actions; over the cap
     the family collapses to payable singletons plus the empty buy. Subsets
     come out in depth-first hand order with the empty buy last."""
     actions, overflow = _planning_enumerate(state, build=True)
     if overflow:
-        payable = [c for c in state.hand() if single_card_payable(state, c)]
+        pools, total = hero_pools(state.heroes())
+        payable = [c for c in state.hand() if fits(c.defn, pools, total, {}, 0)]
         payable.sort(key=lambda c: (-c.defn.cost, c.instance_id))
         return [PlayCards((c.instance_id,)) for c in payable] + [PlayCards(())]
     return actions
@@ -649,32 +642,34 @@ def _do_attack(state: GameState, action: Attack, log: list | None) -> None:
     state.attack_map = amap
 
 
-_DO: dict[type, Callable] = {
-    PlayCards: _do_play,
-    Commit: _do_commit,
-    TravelTo: _do_travel,
-    Defend: _do_defend,
-    Attack: _do_attack,
+# Action type -> (the decision stage it applies at, its handler).
+_DO: dict[type, tuple[StageId, Callable]] = {
+    PlayCards: (StageId.PLANNING, _do_play),
+    Commit: (StageId.COMMIT_CHARACTERS, _do_commit),
+    TravelTo: (StageId.TRAVEL, _do_travel),
+    Defend: (StageId.DECLARE_DEFENDERS, _do_defend),
+    Attack: (StageId.DECLARE_ATTACKERS, _do_attack),
 }
 
 
 def _advance(state: GameState) -> None:
     if state.stage is StageId.REFRESH:
         state.round_no += 1
-    state.stage = next_stage(state.stage)
+    state.stage = state.stage.next
 
 
 def _apply_inplace(state: GameState, action: Action, log: list | None = None) -> None:
     if state.outcome is not None:
         raise StageError("game is over")
-    expected = ACTION_STAGE.get(type(action))
-    if expected is None:
+    entry = _DO.get(type(action))
+    if entry is None:
         raise IllegalActionError(f"not an action: {action!r}")
+    expected, handler = entry
     if state.stage is not expected:
         raise IllegalActionError(f"{type(action).__name__} applies at stage "
                                  f"'{expected.value}', game is at "
                                  f"'{state.stage.value}'")
-    _DO[type(action)](state, action, log)
+    handler(state, action, log)
     if state.outcome is None:
         _advance(state)
 

@@ -41,10 +41,8 @@ class SearchConfig:
     playout_budget: int
     exploration_c: float = 0.7
     playout_policy: str = "random"
-    playout_round_cap: int = PLAYOUT_ROUND_CAP
-    # Debug and test knobs: cap the tree depth (1 forces a depth-1 tree),
-    # audit tree consistency per iteration, count playouts.
-    max_depth: int | None = None
+    # Debug and test knobs: audit tree consistency per iteration, count
+    # playouts.
     debug: bool = False
     on_playout: Callable[[], None] | None = None
 
@@ -58,8 +56,6 @@ class SearchConfig:
         if self.playout_policy not in ("random", "expert"):
             raise ConfigError(f"playout policy must be 'random' or 'expert', "
                               f"got {self.playout_policy!r}")
-        if self.playout_round_cap < 1:
-            raise ConfigError("playout round cap must be >= 1")
 
 
 class SearchNode:
@@ -127,17 +123,17 @@ def determinize(state: GameState, rng: Random) -> GameState:
     return state
 
 
-def _finish(state: GameState, policies: dict, rng: Random, round_cap: int,
+def _finish(state: GameState, policies: dict, rng: Random,
             hook: Callable[[], None] | None = None) -> Outcome:
     """Play the (already determinized) state to its end, mutating it.
 
-    Hitting the round cap counts as a loss; threat rises every round so a
-    capped game is a threat death in all but name.
+    Passing PLAYOUT_ROUND_CAP rounds counts as a loss; threat rises every
+    round so a capped game is a threat death in all but name.
     """
     if hook is not None:
         hook()
     while state.outcome is None:
-        if state.round_no > round_cap:
+        if state.round_no > PLAYOUT_ROUND_CAP:
             return Outcome.LOSS_THREAT
         kind = state.stage.kind
         if kind is StageKind.RULED:
@@ -151,20 +147,19 @@ def _finish(state: GameState, policies: dict, rng: Random, round_cap: int,
     return state.outcome
 
 
-def playout(state: GameState, policy, rng: Random, *,
-            round_cap: int = PLAYOUT_ROUND_CAP) -> Outcome:
+def playout(state: GameState, policy: str, rng: Random) -> Outcome:
     """Outcome of one simulated completion of the game from this state.
 
-    policy is a playout policy name ('random' or 'expert') or a prebuilt
-    per-stage policy map. The input state is never modified; an already
-    terminal state returns its outcome with zero stages played.
+    policy is a playout policy name ('random' or 'expert'). The input state
+    is never modified; an already terminal state returns its outcome with
+    zero stages played.
     """
     if state.outcome is not None:
         return state.outcome
-    policies = playout_policies(policy) if isinstance(policy, str) else policy
+    policies = playout_policies(policy)
     copy = state.clone()
     determinize(copy, rng)
-    return _finish(copy, policies, rng, round_cap)
+    return _finish(copy, policies, rng)
 
 
 # ---- flat Monte-Carlo -------------------------------------------------------
@@ -198,8 +193,7 @@ def flat_mc_decide(state: GameState, legals: list[Action],
         for _ in range(share):
             trial = child.clone()
             determinize(trial, rng)
-            if _finish(trial, policies, rng, config.playout_round_cap,
-                       config.on_playout) is Outcome.WIN:
+            if _finish(trial, policies, rng, config.on_playout) is Outcome.WIN:
                 wins[i] += 1
     return legals[best_child_index(wins)]
 
@@ -240,7 +234,6 @@ def mcts_decide(state: GameState, legals: list[Action],
         node = root
         path = [root]
         current_legals = legals
-        depth = 0
         stable = True  # no draw/reveal crossed yet: child legals repeat
         while True:
             chosen = None
@@ -274,9 +267,6 @@ def mcts_decide(state: GameState, legals: list[Action],
                     _random_inplace(trial, rng)
             if trial.outcome is not None:
                 break
-            depth += 1
-            if config.max_depth is not None and depth >= config.max_depth:
-                break
             node = child
             if stable and child.cached_legals is not None:
                 current_legals = child.cached_legals
@@ -285,8 +275,7 @@ def mcts_decide(state: GameState, legals: list[Action],
                 if stable:
                     child.cached_legals = current_legals
 
-        outcome = _finish(trial, policies, rng, config.playout_round_cap,
-                          config.on_playout)
+        outcome = _finish(trial, policies, rng, config.on_playout)
         won = outcome is Outcome.WIN
         for visited in path:
             visited.visits += 1

@@ -2,8 +2,9 @@
 
 A round is a fixed pipeline of 13 stages grouped into 7 phases. Six stages
 are ruled (pure rule application), two are random (they consume the injected
-RNG) and five are decision stages where an agent picks an Action. The engine
-in engine.py advances this state; nothing here touches an RNG.
+RNG) and five are decision stages where an agent picks an Action;
+docs/round.md describes each stage. The engine in engine.py advances this
+state; nothing here touches an RNG.
 
 GameState.clone() is the deep snapshot used for playouts: the clone shares
 only immutable objects (CardDef, Scenario) with the original.
@@ -24,86 +25,42 @@ class StageKind(Enum):
 
 
 class StageId(Enum):
-    GAIN_RESOURCES_AND_DRAW = "gain-resources"
-    PLANNING = "planning"
-    COMMIT_CHARACTERS = "commit"
-    STAGING = "staging"
-    QUEST_RESOLUTION = "quest-resolution"
-    TRAVEL = "travel"
-    ENGAGEMENT_CHECKS = "engagement"
-    DEAL_SHADOW_CARDS = "deal-shadows"
-    DECLARE_DEFENDERS = "declare-defenders"
-    RESOLVE_ENEMY_ATTACKS = "enemy-attacks"
-    DECLARE_ATTACKERS = "declare-attackers"
-    RESOLVE_PLAYER_ATTACKS = "player-attacks"
-    REFRESH = "refresh"
+    """One stage of the round, declared in pipeline order as
+    (value, kind, phase). Each member carries .kind, .phase and .next (the
+    stage that follows it; REFRESH wraps back to GAIN_RESOURCES_AND_DRAW
+    with a new round). .value is the wire name used in fingerprints, trace
+    lines and error messages."""
 
-    @property
-    def kind(self) -> StageKind:
-        return _STAGE_KIND[self]
+    kind: StageKind
+    phase: str
+    next: StageId
 
-    @property
-    def phase(self) -> str:
-        return _STAGE_PHASE[self]
+    GAIN_RESOURCES_AND_DRAW = ("gain-resources", StageKind.RULED, "resource")
+    PLANNING = ("planning", StageKind.DECISION, "planning")
+    COMMIT_CHARACTERS = ("commit", StageKind.DECISION, "quest")
+    STAGING = ("staging", StageKind.RANDOM, "quest")
+    QUEST_RESOLUTION = ("quest-resolution", StageKind.RULED, "quest")
+    TRAVEL = ("travel", StageKind.DECISION, "travel")
+    ENGAGEMENT_CHECKS = ("engagement", StageKind.RULED, "encounter")
+    DEAL_SHADOW_CARDS = ("deal-shadows", StageKind.RANDOM, "combat")
+    DECLARE_DEFENDERS = ("declare-defenders", StageKind.DECISION, "combat")
+    RESOLVE_ENEMY_ATTACKS = ("enemy-attacks", StageKind.RULED, "combat")
+    DECLARE_ATTACKERS = ("declare-attackers", StageKind.DECISION, "combat")
+    RESOLVE_PLAYER_ATTACKS = ("player-attacks", StageKind.RULED, "combat")
+    REFRESH = ("refresh", StageKind.RULED, "refresh")
 
-
-# Pipeline order; REFRESH wraps back to GAIN_RESOURCES_AND_DRAW with a new round.
-STAGE_ORDER: tuple[StageId, ...] = (
-    StageId.GAIN_RESOURCES_AND_DRAW,
-    StageId.PLANNING,
-    StageId.COMMIT_CHARACTERS,
-    StageId.STAGING,
-    StageId.QUEST_RESOLUTION,
-    StageId.TRAVEL,
-    StageId.ENGAGEMENT_CHECKS,
-    StageId.DEAL_SHADOW_CARDS,
-    StageId.DECLARE_DEFENDERS,
-    StageId.RESOLVE_ENEMY_ATTACKS,
-    StageId.DECLARE_ATTACKERS,
-    StageId.RESOLVE_PLAYER_ATTACKS,
-    StageId.REFRESH,
-)
-
-_STAGE_KIND = {
-    StageId.GAIN_RESOURCES_AND_DRAW: StageKind.RULED,
-    StageId.PLANNING: StageKind.DECISION,
-    StageId.COMMIT_CHARACTERS: StageKind.DECISION,
-    StageId.STAGING: StageKind.RANDOM,
-    StageId.QUEST_RESOLUTION: StageKind.RULED,
-    StageId.TRAVEL: StageKind.DECISION,
-    StageId.ENGAGEMENT_CHECKS: StageKind.RULED,
-    StageId.DEAL_SHADOW_CARDS: StageKind.RANDOM,
-    StageId.DECLARE_DEFENDERS: StageKind.DECISION,
-    StageId.RESOLVE_ENEMY_ATTACKS: StageKind.RULED,
-    StageId.DECLARE_ATTACKERS: StageKind.DECISION,
-    StageId.RESOLVE_PLAYER_ATTACKS: StageKind.RULED,
-    StageId.REFRESH: StageKind.RULED,
-}
-
-_STAGE_PHASE = {
-    StageId.GAIN_RESOURCES_AND_DRAW: "resource",
-    StageId.PLANNING: "planning",
-    StageId.COMMIT_CHARACTERS: "quest",
-    StageId.STAGING: "quest",
-    StageId.QUEST_RESOLUTION: "quest",
-    StageId.TRAVEL: "travel",
-    StageId.ENGAGEMENT_CHECKS: "encounter",
-    StageId.DEAL_SHADOW_CARDS: "combat",
-    StageId.DECLARE_DEFENDERS: "combat",
-    StageId.RESOLVE_ENEMY_ATTACKS: "combat",
-    StageId.DECLARE_ATTACKERS: "combat",
-    StageId.RESOLVE_PLAYER_ATTACKS: "combat",
-    StageId.REFRESH: "refresh",
-}
-
-_NEXT_STAGE = {s: STAGE_ORDER[(i + 1) % len(STAGE_ORDER)] for i, s in enumerate(STAGE_ORDER)}
-
-DECISION_STAGES: tuple[StageId, ...] = tuple(
-    s for s in STAGE_ORDER if s.kind is StageKind.DECISION)
+    def __new__(cls, value: str, kind: StageKind, phase: str) -> StageId:
+        member = object.__new__(cls)
+        member._value_ = value
+        member.kind = kind
+        member.phase = phase
+        return member
 
 
-def next_stage(stage: StageId) -> StageId:
-    return _NEXT_STAGE[stage]
+STAGE_ORDER: tuple[StageId, ...] = tuple(StageId)
+for stage, successor in zip(STAGE_ORDER, STAGE_ORDER[1:] + STAGE_ORDER[:1]):
+    stage.next = successor
+del stage, successor
 
 
 class Zone(Enum):
@@ -375,14 +332,6 @@ class Attack:
 
 
 Action = PlayCards | Commit | TravelTo | Defend | Attack
-
-ACTION_STAGE: dict[type, StageId] = {
-    PlayCards: StageId.PLANNING,
-    Commit: StageId.COMMIT_CHARACTERS,
-    TravelTo: StageId.TRAVEL,
-    Defend: StageId.DECLARE_DEFENDERS,
-    Attack: StageId.DECLARE_ATTACKERS,
-}
 
 
 def describe_action(action: Action, state: GameState) -> str:

@@ -1,6 +1,8 @@
 """Command-line interface: batch output bytes and loud failures on bad
 flags."""
 
+import json
+
 import pytest
 
 from questsim import cli
@@ -51,6 +53,18 @@ def test_simulate_writes_the_rendered_file(recorded, capsys, tmp_path,
     assert dest.read_text() == text
     assert capsys.readouterr().err == \
         f"wrote {len(text.splitlines())} lines to {dest}\n"
+
+
+def test_simulate_json_repeats_up_to_measured_fields(tmp_path):
+    docs = []
+    for name in ("a.json", "b.json"):
+        dest = tmp_path / name
+        assert simulate(str(dest)) == 0
+        doc = json.loads(dest.read_text())
+        for row in doc["rows"]:
+            del row["wall_time_s"], row["mean_decision_time"]
+        docs.append(doc)
+    assert docs[0] == docs[1]
 
 
 @pytest.mark.parametrize("argv", [

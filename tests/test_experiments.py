@@ -1,10 +1,19 @@
-"""Experiment harness: the seed derivation and the confidence interval."""
+"""Experiment harness: the seed derivation, the confidence interval and
+common random numbers across sweep and grid rows."""
 
 import math
 
 import pytest
 
-from questsim.experiments import derive_seed, winrate_ci
+from questsim.agents import parse_agent, parse_policy_map
+from questsim.experiments import (
+    ExperimentConfig,
+    budget_sweep,
+    combination_grid,
+    derive_seed,
+    run_games,
+    winrate_ci,
+)
 
 M = 2**64
 
@@ -46,3 +55,38 @@ def test_winrate_ci_halfwidth_formula():
 def test_winrate_ci_rejects_impossible_counts(wins, n):
     with pytest.raises(ValueError):
         winrate_ci(wins, n)
+
+
+# ---- common random numbers --------------------------------------------------
+
+CRN_AGENTS = "planning=flat:{}:random,commit=expert,defense=random"
+
+
+def crn_config(budget: int) -> ExperimentConfig:
+    return ExperimentConfig(games=5, master_seed=11,
+                            policy_map=parse_policy_map(CRN_AGENTS.format(budget)))
+
+
+def result(stats) -> tuple:
+    return stats.wins, stats.mean_rounds
+
+
+def test_sweep_rows_at_one_budget_are_equal():
+    (_, first), (_, second) = budget_sweep(crn_config(1), [2, 2])
+    assert result(first) == result(second)
+
+
+def test_grid_rows_of_one_agent_are_equal():
+    rows = combination_grid(crn_config(2),
+                            {"commit": [parse_agent("random"),
+                                        parse_agent("random")]})
+    (label_a, first), (label_b, second) = rows
+    assert label_a == label_b == "3-1-1"
+    assert result(first) == result(second)
+
+
+def test_sweep_row_equals_a_batch_at_that_budget_alone():
+    rows = budget_sweep(crn_config(1), [1, 3])
+    assert [budget for budget, _ in rows] == [1, 3]
+    for budget, stats in rows:
+        assert result(stats) == result(run_games(crn_config(budget)))

@@ -1,7 +1,8 @@
 """Source hygiene without a linter: no dead private helpers or constants,
-no unused imports. A private name that nothing in its module reads is a
-copy that drifted out of use; these checks keep such copies from
-growing back."""
+no unused imports, no unread parameters. A private name that nothing in
+its module reads is a copy that drifted out of use, and a parameter that
+nothing reads is a setting no caller can change; these checks keep both
+from growing back."""
 
 import ast
 from pathlib import Path
@@ -65,3 +66,48 @@ def test_imports_are_used(path):
                 if name not in used:
                     unused.append(name)
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+# Functions whose signature a caller fixes, so they may leave parameters
+# unread: the policy protocol decide(state, legals, rng) and the action
+# handlers that engine._DO calls as handler(state, action, log).
+UNREAD_PARAMS_ALLOWED = {
+    "agents.py": {"DecisionPolicy.decide", "RandomPolicy.decide",
+                  "FixedTravelPolicy.decide", "FixedAttackPolicy.decide",
+                  "ExpertPolicy.decide", "random_decide"},
+    "engine.py": {"_do_commit", "_do_travel", "_do_defend", "_do_attack"},
+}
+
+
+def functions(tree: ast.Module):
+    """(qualified name, node) of every function and lambda in the module."""
+    stack = [("", tree)]
+    while stack:
+        prefix, node = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))
+            name = prefix + (child.name if named else "<lambda>")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                yield name, child
+            stack.append((name + "." if named else prefix, child))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_parameters_are_read(path):
+    allowed = UNREAD_PARAMS_ALLOWED.get(path.name, set())
+    unread = []
+    seen = set()
+    for name, fn in functions(parse(path)):
+        seen.add(name)
+        if name in allowed:
+            continue
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [
+            p for p in (a.vararg, a.kwarg) if p is not None]
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        read = set().union(*(loaded_names(stmt) for stmt in body))
+        unread.extend(f"{name}({p.arg})" for p in params if p.arg not in read)
+    assert allowed <= seen, f"{path.name}: no functions {allowed - seen}"
+    assert not unread, f"{path.name}: parameters never read {unread}"

@@ -10,6 +10,7 @@ from questsim.agents import parse_agent
 from questsim.engine import legal_actions, _random_inplace, _ruled_inplace
 from questsim.errors import ConfigError
 from questsim.search import (
+    PLAYOUT_ROUND_CAP,
     FlatMcPolicy,
     MctsPolicy,
     SearchConfig,
@@ -70,8 +71,6 @@ def test_search_config_validation():
         SearchConfig(playout_budget=1, exploration_c=1.01)
     with pytest.raises(ConfigError):
         SearchConfig(playout_budget=1, playout_policy="greedy")
-    with pytest.raises(ConfigError):
-        SearchConfig(playout_budget=1, playout_round_cap=0)
 
 
 def test_best_child_index_ties_to_first():
@@ -189,16 +188,6 @@ def test_flat_budget_one_evaluates_only_the_first_action(synth_scenario):
     assert action == Commit((0,))
 
 
-def test_mcts_depth_cap_still_spends_budget(synth_scenario):
-    state = forced_commit_state(synth_scenario)
-    count = [0]
-    config = SearchConfig(playout_budget=11, max_depth=1, debug=True,
-                          on_playout=lambda: count.__setitem__(0, count[0] + 1))
-    action = mcts_decide(state, legal_actions(state), config, Random(3))
-    assert action == Commit((0,))
-    assert count[0] == 11
-
-
 # ---- determinization --------------------------------------------------------
 
 
@@ -275,7 +264,8 @@ def test_playout_reaches_an_outcome_and_keeps_input(synth_scenario):
 
 def test_playout_round_cap_counts_as_loss(synth_scenario):
     state = helpers.new_synth_game(seed=13, scenario=synth_scenario)
-    outcome = playout(state, "random", Random(0), round_cap=1)
+    state.round_no = PLAYOUT_ROUND_CAP + 1
+    outcome = playout(state, "random", Random(0))
     assert outcome is Outcome.LOSS_THREAT
 
 

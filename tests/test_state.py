@@ -1,11 +1,13 @@
 """State snapshot mechanics: instances, cloning, action normalization."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from questsim.state import (
     Attack,
     Commit,
-    DECISION_STAGES,
     Defend,
     PlayCards,
     STAGE_ORDER,
@@ -14,7 +16,6 @@ from questsim.state import (
     TravelTo,
     Zone,
     describe_action,
-    next_stage,
 )
 
 import helpers
@@ -35,17 +36,30 @@ def test_stage_kinds():
     assert kinds.count(StageKind.DECISION) == 5
     assert kinds.count(StageKind.RANDOM) == 2
     assert kinds.count(StageKind.RULED) == 6
-    assert DECISION_STAGES == (StageId.PLANNING, StageId.COMMIT_CHARACTERS,
-                               StageId.TRAVEL, StageId.DECLARE_DEFENDERS,
-                               StageId.DECLARE_ATTACKERS)
+    decision = tuple(s for s in STAGE_ORDER if s.kind is StageKind.DECISION)
+    assert decision == (StageId.PLANNING, StageId.COMMIT_CHARACTERS,
+                        StageId.TRAVEL, StageId.DECLARE_DEFENDERS,
+                        StageId.DECLARE_ATTACKERS)
 
 
 def test_next_stage_wraps_around():
     stage = STAGE_ORDER[0]
     for expected in STAGE_ORDER[1:]:
-        stage = next_stage(stage)
+        stage = stage.next
         assert stage is expected
-    assert next_stage(STAGE_ORDER[-1]) is STAGE_ORDER[0]
+    assert STAGE_ORDER[-1].next is STAGE_ORDER[0]
+
+
+def test_round_doc_lists_every_stage_in_order():
+    lines = (Path(__file__).parent.parent / "docs" / "round.md").read_text() \
+        .splitlines()
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in lines if re.match(r"\| \d+ +\| `", line)]
+    assert [(value, kind, phase) for _, value, kind, phase, _ in rows] == [
+        (f"`{s.value}`", s.kind.value, s.phase) for s in STAGE_ORDER]
+    for number, stage in enumerate(STAGE_ORDER, 1):
+        heading = f"## {number}. `{stage.value}` ({stage.kind.value}, {stage.phase})"
+        assert heading in lines, heading
 
 
 def test_buffs_apply_on_top_of_printed_stats(game):
