@@ -59,12 +59,9 @@ def new_game(scenario: Scenario, difficulty: str, rng: Random) -> GameState:
     db = scenario.db
     deck_multiset = scenario.encounter_deck(difficulty)
     state = GameState(scenario, difficulty)
-    cards = state.cards
 
     def add(card_id: str, zone: Zone) -> int:
-        inst = CardInstance(len(cards), db[card_id], zone)
-        cards.append(inst)
-        return inst.instance_id
+        return state.add(db[card_id], zone).instance_id
 
     for cid in scenario.heroes:
         add(cid, Zone.PLAY_AREA)
@@ -85,8 +82,7 @@ def new_game(scenario: Scenario, difficulty: str, rng: Random) -> GameState:
         state.outcome = Outcome.LOSS_THREAT
 
     for _ in range(STARTING_HAND_SIZE):
-        iid = state.player_deck.pop()
-        cards[iid].zone = Zone.HAND
+        state.move(state.cards[state.player_deck.pop()], Zone.HAND)
     return state
 
 
@@ -120,22 +116,22 @@ def _destroy(state: GameState, card: CardInstance, log: list | None) -> None:
         log.append(f"{card.defn.id} destroyed")
     if card.defn.kind in CHARACTER_KINDS:
         # Attached items go to the discard pile with their bearer.
-        for item in state.cards:
+        for item in state.in_zone(Zone.PLAY_AREA):
             if item.attached_to == card.instance_id:
                 item.reset_in_game_state()
-                item.zone = Zone.PLAYER_DISCARD
+                state.move(item, Zone.PLAYER_DISCARD)
         was_hero = card.defn.kind is CardKind.HERO
         card.reset_in_game_state()
-        card.zone = Zone.PLAYER_DISCARD
+        state.move(card, Zone.PLAYER_DISCARD)
         if was_hero and not state.heroes():
             state.outcome = Outcome.LOSS_HEROES_DEAD
     else:
         if card.shadow_card is not None:
             shadow = state.cards[card.shadow_card]
             shadow.reset_in_game_state()
-            shadow.zone = Zone.ENCOUNTER_DISCARD
+            state.move(shadow, Zone.ENCOUNTER_DISCARD)
         card.reset_in_game_state()
-        card.zone = Zone.ENCOUNTER_DISCARD
+        state.move(card, Zone.ENCOUNTER_DISCARD)
 
 
 def _deal_damage(state: GameState, card: CardInstance, amount: int,
@@ -161,14 +157,14 @@ def _add_progress(state: GameState, points: int, log: list | None) -> None:
             return
         points -= need
         location.reset_in_game_state()
-        location.zone = Zone.ENCOUNTER_DISCARD
+        state.move(location, Zone.ENCOUNTER_DISCARD)
         if log is not None:
             log.append(f"{location.defn.id} explored")
     state.quest_progress += points
     while state.quest_progress >= state.current_quest().defn.quest_points:
         state.quest_progress -= state.current_quest().defn.quest_points
         quest = state.current_quest()
-        quest.zone = Zone.COMPLETED_QUESTS
+        state.move(quest, Zone.COMPLETED_QUESTS)
         if log is not None:
             log.append(f"{quest.defn.id} completed")
         state.quest_index += 1
@@ -181,14 +177,13 @@ def _draw_encounter(state: GameState, rng: Random) -> int | None:
     """Top of the encounter deck, reshuffling the discard pile in (cards are
     reset when reshuffled). None when both are empty."""
     if not state.encounter_deck:
-        pile = [c.instance_id for c in state.cards
-                if c.zone is Zone.ENCOUNTER_DISCARD]
+        pile = state.zone_ids[Zone.ENCOUNTER_DISCARD.slot][:]
         if not pile:
             return None
         for iid in pile:
             card = state.cards[iid]
             card.reset_in_game_state()
-            card.zone = Zone.ENCOUNTER_DECK
+            state.move(card, Zone.ENCOUNTER_DECK)
         rng.shuffle(pile)
         state.encounter_deck = pile
     return state.encounter_deck.pop()
@@ -385,8 +380,8 @@ def travel_actions(state: GameState) -> list[Action]:
     staying put; only staying put while a location is active."""
     actions: list[Action] = []
     if state.active_location() is None:
-        spots = [c for c in state.cards if c.zone is Zone.STAGING_AREA
-                 and c.defn.kind is CardKind.LOCATION]
+        spots = [c for c in state.in_zone(Zone.STAGING_AREA)
+                 if c.defn.kind is CardKind.LOCATION]
         spots.sort(key=lambda c: (-c.defn.threat, c.instance_id))
         actions.extend(TravelTo(c.instance_id) for c in spots)
     actions.append(TravelTo(None))
@@ -544,11 +539,11 @@ def _do_play(state: GameState, action: PlayCards, log: list | None) -> None:
     for inst in insts:
         kind = inst.defn.kind
         if kind is CardKind.ALLY:
-            inst.zone = Zone.PLAY_AREA
+            state.move(inst, Zone.PLAY_AREA)
             if log is not None:
                 log.append(f"played {inst.defn.id}")
         elif kind is CardKind.ITEM:
-            inst.zone = Zone.PLAY_AREA
+            state.move(inst, Zone.PLAY_AREA)
             target = next((h for h in heroes
                            if h.defn.sphere is inst.defn.sphere), heroes[0])
             inst.attached_to = target.instance_id
@@ -559,7 +554,7 @@ def _do_play(state: GameState, action: PlayCards, log: list | None) -> None:
             if inst.defn.effect == "reduce_threat":
                 state.threat_level = max(0, state.threat_level
                                          - inst.defn.effect_amount)
-            inst.zone = Zone.PLAYER_DISCARD
+            state.move(inst, Zone.PLAYER_DISCARD)
             if log is not None:
                 log.append(f"played {inst.defn.id}")
 
@@ -594,7 +589,7 @@ def _do_travel(state: GameState, action: TravelTo, log: list | None) -> None:
                                  f"staging-area location")
     if state.active_location() is not None:
         raise IllegalActionError("a location is already active")
-    loc.zone = Zone.ACTIVE_LOCATION
+    state.move(loc, Zone.ACTIVE_LOCATION)
 
 
 def _do_defend(state: GameState, action: Defend, log: list | None) -> None:
@@ -696,10 +691,10 @@ def _stage_gain(state: GameState, log: list | None) -> None:
         if log is not None:
             log.append("player deck empty")
         return
-    iid = state.player_deck.pop()
-    state.cards[iid].zone = Zone.HAND
+    card = state.cards[state.player_deck.pop()]
+    state.move(card, Zone.HAND)
     if log is not None:
-        log.append(f"drew {state.cards[iid].defn.id}")
+        log.append(f"drew {card.defn.id}")
 
 
 def _stage_quest_resolution(state: GameState, log: list | None) -> None:
@@ -715,10 +710,10 @@ def _stage_quest_resolution(state: GameState, log: list | None) -> None:
 
 def _stage_engagement(state: GameState, log: list | None) -> None:
     # Engaging changes no threat, so one pass engages every enemy that can.
-    for c in state.cards:
-        if (c.zone is Zone.STAGING_AREA and c.defn.kind is CardKind.ENEMY
+    for c in state.in_zone(Zone.STAGING_AREA):
+        if (c.defn.kind is CardKind.ENEMY
                 and c.defn.engagement_cost <= state.threat_level):
-            c.zone = Zone.ENGAGEMENT_AREA
+            state.move(c, Zone.ENGAGEMENT_AREA)
             if log is not None:
                 log.append(f"{c.defn.id} engages")
 
@@ -758,16 +753,19 @@ def _stage_player_attacks(state: GameState, log: list | None) -> None:
 
 
 def _stage_refresh(state: GameState, log: list | None) -> None:
-    for c in state.cards:
-        if c.shadow_card is not None:
-            shadow = state.cards[c.shadow_card]
-            shadow.reset_in_game_state()
-            shadow.zone = Zone.ENCOUNTER_DISCARD
-            c.shadow_card = None
+    # Only characters in play exhaust or commit; only engaged enemies hold
+    # shadows, and leaving either zone clears these marks.
+    for c in state.in_zone(Zone.PLAY_AREA):
         if c.exhausted:
             c.exhausted = False
         if c.committed:
             c.committed = False
+    for c in state.in_zone(Zone.ENGAGEMENT_AREA):
+        if c.shadow_card is not None:
+            shadow = state.cards[c.shadow_card]
+            shadow.reset_in_game_state()
+            state.move(shadow, Zone.ENCOUNTER_DISCARD)
+            c.shadow_card = None
     _raise_threat(state, 1)
     if log is not None:
         log.append(f"ready all, threat +1")
@@ -821,9 +819,9 @@ def _stage_staging(state: GameState, rng: Random, log: list | None) -> None:
                 _deal_damage(state, ch, card.defn.effect_amount, log)
                 if state.outcome is not None:
                     break
-        card.zone = Zone.ENCOUNTER_DISCARD
+        state.move(card, Zone.ENCOUNTER_DISCARD)
     else:
-        card.zone = Zone.STAGING_AREA
+        state.move(card, Zone.STAGING_AREA)
 
 
 def _stage_shadows(state: GameState, rng: Random, log: list | None) -> None:
@@ -832,7 +830,7 @@ def _stage_shadows(state: GameState, rng: Random, log: list | None) -> None:
         if iid is None:
             return
         shadow = state.cards[iid]
-        shadow.zone = Zone.ENGAGEMENT_AREA
+        state.move(shadow, Zone.ENGAGEMENT_AREA)
         shadow.attached_to = enemy.instance_id
         enemy.shadow_card = iid
         if log is not None:
@@ -940,6 +938,12 @@ def check_invariants(state: GameState) -> None:
     for i, c in enumerate(state.cards):
         if c.instance_id != i:
             fail(f"card at index {i} has instance_id {c.instance_id}")
+
+    for zone in Zone:
+        ids = [c.instance_id for c in state.cards if c.zone is zone]
+        if state.zone_ids[zone.slot] != ids:
+            fail(f"zone index lists {state.zone_ids[zone.slot]} in {zone.value}, "
+                 f"but the cards there are {ids}")
 
     for deck, zone, name in ((state.player_deck, Zone.PLAYER_DECK, "player"),
                              (state.encounter_deck, Zone.ENCOUNTER_DECK,

@@ -104,12 +104,13 @@ def determinize(state: GameState, rng: Random) -> GameState:
     shadow cards returned to the encounter deck, reshuffled and re-dealt to
     the same enemies (in id order)."""
     rng.shuffle(state.player_deck)
-    owners = [c for c in state.cards if c.shadow_card is not None]
+    owners = [c for c in state.in_zone(Zone.ENGAGEMENT_AREA)
+              if c.shadow_card is not None]
     deck = state.encounter_deck
     for owner in owners:
         sid = owner.shadow_card
         shadow = state.cards[sid]
-        shadow.zone = Zone.ENCOUNTER_DECK
+        state.move(shadow, Zone.ENCOUNTER_DECK)
         shadow.attached_to = None
         deck.append(sid)
         owner.shadow_card = None
@@ -117,7 +118,7 @@ def determinize(state: GameState, rng: Random) -> GameState:
     for owner in owners:
         sid = deck.pop()
         shadow = state.cards[sid]
-        shadow.zone = Zone.ENGAGEMENT_AREA
+        state.move(shadow, Zone.ENGAGEMENT_AREA)
         shadow.attached_to = owner.instance_id
         owner.shadow_card = sid
     return state

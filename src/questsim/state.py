@@ -12,6 +12,7 @@ only immutable objects (CardDef, Scenario) with the original.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
 
@@ -64,6 +65,11 @@ del stage, successor
 
 
 class Zone(Enum):
+    """Each member's .slot names its list in GameState.zone_ids (a plain int:
+    keying a dict by the member would run Enum.__hash__ in Python)."""
+
+    slot: int
+
     PLAYER_DECK = "player_deck"
     HAND = "hand"
     PLAY_AREA = "play_area"
@@ -74,6 +80,11 @@ class Zone(Enum):
     PLAYER_DISCARD = "player_discard"
     ENCOUNTER_DISCARD = "encounter_discard"
     COMPLETED_QUESTS = "completed_quests"
+
+
+for slot, zone in enumerate(Zone):
+    zone.slot = slot
+del slot, zone
 
 
 class Outcome(Enum):
@@ -171,11 +182,17 @@ class GameState:
     player_deck / encounter_deck hold instance ids in draw order (top = last
     element). defense_map / attack_map carry combat declarations from the
     declaration stage to the matching resolution stage within a round.
+
+    zone_ids is the zone index: zone_ids[zone.slot] lists the ids of the
+    cards in that zone in ascending order, so zone queries come out in
+    instance-id order without scanning all cards. Only add() and move()
+    change zones, and both keep the index in step; clone() copies it.
+    fingerprint() leaves this derived state out; check_invariants audits it.
     """
 
     __slots__ = ("round_no", "stage", "threat_level", "quest_index", "quest_progress",
                  "cards", "scenario", "difficulty", "outcome", "player_deck",
-                 "encounter_deck", "quest_ids", "defense_map", "attack_map")
+                 "encounter_deck", "quest_ids", "defense_map", "attack_map", "zone_ids")
 
     def __init__(self, scenario: Scenario, difficulty: str):
         self.round_no = 1
@@ -192,6 +209,7 @@ class GameState:
         self.quest_ids: tuple[int, int, int] = (0, 0, 0)
         self.defense_map: dict[int, int] = {}
         self.attack_map: dict[int, tuple[int, ...]] = {}
+        self.zone_ids: list[list[int]] = [[] for _ in Zone]
 
     def clone(self) -> "GameState":
         s = GameState.__new__(GameState)
@@ -209,44 +227,60 @@ class GameState:
         s.quest_ids = self.quest_ids
         s.defense_map = dict(self.defense_map)
         s.attack_map = dict(self.attack_map)
+        s.zone_ids = [ids[:] for ids in self.zone_ids]
         return s
+
+    # ---- the only ways to create a card or change its zone ----
+
+    def add(self, defn: CardDef, zone: Zone) -> CardInstance:
+        """Create the next card instance in this game, lying in zone."""
+        card = CardInstance(len(self.cards), defn, zone)
+        self.cards.append(card)
+        self.zone_ids[zone.slot].append(card.instance_id)  # the largest id yet
+        return card
+
+    def move(self, card: CardInstance, zone: Zone) -> None:
+        """Put card in zone. Deck lists are the caller's to keep."""
+        self.zone_ids[card.zone.slot].remove(card.instance_id)
+        insort(self.zone_ids[zone.slot], card.instance_id)
+        card.zone = zone
 
     # ---- zone and role queries (always in instance-id order) ----
 
     def in_zone(self, zone: Zone) -> list[CardInstance]:
-        return [c for c in self.cards if c.zone is zone]
+        return list(map(self.cards.__getitem__, self.zone_ids[zone.slot]))
 
     def hand(self) -> list[CardInstance]:
-        return [c for c in self.cards if c.zone is Zone.HAND]
+        return list(map(self.cards.__getitem__, self.zone_ids[Zone.HAND.slot]))
 
     def heroes(self) -> list[CardInstance]:
         """Surviving heroes (in play)."""
-        return [c for c in self.cards
-                if c.defn.kind is CardKind.HERO and c.zone is Zone.PLAY_AREA]
+        return [c for c in map(self.cards.__getitem__, self.zone_ids[Zone.PLAY_AREA.slot])
+                if c.defn.kind is CardKind.HERO]
 
     def ready_characters(self) -> list[CardInstance]:
-        return [c for c in self.cards
-                if c.zone is Zone.PLAY_AREA and not c.exhausted
-                and c.defn.kind in CHARACTER_KINDS]
+        return [c for c in map(self.cards.__getitem__, self.zone_ids[Zone.PLAY_AREA.slot])
+                if not c.exhausted and c.defn.kind in CHARACTER_KINDS]
 
     def committed_characters(self) -> list[CardInstance]:
-        return [c for c in self.cards if c.committed]
+        # Only characters in play commit, and leaving play clears the mark.
+        return [c for c in map(self.cards.__getitem__, self.zone_ids[Zone.PLAY_AREA.slot])
+                if c.committed]
 
     def engaged_enemies(self) -> list[CardInstance]:
         # Shadow cards also sit in ENGAGEMENT_AREA but carry the attached_to
-        # mark of their enemy, so one pass suffices.
-        return [c for c in self.cards
-                if c.zone is Zone.ENGAGEMENT_AREA and c.attached_to is None
-                and c.defn.kind is CardKind.ENEMY]
+        # mark of their enemy.
+        return [c for c in map(self.cards.__getitem__,
+                               self.zone_ids[Zone.ENGAGEMENT_AREA.slot])
+                if c.attached_to is None and c.defn.kind is CardKind.ENEMY]
 
     def staging_threat(self) -> int:
-        return sum(c.defn.threat for c in self.cards if c.zone is Zone.STAGING_AREA)
+        cards = self.cards
+        return sum([cards[i].defn.threat for i in self.zone_ids[Zone.STAGING_AREA.slot]])
 
     def active_location(self) -> CardInstance | None:
-        for c in self.cards:
-            if c.zone is Zone.ACTIVE_LOCATION:
-                return c
-        return None
+        ids = self.zone_ids[Zone.ACTIVE_LOCATION.slot]
+        return self.cards[ids[0]] if ids else None
 
     def current_quest(self) -> CardInstance:
         return self.cards[self.quest_ids[self.quest_index]]
@@ -314,7 +348,10 @@ class Defend:
     assignments: tuple[tuple[int, int | None], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "assignments", tuple(sorted(self.assignments)))
+        # None sorts before any defender id, so a repeated enemy is left for
+        # apply_action to reject instead of failing to compare here.
+        object.__setattr__(self, "assignments", tuple(sorted(
+            self.assignments, key=lambda a: (a[0], a[1] is not None, a[1] or 0))))
 
 
 @dataclass(frozen=True)

@@ -114,8 +114,7 @@ def new_synth_game(seed=0, scenario=None):
 
 def put(state: GameState, card_id: str, zone: Zone, **attrs) -> CardInstance:
     """Append a fresh instance of card_id in the given zone (test surgery)."""
-    inst = CardInstance(len(state.cards), state.scenario.db[card_id], zone)
-    state.cards.append(inst)
+    inst = state.add(state.scenario.db[card_id], zone)
     if zone is Zone.PLAYER_DECK:
         state.player_deck.append(inst.instance_id)
     elif zone is Zone.ENCOUNTER_DECK:
@@ -128,7 +127,7 @@ def put(state: GameState, card_id: str, zone: Zone, **attrs) -> CardInstance:
 def stash_hand(state: GameState) -> None:
     """Return every hand card to the bottom of the player deck."""
     for c in state.hand():
-        c.zone = Zone.PLAYER_DECK
+        state.move(c, Zone.PLAYER_DECK)
         state.player_deck.insert(0, c.instance_id)
 
 

@@ -1,18 +1,22 @@
 """Policies that build their action without the legal family must still
 pick a member of it: the fixed rules pick its head, the expert picks some
 member. Checked on organic states of seeded games (audited after every
-stage) and on hand-built states whose families hit the caps."""
+stage) and on hand-built states whose families hit the caps. Perturbed
+legal actions on organic states must be rejected with a named error."""
 
 from random import Random
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from questsim.agents import default_attack, default_travel, expert_decide
-from questsim.cards import load_scenario_bundle
+from questsim.cards import CHARACTER_KINDS, load_scenario_bundle
 from questsim.engine import (
     MAX_COMMIT_ENUM,
     _apply_inplace,
+    apply_action,
     _random_inplace,
     _ruled_inplace,
     check_invariants,
@@ -22,7 +26,17 @@ from questsim.engine import (
     new_game,
     planning_capped,
 )
-from questsim.state import StageId, StageKind, Zone
+from questsim.errors import IllegalActionError, StageError
+from questsim.state import (
+    Attack,
+    Commit,
+    Defend,
+    PlayCards,
+    StageId,
+    StageKind,
+    TravelTo,
+    Zone,
+)
 
 import helpers
 from helpers import at_stage, put, stash_hand
@@ -79,6 +93,82 @@ def test_contracts_hold_on_organic_states(seed, difficulty, agent):
             _apply_inplace(state, action)
         check_invariants(state)
     assert set(EXPERT_STAGES) <= seen
+
+
+def perturbed(state, action) -> list:
+    """Illegal variants of a legal action at the state's decision stage:
+    ids out of range, repeated ids, a hand card never drawn, exhausted
+    characters, missing or extra enemies, empty attack groups, and actions
+    of the wrong type."""
+    far = len(state.cards)
+    undrawn = state.player_deck[-1:]
+    hand = [c.instance_id for c in state.hand()]
+    ready = [c.instance_id for c in state.ready_characters()]
+    tired = [c.instance_id for c in state.in_zone(Zone.PLAY_AREA)
+             if c.exhausted and c.defn.kind in CHARACTER_KINDS]
+    engaged = [e.instance_id for e in state.engaged_enemies()]
+    out = ["pass", Commit((0,)) if isinstance(action, PlayCards) else PlayCards(())]
+    if isinstance(action, PlayCards):
+        picked = action.cards
+        out += [PlayCards(picked + (far,)), PlayCards(picked + (-1,))]
+        out += [PlayCards(picked + (iid,)) for iid in undrawn]
+        out += [PlayCards(picked + (iid, iid)) for iid in hand[:1] if iid not in picked]
+        out += [PlayCards(picked + picked[:1])] if picked else []
+    elif isinstance(action, Commit):
+        picked = action.characters
+        out += [Commit(picked + (far,)), Commit(picked + (-1,))]
+        out += [Commit(picked + (iid,)) for iid in undrawn + hand[:1] + tired[:1]]
+        out += [Commit(picked + picked[:1])] if picked else []
+    elif isinstance(action, TravelTo):
+        out += [TravelTo(far), TravelTo(-1), TravelTo(0)]
+        out += [TravelTo(iid) for iid in undrawn]
+    elif isinstance(action, Defend):
+        given = list(action.assignments)
+        out += [Defend(given + [(far, None)]), Defend(given + [(0, None)])]
+        if given:
+            (enemy, _), rest = given[0], given[1:]
+            out += [Defend(rest),
+                    Defend(given + [(enemy, None)]),
+                    Defend([(enemy, far)] + rest)]
+            out += [Defend(given + [(enemy, iid)]) for iid in ready[:1]]
+            out += [Defend([(enemy, iid)] + rest) for iid in tired[:1] + hand[:1]]
+    elif isinstance(action, Attack):
+        given = list(action.assignments)
+        attackers = ready[:1] or [0]
+        out += [Attack(given + [(far, tuple(attackers))]),
+                Attack(given + [(hand[0] if hand else 0, tuple(attackers))])]
+        out += [Attack([(enemy, ())]) for enemy in engaged[:1]]
+        out += [Attack([(enemy, (far,))]) for enemy in engaged[:1]]
+        out += [Attack([(enemy, (iid,))]) for enemy in engaged[:1] for iid in tired[:1]]
+        if given:
+            enemy, group = given[0]
+            out += [Attack([(enemy, group + group[:1])] + given[1:]),
+                    Attack(given + [(enemy, ())])]
+    return out
+
+
+@CONTRACT
+@given(seed=st.integers(0, 2**32 - 1),
+       difficulty=st.sampled_from(["medium", "hard"]))
+def test_perturbed_actions_are_rejected_by_name(seed, difficulty):
+    rng = Random(seed)
+    state = new_game(SHIPPED, difficulty, rng)
+    while state.outcome is None and state.round_no <= 25:
+        kind = state.stage.kind
+        if kind is StageKind.RULED:
+            _ruled_inplace(state)
+        elif kind is StageKind.RANDOM:
+            _random_inplace(state, rng)
+        else:
+            action = rng.choice(legal_actions(state))
+            fingerprint = state.fingerprint()
+            index = [ids[:] for ids in state.zone_ids]
+            for bad in perturbed(state, action):
+                with pytest.raises((IllegalActionError, StageError)):
+                    apply_action(state, bad)
+            assert state.fingerprint() == fingerprint
+            assert state.zone_ids == index
+            _apply_inplace(state, action)
 
 
 def synth_game():

@@ -76,9 +76,9 @@ def test_gain_stage_grants_resources_and_draws(game):
 
 def test_empty_player_deck_loses_on_draw(game):
     for c in list(game.hand()):
-        c.zone = Zone.PLAYER_DISCARD
+        game.move(c, Zone.PLAYER_DISCARD)
     for iid in list(game.player_deck):
-        game.cards[iid].zone = Zone.PLAYER_DISCARD
+        game.move(game.cards[iid], Zone.PLAYER_DISCARD)
     game.player_deck.clear()
     nxt = advance_ruled_stage(game)
     assert nxt.outcome is Outcome.LOSS_DECK_EMPTY
@@ -227,7 +227,7 @@ def test_undefended_attack_hits_lowest_id_hero(game):
 
 
 def test_undefended_attack_skips_dead_heroes(game):
-    game.cards[0].zone = Zone.PLAYER_DISCARD  # hero-star already dead
+    game.move(game.cards[0], Zone.PLAYER_DISCARD)  # hero-star already dead
     enemy, nxt = defended_state(game, "enemy-warg", None)
     hit = advance_ruled_stage(nxt)
     assert hit.cards[1].damage == 3  # next surviving hero takes it
@@ -247,7 +247,7 @@ def test_shadow_bonus_added_to_enemy_attack(game):
 
 def test_all_heroes_dead_loses(game):
     for hero in game.heroes()[1:]:
-        hero.zone = Zone.PLAYER_DISCARD
+        game.move(hero, Zone.PLAYER_DISCARD)
     game.cards[0].damage = 2  # hero-star at 2/3
     enemy, nxt = defended_state(game, "enemy-warg", None)
     hit = advance_ruled_stage(nxt)
@@ -320,7 +320,7 @@ def test_shadow_dealing_assigns_one_per_engaged_enemy(game):
 def test_encounter_discard_reshuffles_when_deck_empty(game):
     at_stage(game, StageId.STAGING)
     for iid in list(game.encounter_deck):
-        game.cards[iid].zone = Zone.ENCOUNTER_DISCARD
+        game.move(game.cards[iid], Zone.ENCOUNTER_DISCARD)
     game.encounter_deck.clear()
     nxt = resolve_random_stage(game, Random(0))
     revealed = [c for c in nxt.cards if c.zone is Zone.STAGING_AREA
@@ -470,6 +470,13 @@ def test_defend_rejects_reusing_a_defender(game):
         apply_action(game, Defend(((e1.instance_id, 0), (e2.instance_id, 0))))
 
 
+def test_defend_rejects_a_repeated_enemy(game):
+    at_stage(game, StageId.DECLARE_DEFENDERS)
+    enemy = put(game, "enemy-wolf", Zone.ENGAGEMENT_AREA).instance_id
+    with pytest.raises(IllegalActionError, match="cover engaged"):
+        apply_action(game, Defend(((enemy, None), (enemy, 0))))
+
+
 def test_attack_rejects_exhausted_attackers(game):
     at_stage(game, StageId.DECLARE_ATTACKERS)
     enemy = put(game, "enemy-wolf", Zone.ENGAGEMENT_AREA)
@@ -515,7 +522,7 @@ def test_random_game_terminates_cleanly(synth_scenario):
 
 
 def test_check_invariants_detects_corruption(game):
-    game.cards[game.player_deck[0]].zone = Zone.HAND
+    game.move(game.cards[game.player_deck[0]], Zone.HAND)
     with pytest.raises(QuestSimError, match="invariant"):
         check_invariants(game)
 
@@ -524,3 +531,21 @@ def test_check_invariants_detects_bad_commit_flag(game):
     game.cards[0].committed = True  # committed but not exhausted
     with pytest.raises(QuestSimError, match="committed"):
         check_invariants(game)
+
+
+class DiscardsByHand:
+    """Planning policy that moves a hand card without GameState.move."""
+    needs_legals = False
+
+    def decide(self, state, legals, rng):
+        state.hand()[0].zone = Zone.PLAYER_DISCARD
+        return PlayCards(())
+
+
+def test_check_mode_catches_a_direct_zone_write(synth_scenario):
+    state = helpers.new_synth_game(seed=11, scenario=synth_scenario)
+    policies = build_stage_policies(
+        parse_policy_map("planning=expert,commit=expert,defense=expert"))
+    policies[StageId.PLANNING] = DiscardsByHand()
+    with pytest.raises(QuestSimError, match="zone index lists"):
+        play_game(state, policies, Random(11), check=True)

@@ -111,3 +111,49 @@ def test_parameters_are_read(path):
         unread.extend(f"{name}({p.arg})" for p in params if p.arg not in read)
     assert allowed <= seen, f"{path.name}: no functions {allowed - seen}"
     assert not unread, f"{path.name}: parameters never read {unread}"
+
+
+# GameState.move is the one place that changes a card's zone, because it
+# keeps the zone index in step; CardInstance sets .zone only when a card
+# is built or copied.
+def may_write_zone(path: Path, scope: str) -> bool:
+    return path.name == "state.py" and (scope == "GameState.move"
+                                        or scope.startswith("CardInstance."))
+
+
+def zone_writes(tree: ast.Module):
+    """(enclosing qualified name, line) of each store to a .zone attribute,
+    including setattr(obj, "zone", value)."""
+    writes = []
+    stack = [("", tree)]
+    while stack:
+        scope, node = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                stack.append((f"{scope}.{child.name}" if scope else child.name,
+                              child))
+                continue
+            if ((isinstance(child, ast.Attribute) and child.attr == "zone"
+                 and isinstance(child.ctx, ast.Store))
+                    or (isinstance(child, ast.Call)
+                        and isinstance(child.func, ast.Name)
+                        and child.func.id == "setattr" and len(child.args) > 1
+                        and isinstance(child.args[1], ast.Constant)
+                        and child.args[1].value == "zone")):
+                writes.append((scope, child.lineno))
+            stack.append((scope, child))
+    return writes
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_zones_change_only_through_move(path):
+    stray = [f"{scope or '<module>'}:{line}"
+             for scope, line in sorted(zone_writes(parse(path)))
+             if not may_write_zone(path, scope)]
+    assert not stray, f"{path.name}: .zone written outside GameState.move at {stray}"
+
+
+def test_zone_write_check_sees_card_instance_writes():
+    scopes = {scope for scope, _ in zone_writes(parse(SRC / "state.py"))}
+    assert scopes == {"CardInstance.__init__", "CardInstance.copy", "GameState.move"}

@@ -6,8 +6,14 @@ from random import Random
 
 import pytest
 
-from questsim.agents import parse_agent
-from questsim.engine import legal_actions, _random_inplace, _ruled_inplace
+from questsim.agents import expert_decide, parse_agent
+from questsim.engine import (
+    _random_inplace,
+    _ruled_inplace,
+    legal_actions,
+    new_game,
+    play_game,
+)
 from questsim.errors import ConfigError
 from questsim.search import (
     PLAYOUT_ROUND_CAP,
@@ -90,14 +96,14 @@ def forced_commit_state(synth_scenario):
     state.quest_index = 2
     state.quest_progress = 9  # the 10-point finale is one push away
     for iid in state.quest_ids[:2]:
-        state.cards[iid].zone = Zone.COMPLETED_QUESTS
+        state.move(state.cards[iid], Zone.COMPLETED_QUESTS)
     state.threat_level = state.threat_limit - 1
     state.cards[1].exhausted = True
     state.cards[2].exhausted = True
     # Strip threat-raising surges so the winning branch cannot be ambushed.
     for iid in list(state.encounter_deck):
         if state.cards[iid].defn.id == "enc-alarm":
-            state.cards[iid].zone = Zone.ENCOUNTER_DISCARD
+            state.move(state.cards[iid], Zone.ENCOUNTER_DISCARD)
             state.encounter_deck.remove(iid)
     at_stage(state, StageId.COMMIT_CHARACTERS)
     assert legal_actions(state) == [Commit((0,)), Commit(())]
@@ -249,6 +255,36 @@ def test_determinize_redeals_shadows_to_the_same_enemies(synth_scenario):
         shadow = copy.cards[owner.shadow_card]
         assert shadow.attached_to == owner_id
         assert shadow.zone is Zone.ENGAGEMENT_AREA
+
+
+class RecordsDefense:
+    """Expert defense that keeps a copy of each state it decides on."""
+    needs_legals = False
+
+    def __init__(self):
+        self.seen = []
+
+    def decide(self, state, legals, rng):
+        self.seen.append(state.clone())
+        return expert_decide(state)
+
+
+def test_determinize_keeps_the_zone_index(synth_scenario, shipped):
+    recorder = RecordsDefense()
+    policies = build_stage_policies(
+        parse_policy_map("planning=expert,commit=expert,defense=expert"))
+    policies[StageId.DECLARE_DEFENDERS] = recorder
+    for seed in range(4):
+        rng = Random(seed)
+        play_game(new_game(shipped, "hard", rng), policies, rng)
+    states = [rich_hidden_state(synth_scenario)] + [
+        s for s in recorder.seen if any(c.shadow_card is not None for c in s.cards)]
+    assert len(states) > 5
+    for i, state in enumerate(states):
+        copy = state.clone()
+        determinize(copy, Random(i))
+        assert copy.zone_ids == [[c.instance_id for c in copy.cards if c.zone is zone]
+                                 for zone in Zone]
 
 
 # ---- playouts ---------------------------------------------------------------

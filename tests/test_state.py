@@ -112,6 +112,38 @@ def test_staging_threat_sums_staged_cards(game):
     assert game.staging_threat() == 4  # quest cards carry no threat
 
 
+def scanned(state):
+    """Each zone's member ids by a full scan of the cards."""
+    return [[c.instance_id for c in state.cards if c.zone is zone] for zone in Zone]
+
+
+def test_zone_slots_number_the_index():
+    assert [zone.slot for zone in Zone] == list(range(len(Zone)))
+
+
+def test_move_keeps_each_zone_in_id_order(game):
+    hand = game.hand()
+    for c in reversed(hand):
+        game.move(c, Zone.PLAYER_DISCARD)
+    assert game.zone_ids[Zone.PLAYER_DISCARD.slot] == [c.instance_id for c in hand]
+    assert game.hand() == []
+    game.move(hand[1], Zone.HAND)
+    game.move(hand[0], Zone.HAND)
+    assert game.hand() == hand[:2]
+    assert game.zone_ids == scanned(game)
+
+
+def test_move_on_a_clone_leaves_the_original_index(game):
+    before = [ids[:] for ids in game.zone_ids]
+    copy = game.clone()
+    for c in copy.hand():
+        copy.move(c, Zone.PLAYER_DISCARD)
+    copy.move(copy.heroes()[0], Zone.PLAYER_DISCARD)
+    assert game.zone_ids == before == scanned(game)
+    assert copy.zone_ids == scanned(copy)
+    assert len(game.hand()) == 6 and len(game.heroes()) == 3
+
+
 # ---- action value semantics -------------------------------------------------
 
 
@@ -119,7 +151,16 @@ def test_actions_normalize_to_canonical_order():
     assert PlayCards((9, 3, 7)) == PlayCards((3, 7, 9))
     assert Commit((5, 1)) == Commit((1, 5))
     assert Defend(((8, None), (2, 4))) == Defend(((2, 4), (8, None)))
+    raw = ((8, None), (2, 4), (5, 0), (3, None))
+    assert Defend(raw).assignments == tuple(sorted(raw))
     assert Attack(((6, (9, 3)), (2, (1,)))) == Attack(((2, (1,)), (6, (3, 9))))
+
+
+def test_defend_with_a_repeated_enemy_still_canonicalizes():
+    # Left for apply_action to reject; building it must not raise.
+    action = Defend(((5, 3), (5, None)))
+    assert action.assignments == ((5, None), (5, 3))
+    assert action == Defend(((5, None), (5, 3)))
 
 
 def test_actions_are_hashable_and_distinct():
