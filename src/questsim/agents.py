@@ -74,8 +74,8 @@ def default_attack(state: GameState) -> Action:
     """All ready characters attack the engaged enemy with the fewest
     remaining hit points (ties by id); empty when nothing to do."""
     enemies = state.engaged_enemies()
-    ready = state.ready_characters()
-    if not enemies or not ready:
+    ready = state.ready_characters() if enemies else []
+    if not ready:
         return Attack(())
     target = min(enemies, key=lambda e: (e.remaining_hp, e.instance_id))
     return Attack(((target.instance_id, tuple(c.instance_id for c in ready)),))
@@ -102,18 +102,14 @@ def _expert_planning(state: GameState) -> Action:
     """Greedy purchase loop: Gandalf whenever affordable, then affordable
     Spirit cards by descending willpower, then the cheapest affordable card;
     ties by card id, repeated until nothing else is affordable."""
-    hand = state.hand()
     pools, total_pool = hero_pools(state.heroes())
     demand: dict[Sphere, int] = {}
     spent = 0
     chosen: list[int] = []
-    chosen_set: set[int] = set()
-
-    while True:
-        afford = [c for c in hand if c.instance_id not in chosen_set
-                  and fits(c.defn, pools, total_pool, demand, spent)]
-        if not afford:
-            break
+    # The buy only grows, so a card that does not fit now never fits again:
+    # each pick re-filters the cards that were still affordable before it.
+    afford = [c for c in state.hand() if fits(c.defn, pools, total_pool, demand, spent)]
+    while afford:
         gandalfs = [c for c in afford if c.defn.id == GANDALF_ID]
         if gandalfs:
             pick = gandalfs[0]
@@ -126,19 +122,18 @@ def _expert_planning(state: GameState) -> Action:
                 pick = min(afford, key=lambda c: (c.defn.cost, c.defn.id,
                                                   c.instance_id))
         chosen.append(pick.instance_id)
-        chosen_set.add(pick.instance_id)
         spent += pick.defn.cost
         if pick.defn.sphere is not Sphere.NEUTRAL:
             demand[pick.defn.sphere] = (demand.get(pick.defn.sphere, 0)
                                         + pick.defn.cost)
+        afford = [c for c in afford if c is not pick
+                  and fits(c.defn, pools, total_pool, demand, spent)]
 
     if len(chosen) >= 2 and planning_capped(state):
-        # Capped family carries only singletons: keep the first ideal card
-        # (in legal order) that is payable on its own.
-        for c in hand:
-            if c.instance_id in chosen_set and fits(c.defn, pools, total_pool, {}, 0):
-                return PlayCards((c.instance_id,))
-        return PlayCards(())
+        # Capped family carries only singletons. Each chosen card fitted on
+        # top of the cards picked before it, so it is payable on its own:
+        # keep the first one in hand (instance-id) order.
+        return PlayCards((min(chosen),))
     return PlayCards(tuple(chosen))
 
 
@@ -178,8 +173,10 @@ def _expert_defend(state: GameState) -> Action:
     """Defend the hardest-hitting enemies first, spending ready allies by
     ascending cost before heroes by descending defense; leftover enemies go
     undefended."""
-    enemies = sorted(state.engaged_enemies(),
-                     key=lambda e: (-e.attack, e.instance_id))
+    engaged = state.engaged_enemies()
+    if not engaged:
+        return Defend(())
+    enemies = sorted(engaged, key=lambda e: (-e.attack, e.instance_id))
     queue = defender_order(state)
     ideal: dict[int, int | None] = {}
     for i, enemy in enumerate(enemies):

@@ -294,13 +294,30 @@ def _planning_enumerate(state: GameState,
 
 def planning_capped(state: GameState) -> bool:
     """True when the payable-subset family overflows the 64-action cap and
-    Planning legals collapse to the empty buy plus payable singletons."""
+    Planning legals collapse to the empty buy plus payable singletons.
+
+    A payable subset holds only cards payable on their own, so with n such
+    cards the family has at most 2^n actions (the empty buy included) and
+    n <= 6 never overflows. When the n cards are payable together, every
+    subset of them is, and the family has exactly 2^n actions. Only
+    otherwise does the answer take the subset walk."""
+    heroes = state.heroes()
+    pools, total = hero_pools(heroes)
+    singles = [c.defn for c in state.hand() if fits(c.defn, pools, total, {}, 0)]
+    if 1 << len(singles) <= MAX_PLANNING_ACTIONS:
+        return False
+    if _payable(heroes, singles)[0]:
+        return True
     return _planning_enumerate(state, build=False)[1]
 
 
 def defend_overflows(enemies: int, defenders: int) -> bool:
     """Whether assigning at most one distinct defender per enemy has more
-    than MAX_DEFEND_ACTIONS ways."""
+    than MAX_DEFEND_ACTIONS ways. Each enemy takes one of the defenders or
+    none, so there are at most (defenders + 1) ** enemies ways; the exact
+    count is summed only above that bound."""
+    if (defenders + 1) ** enemies <= MAX_DEFEND_ACTIONS:
+        return False
     count = sum(math.comb(enemies, j) * math.perm(defenders, j)
                 for j in range(min(enemies, defenders) + 1))
     return count > MAX_DEFEND_ACTIONS
@@ -513,6 +530,8 @@ def legal_actions(state: GameState) -> list[Action]:
 
 
 def _do_play(state: GameState, action: PlayCards, log: list | None) -> None:
+    if not action.cards:
+        return
     if len(set(action.cards)) != len(action.cards):
         raise IllegalActionError("duplicate card in buy")
     insts = []

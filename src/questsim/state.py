@@ -36,6 +36,8 @@ class StageId(Enum):
     phase: str
     next: StageId
 
+    __hash__ = object.__hash__  # members are singletons; Enum's hash runs in Python
+
     GAIN_RESOURCES_AND_DRAW = ("gain-resources", StageKind.RULED, "resource")
     PLANNING = ("planning", StageKind.DECISION, "planning")
     COMMIT_CHARACTERS = ("commit", StageKind.DECISION, "quest")

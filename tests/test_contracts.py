@@ -1,8 +1,11 @@
 """Policies that build their action without the legal family must still
 pick a member of it: the fixed rules pick its head, the expert picks some
 member. Checked on organic states of seeded games (audited after every
-stage) and on hand-built states whose families hit the caps. Perturbed
-legal actions on organic states must be rejected with a named error."""
+stage) and on hand-built states whose families hit the caps. On the same
+states and on wide hand-built hands, the planning cap that
+planning_capped reads off its O(hand) bounds must equal the subset
+walk's. Perturbed legal actions on organic states must be rejected with a
+named error."""
 
 from random import Random
 
@@ -16,6 +19,7 @@ from questsim.cards import CHARACTER_KINDS, load_scenario_bundle
 from questsim.engine import (
     MAX_COMMIT_ENUM,
     _apply_inplace,
+    _planning_enumerate,
     apply_action,
     _random_inplace,
     _ruled_inplace,
@@ -59,9 +63,16 @@ ENEMIES = ("enemy-wolf", "enemy-warg", "enemy-troll")
 LOCATIONS = ("loc-clearing", "loc-ridge")
 
 
+def walk_overflows(state) -> bool:
+    """The planning cap as the full subset walk decides it."""
+    return _planning_enumerate(state, build=False)[1]
+
+
 def check_contracts(state) -> list:
     """Assert the contract for the current decision stage; return legals."""
     legals = legal_actions(state)
+    if state.stage is StageId.PLANNING:
+        assert planning_capped(state) == walk_overflows(state)
     if state.stage is StageId.TRAVEL:
         assert default_travel(state) == legals[0]
     elif state.stage is StageId.DECLARE_ATTACKERS:
@@ -187,6 +198,19 @@ def test_expert_planning_stays_legal_when_capped(hand, pools):
         hero.resource_pool = pool
     assume(planning_capped(game))
     check_contracts(game)
+
+
+@CONTRACT
+@given(hand=st.lists(st.sampled_from(HAND_CARDS), min_size=7, max_size=10),
+       pools=st.tuples(*[st.integers(0, 9)] * 3))
+def test_planning_cap_bounds_agree_with_the_walk(hand, pools):
+    game = at_stage(synth_game(), StageId.PLANNING)
+    stash_hand(game)
+    for cid in hand:
+        put(game, cid, Zone.HAND)
+    for hero, pool in zip(game.heroes(), pools):
+        hero.resource_pool = pool
+    assert planning_capped(game) == walk_overflows(game)
 
 
 @CONTRACT

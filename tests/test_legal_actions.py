@@ -6,12 +6,15 @@ import time
 
 import pytest
 
+from questsim import engine
 from questsim.cards import CardKind, Sphere
 from questsim.engine import (
     MAX_COMMIT_ENUM,
+    MAX_DEFEND_ACTIONS,
     MAX_PLANNING_ACTIONS,
     apply_action,
     defend_capped,
+    defend_overflows,
     legal_actions,
     planning_capped,
 )
@@ -108,6 +111,21 @@ def test_planning_small_family_not_capped(game):
     planning_state(game, ["ally-lantern", "ally-porter"], (2, 0, 0))
     assert not planning_capped(game)
     assert len(legal_actions(game)) <= MAX_PLANNING_ACTIONS
+
+
+def test_planning_cap_bounds_answer_without_the_walk(game, monkeypatch):
+    def walk(state, build):
+        raise AssertionError("planning_capped walked the subsets")
+
+    monkeypatch.setattr(engine, "_planning_enumerate", walk)
+    # Six cards payable on their own (plus an unpayable Gandalf): at most
+    # 2^6 = 64 actions, never capped, though not all six fit together.
+    planning_state(game, ["ally-lantern"] * 3 + ["ally-porter"] * 3
+                   + ["gandalf"], (2, 1, 0))
+    assert not planning_capped(game)
+    # Seven cards payable together: exactly 2^7 = 128 actions, capped.
+    planning_state(game, ["ally-lantern"] * 7, (7, 0, 0))
+    assert planning_capped(game)
 
 
 # ---- commit -----------------------------------------------------------------
@@ -266,6 +284,31 @@ def test_defend_cap_collapses_to_single_defender(game):
         assert sum(1 for _, d in action.assignments if d is not None) == 1
     assert legals[-1] == Defend(tuple((e.instance_id, None)
                                       for e in game.engaged_enemies()))
+
+
+def test_defend_overflows_matches_a_brute_count():
+    def exceeds(k, n):
+        """Count assignments one by one, stopping past the cap."""
+        count = 0
+
+        def rec(i, used):
+            nonlocal count
+            if count > MAX_DEFEND_ACTIONS:
+                return
+            if i == k:
+                count += 1
+                return
+            rec(i + 1, used)
+            for d in range(n):
+                if not used >> d & 1:
+                    rec(i + 1, used | 1 << d)
+
+        rec(0, 0)
+        return count > MAX_DEFEND_ACTIONS
+
+    for k in range(7):
+        for n in range(11):
+            assert defend_overflows(k, n) == exceeds(k, n), (k, n)
 
 
 def test_all_defend_actions_apply_cleanly(game):

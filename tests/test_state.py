@@ -1,5 +1,6 @@
 """State snapshot mechanics: instances, cloning, action normalization."""
 
+import pickle
 import re
 from pathlib import Path
 
@@ -48,6 +49,17 @@ def test_next_stage_wraps_around():
         stage = stage.next
         assert stage is expected
     assert STAGE_ORDER[-1].next is STAGE_ORDER[0]
+
+
+def test_stage_ids_hash_by_identity():
+    # Engine and playout tables are keyed by StageId; Enum's own hash would
+    # run in Python on every lookup.
+    assert StageId.__hash__ is object.__hash__
+    table = {stage: i for i, stage in enumerate(STAGE_ORDER)}
+    for i, stage in enumerate(STAGE_ORDER):
+        assert hash(stage) == object.__hash__(stage)
+        assert table[StageId(stage.value)] == i
+        assert table[pickle.loads(pickle.dumps(stage))] == i
 
 
 def test_round_doc_lists_every_stage_in_order():
