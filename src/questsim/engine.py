@@ -5,6 +5,10 @@ resolve_random_stage) are functional: they clone the state, mutate the clone
 and return it. The driver and the search code use the private *_inplace
 variants to skip the clone on hot paths; both share the same stage handlers.
 
+The engine logs nothing: each handler only applies its rules. play_game
+derives its trace lines by comparing a snapshot taken before each stage
+with the state after it, and takes the snapshot only when tracing.
+
 RNG discipline: only new_game, resolve_random_stage and the agents consume
 the injected random.Random. Ruled stages and action application never touch
 an RNG, so replaying the same seeds and decisions reproduces a game exactly.
@@ -111,9 +115,7 @@ def _raise_threat(state: GameState, amount: int) -> None:
         state.outcome = Outcome.LOSS_THREAT
 
 
-def _destroy(state: GameState, card: CardInstance, log: list | None) -> None:
-    if log is not None:
-        log.append(f"{card.defn.id} destroyed")
+def _destroy(state: GameState, card: CardInstance) -> None:
     if card.defn.kind in CHARACTER_KINDS:
         # Attached items go to the discard pile with their bearer.
         for item in state.in_zone(Zone.PLAY_AREA):
@@ -134,18 +136,15 @@ def _destroy(state: GameState, card: CardInstance, log: list | None) -> None:
         state.move(card, Zone.ENCOUNTER_DISCARD)
 
 
-def _deal_damage(state: GameState, card: CardInstance, amount: int,
-                 log: list | None) -> None:
+def _deal_damage(state: GameState, card: CardInstance, amount: int) -> None:
     if amount <= 0:
         return
     card.damage += amount
-    if log is not None:
-        log.append(f"{card.defn.id} takes {amount}")
     if card.damage >= card.hit_points:
-        _destroy(state, card, log)
+        _destroy(state, card)
 
 
-def _add_progress(state: GameState, points: int, log: list | None) -> None:
+def _add_progress(state: GameState, points: int) -> None:
     """Quest progress: an active location soaks points until explored, the
     rest goes to the current quest; completed quests roll overflow forward
     and finishing the third quest wins the game (quest_index parks at 3)."""
@@ -158,15 +157,11 @@ def _add_progress(state: GameState, points: int, log: list | None) -> None:
         points -= need
         location.reset_in_game_state()
         state.move(location, Zone.ENCOUNTER_DISCARD)
-        if log is not None:
-            log.append(f"{location.defn.id} explored")
     state.quest_progress += points
     while state.quest_progress >= state.current_quest().defn.quest_points:
         state.quest_progress -= state.current_quest().defn.quest_points
         quest = state.current_quest()
         state.move(quest, Zone.COMPLETED_QUESTS)
-        if log is not None:
-            log.append(f"{quest.defn.id} completed")
         state.quest_index += 1
         if state.quest_index > 2:
             state.outcome = Outcome.WIN
@@ -244,71 +239,74 @@ def _spend(heroes: list[CardInstance], amount: int) -> None:
 # ---- legal action families --------------------------------------------------
 
 
-def _planning_enumerate(state: GameState,
-                        build: bool) -> tuple[list[Action] | None, bool]:
-    """Walk payable hand subsets depth-first, stopping as soon as the
-    64-action cap is exceeded. Built actions come out in depth-first hand
-    order (subsets led by earlier hand cards first, supersets before their
-    remainders) with the empty buy last; see legal_actions for why the
-    order matters. With build=False only the overflow flag is computed
-    (same traversal, no action objects)."""
-    hand = state.hand()
-    pools, total_pool = hero_pools(state.heroes())
-
-    subsets: list[tuple[int, tuple[int, ...]]] | None = [] if build else None
+def _planning_enumerate(cards: list[CardInstance], pools: dict[Sphere, int],
+                        total_pool: int) -> list[tuple[int, ...]] | None:
+    """Payable subsets of these hand cards (empty buy excluded) found by a
+    depth-first walk, or None once the family overflows the 64-action cap
+    (the walk stops there). Subsets come out in depth-first hand order:
+    subsets led by earlier hand cards first, supersets before their
+    remainders; see legal_actions for why the order matters."""
+    subsets: list[tuple[int, ...]] = []
     chosen: list[int] = []
     demand: dict[Sphere, int] = {}
-    running = [1, 0]  # action count (incl. empty), cost of chosen subset
-    overflow = [False]
+    spent = [0]  # cost of the chosen subset
 
-    def dfs(start: int) -> None:
-        for i in range(start, len(hand)):
-            if overflow[0]:
-                return
-            d = hand[i].defn
-            if not fits(d, pools, total_pool, demand, running[1]):
+    def dfs(start: int) -> bool:
+        """False once the family overflows."""
+        for i in range(start, len(cards)):
+            d = cards[i].defn
+            if not fits(d, pools, total_pool, demand, spent[0]):
                 continue
-            chosen.append(hand[i].instance_id)
-            running[1] += d.cost
+            chosen.append(cards[i].instance_id)
+            subsets.append(tuple(chosen))
+            # The empty buy makes one more action than there are subsets.
+            if len(subsets) >= MAX_PLANNING_ACTIONS:
+                return False
+            spent[0] += d.cost
             if d.sphere is not Sphere.NEUTRAL:
                 demand[d.sphere] = demand.get(d.sphere, 0) + d.cost
-            running[0] += 1
-            if build:
-                subsets.append((running[1], tuple(chosen)))
-            if running[0] > MAX_PLANNING_ACTIONS:
-                overflow[0] = True
-            else:
-                dfs(i + 1)
+            if not dfs(i + 1):
+                return False
             chosen.pop()
-            running[1] -= d.cost
+            spent[0] -= d.cost
             if d.sphere is not Sphere.NEUTRAL:
                 demand[d.sphere] -= d.cost
+        return True
 
-    dfs(0)
-    if not build:
-        return None, overflow[0]
-    actions = [PlayCards(ids) for _, ids in subsets]
-    actions.append(PlayCards(()))
-    return actions, overflow[0]
+    return subsets if dfs(0) else None
 
 
-def planning_capped(state: GameState) -> bool:
-    """True when the payable-subset family overflows the 64-action cap and
-    Planning legals collapse to the empty buy plus payable singletons.
+def _planning_bounds(state: GameState) -> tuple[bool | None, list[CardInstance],
+                                                dict[Sphere, int], int]:
+    """(capped, singles, pools, total): the hand cards payable on their
+    own in hand order, the hero pools, and whether the Planning family
+    overflows the 64-action cap as far as O(hand) bounds decide it (None
+    when only the subset walk over the singles can tell).
 
     A payable subset holds only cards payable on their own, so with n such
     cards the family has at most 2^n actions (the empty buy included) and
     n <= 6 never overflows. When the n cards are payable together, every
-    subset of them is, and the family has exactly 2^n actions. Only
-    otherwise does the answer take the subset walk."""
+    subset of them is, and the family has exactly 2^n actions."""
     heroes = state.heroes()
     pools, total = hero_pools(heroes)
-    singles = [c.defn for c in state.hand() if fits(c.defn, pools, total, {}, 0)]
+    singles = [c for c in state.hand() if fits(c.defn, pools, total, {}, 0)]
     if 1 << len(singles) <= MAX_PLANNING_ACTIONS:
-        return False
-    if _payable(heroes, singles)[0]:
-        return True
-    return _planning_enumerate(state, build=False)[1]
+        capped: bool | None = False
+    elif _payable(heroes, [c.defn for c in singles])[0]:
+        capped = True
+    else:
+        capped = None
+    return capped, singles, pools, total
+
+
+def planning_capped(state: GameState) -> bool:
+    """True when the payable-subset family overflows the 64-action cap and
+    Planning legals collapse to the empty buy plus payable singletons. The
+    subset walk runs only when the O(hand) bounds cannot decide."""
+    capped, singles, pools, total = _planning_bounds(state)
+    if capped is None:
+        return _planning_enumerate(singles, pools, total) is None
+    return capped
 
 
 def defend_overflows(enemies: int, defenders: int) -> bool:
@@ -334,14 +332,14 @@ def defend_capped(state: GameState) -> bool:
 def _planning_actions(state: GameState) -> list[Action]:
     """Every payable subset of the hand, capped at 64 actions; over the cap
     the family collapses to payable singletons plus the empty buy. Subsets
-    come out in depth-first hand order with the empty buy last."""
-    actions, overflow = _planning_enumerate(state, build=True)
-    if overflow:
-        pools, total = hero_pools(state.heroes())
-        payable = [c for c in state.hand() if fits(c.defn, pools, total, {}, 0)]
-        payable.sort(key=lambda c: (-c.defn.cost, c.instance_id))
-        return [PlayCards((c.instance_id,)) for c in payable] + [PlayCards(())]
-    return actions
+    come out in depth-first hand order with the empty buy last. A family
+    the O(hand) bounds find capped is never walked."""
+    capped, singles, pools, total = _planning_bounds(state)
+    subsets = None if capped else _planning_enumerate(singles, pools, total)
+    if subsets is None:
+        singles.sort(key=lambda c: (-c.defn.cost, c.instance_id))
+        return [PlayCards((c.instance_id,)) for c in singles] + [PlayCards(())]
+    return [PlayCards(ids) for ids in subsets] + [PlayCards(())]
 
 
 def commit_pool(state: GameState) -> list[CardInstance]:
@@ -529,7 +527,7 @@ def legal_actions(state: GameState) -> list[Action]:
 # ---- action application -----------------------------------------------------
 
 
-def _do_play(state: GameState, action: PlayCards, log: list | None) -> None:
+def _do_play(state: GameState, action: PlayCards) -> None:
     if not action.cards:
         return
     if len(set(action.cards)) != len(action.cards):
@@ -559,26 +557,20 @@ def _do_play(state: GameState, action: PlayCards, log: list | None) -> None:
         kind = inst.defn.kind
         if kind is CardKind.ALLY:
             state.move(inst, Zone.PLAY_AREA)
-            if log is not None:
-                log.append(f"played {inst.defn.id}")
         elif kind is CardKind.ITEM:
             state.move(inst, Zone.PLAY_AREA)
             target = next((h for h in heroes
                            if h.defn.sphere is inst.defn.sphere), heroes[0])
             inst.attached_to = target.instance_id
             target.add_buff(inst.defn.buff)
-            if log is not None:
-                log.append(f"attached {inst.defn.id} to {target.defn.id}")
         else:  # player event
             if inst.defn.effect == "reduce_threat":
                 state.threat_level = max(0, state.threat_level
                                          - inst.defn.effect_amount)
             state.move(inst, Zone.PLAYER_DISCARD)
-            if log is not None:
-                log.append(f"played {inst.defn.id}")
 
 
-def _do_commit(state: GameState, action: Commit, log: list | None) -> None:
+def _do_commit(state: GameState, action: Commit) -> None:
     if len(set(action.characters)) != len(action.characters):
         raise IllegalActionError("duplicate character in commit")
     insts = []
@@ -599,7 +591,7 @@ def _do_commit(state: GameState, action: Commit, log: list | None) -> None:
         c.exhausted = True
 
 
-def _do_travel(state: GameState, action: TravelTo, log: list | None) -> None:
+def _do_travel(state: GameState, action: TravelTo) -> None:
     if action.location is None:
         return
     loc = _instance(state, action.location)
@@ -611,7 +603,7 @@ def _do_travel(state: GameState, action: TravelTo, log: list | None) -> None:
     state.move(loc, Zone.ACTIVE_LOCATION)
 
 
-def _do_defend(state: GameState, action: Defend, log: list | None) -> None:
+def _do_defend(state: GameState, action: Defend) -> None:
     engaged = [e.instance_id for e in state.engaged_enemies()]
     keys = [e for e, _ in action.assignments]
     if keys != engaged:
@@ -633,7 +625,7 @@ def _do_defend(state: GameState, action: Defend, log: list | None) -> None:
     state.defense_map = dmap
 
 
-def _do_attack(state: GameState, action: Attack, log: list | None) -> None:
+def _do_attack(state: GameState, action: Attack) -> None:
     engaged = {e.instance_id for e in state.engaged_enemies()}
     amap: dict[int, tuple[int, ...]] = {}
     used: set[int] = set()
@@ -672,7 +664,7 @@ def _advance(state: GameState) -> None:
     state.stage = state.stage.next
 
 
-def _apply_inplace(state: GameState, action: Action, log: list | None = None) -> None:
+def _apply_inplace(state: GameState, action: Action) -> None:
     if state.outcome is not None:
         raise StageError("game is over")
     entry = _DO.get(type(action))
@@ -683,7 +675,7 @@ def _apply_inplace(state: GameState, action: Action, log: list | None = None) ->
         raise IllegalActionError(f"{type(action).__name__} applies at stage "
                                  f"'{expected.value}', game is at "
                                  f"'{state.stage.value}'")
-    handler(state, action, log)
+    handler(state, action)
     if state.outcome is None:
         _advance(state)
 
@@ -702,42 +694,34 @@ def apply_action(state: GameState, action: Action) -> GameState:
 # ---- ruled stages -----------------------------------------------------------
 
 
-def _stage_gain(state: GameState, log: list | None) -> None:
+def _stage_gain(state: GameState) -> None:
     for hero in state.heroes():
         hero.resource_pool += 1
     if not state.player_deck:
         state.outcome = Outcome.LOSS_DECK_EMPTY
-        if log is not None:
-            log.append("player deck empty")
         return
     card = state.cards[state.player_deck.pop()]
     state.move(card, Zone.HAND)
-    if log is not None:
-        log.append(f"drew {card.defn.id}")
 
 
-def _stage_quest_resolution(state: GameState, log: list | None) -> None:
+def _stage_quest_resolution(state: GameState) -> None:
     willpower = sum(c.willpower for c in state.committed_characters())
     threat = state.staging_threat()
-    if log is not None:
-        log.append(f"willpower {willpower} vs threat {threat}")
     if willpower > threat:
-        _add_progress(state, willpower - threat, log)
+        _add_progress(state, willpower - threat)
     elif willpower < threat:
         _raise_threat(state, threat - willpower)
 
 
-def _stage_engagement(state: GameState, log: list | None) -> None:
+def _stage_engagement(state: GameState) -> None:
     # Engaging changes no threat, so one pass engages every enemy that can.
     for c in state.in_zone(Zone.STAGING_AREA):
         if (c.defn.kind is CardKind.ENEMY
                 and c.defn.engagement_cost <= state.threat_level):
             state.move(c, Zone.ENGAGEMENT_AREA)
-            if log is not None:
-                log.append(f"{c.defn.id} engages")
 
 
-def _stage_enemy_attacks(state: GameState, log: list | None) -> None:
+def _stage_enemy_attacks(state: GameState) -> None:
     for eid in sorted(state.defense_map):
         enemy = state.cards[eid]
         if enemy.zone is not Zone.ENGAGEMENT_AREA:
@@ -748,30 +732,30 @@ def _stage_enemy_attacks(state: GameState, log: list | None) -> None:
         did = state.defense_map[eid]
         if did is not None and state.cards[did].zone is Zone.PLAY_AREA:
             defender = state.cards[did]
-            _deal_damage(state, defender, attack - defender.defense, log)
+            _deal_damage(state, defender, attack - defender.defense)
         else:
             # Undefended attacks hit the first surviving hero at full force.
             heroes = state.heroes()
             if not heroes:
                 break
-            _deal_damage(state, heroes[0], attack, log)
+            _deal_damage(state, heroes[0], attack)
         if state.outcome is not None:
             break
     state.defense_map = {}
 
 
-def _stage_player_attacks(state: GameState, log: list | None) -> None:
+def _stage_player_attacks(state: GameState) -> None:
     for eid in sorted(state.attack_map):
         enemy = state.cards[eid]
         if enemy.zone is not Zone.ENGAGEMENT_AREA:
             continue
         total = sum(state.cards[aid].attack for aid in state.attack_map[eid]
                     if state.cards[aid].zone is Zone.PLAY_AREA)
-        _deal_damage(state, enemy, total - enemy.defense, log)
+        _deal_damage(state, enemy, total - enemy.defense)
     state.attack_map = {}
 
 
-def _stage_refresh(state: GameState, log: list | None) -> None:
+def _stage_refresh(state: GameState) -> None:
     # Only characters in play exhaust or commit; only engaged enemies hold
     # shadows, and leaving either zone clears these marks.
     for c in state.in_zone(Zone.PLAY_AREA):
@@ -786,11 +770,9 @@ def _stage_refresh(state: GameState, log: list | None) -> None:
             state.move(shadow, Zone.ENCOUNTER_DISCARD)
             c.shadow_card = None
     _raise_threat(state, 1)
-    if log is not None:
-        log.append(f"ready all, threat +1")
 
 
-_RULED: dict[StageId, Callable[[GameState, list | None], None]] = {
+_RULED: dict[StageId, Callable[[GameState], None]] = {
     StageId.GAIN_RESOURCES_AND_DRAW: _stage_gain,
     StageId.QUEST_RESOLUTION: _stage_quest_resolution,
     StageId.ENGAGEMENT_CHECKS: _stage_engagement,
@@ -800,13 +782,13 @@ _RULED: dict[StageId, Callable[[GameState, list | None], None]] = {
 }
 
 
-def _ruled_inplace(state: GameState, log: list | None = None) -> None:
+def _ruled_inplace(state: GameState) -> None:
     if state.outcome is not None:
         raise StageError("game is over")
     handler = _RULED.get(state.stage)
     if handler is None:
         raise StageError(f"'{state.stage.value}' is not a ruled stage")
-    handler(state, log)
+    handler(state)
     if state.outcome is None:
         _advance(state)
 
@@ -821,21 +803,17 @@ def advance_ruled_stage(state: GameState) -> GameState:
 # ---- random stages ----------------------------------------------------------
 
 
-def _stage_staging(state: GameState, rng: Random, log: list | None) -> None:
+def _stage_staging(state: GameState, rng: Random) -> None:
     iid = _draw_encounter(state, rng)
     if iid is None:
-        if log is not None:
-            log.append("encounter deck empty")
         return
     card = state.cards[iid]
-    if log is not None:
-        log.append(f"revealed {card.defn.id}")
     if card.defn.kind is CardKind.EVENT_ENCOUNTER:
         if card.defn.effect == "raise_threat":
             _raise_threat(state, card.defn.effect_amount)
         else:  # damage_committed
             for ch in state.committed_characters():
-                _deal_damage(state, ch, card.defn.effect_amount, log)
+                _deal_damage(state, ch, card.defn.effect_amount)
                 if state.outcome is not None:
                     break
         state.move(card, Zone.ENCOUNTER_DISCARD)
@@ -843,7 +821,7 @@ def _stage_staging(state: GameState, rng: Random, log: list | None) -> None:
         state.move(card, Zone.STAGING_AREA)
 
 
-def _stage_shadows(state: GameState, rng: Random, log: list | None) -> None:
+def _stage_shadows(state: GameState, rng: Random) -> None:
     for enemy in state.engaged_enemies():
         iid = _draw_encounter(state, rng)
         if iid is None:
@@ -852,23 +830,21 @@ def _stage_shadows(state: GameState, rng: Random, log: list | None) -> None:
         state.move(shadow, Zone.ENGAGEMENT_AREA)
         shadow.attached_to = enemy.instance_id
         enemy.shadow_card = iid
-        if log is not None:
-            log.append(f"shadow on {enemy.defn.id}")
 
 
-_RANDOM: dict[StageId, Callable[[GameState, Random, list | None], None]] = {
+_RANDOM: dict[StageId, Callable[[GameState, Random], None]] = {
     StageId.STAGING: _stage_staging,
     StageId.DEAL_SHADOW_CARDS: _stage_shadows,
 }
 
 
-def _random_inplace(state: GameState, rng: Random, log: list | None = None) -> None:
+def _random_inplace(state: GameState, rng: Random) -> None:
     if state.outcome is not None:
         raise StageError("game is over")
     handler = _RANDOM.get(state.stage)
     if handler is None:
         raise StageError(f"'{state.stage.value}' is not a random stage")
-    handler(state, rng, log)
+    handler(state, rng)
     if state.outcome is None:
         _advance(state)
 
@@ -886,15 +862,24 @@ def resolve_random_stage(state: GameState, rng: Random) -> GameState:
 # ---- driver -----------------------------------------------------------------
 
 
-def _trace_line(state: GameState, round_no: int, stage: StageId,
-                log: list[str]) -> str:
-    events = "; ".join(log) if log else "-"
-    line = (f"R{round_no:02d} {stage.value:<18} {events} | "
-            f"threat={state.threat_level} "
-            f"quest={min(state.quest_index + 1, 3)} "
-            f"progress={state.quest_progress}")
-    if state.outcome is not None:
-        line += f" outcome={state.outcome.value}"
+def _trace_line(before: GameState, after: GameState, action: Action | None) -> str:
+    """The trace line of the stage that took `before` to `after`: the
+    action taken at a decision stage, then in instance-id order each card
+    that changed zone and each card whose damage rose, then the counters
+    after the stage. docs/round.md gives the format."""
+    events = [] if action is None else [describe_action(action, before)]
+    for old, new in zip(before.cards, after.cards):
+        if old.zone is not new.zone:
+            events.append(f"{new.defn.id} {old.zone.value}->{new.zone.value}")
+        if new.damage > old.damage:
+            events.append(f"{new.defn.id} takes {new.damage - old.damage}")
+    line = (f"R{before.round_no:02d} {before.stage.value:<18} "
+            f"{'; '.join(events) or '-'} | "
+            f"threat={after.threat_level} "
+            f"quest={min(after.quest_index + 1, 3)} "
+            f"progress={after.quest_progress}")
+    if after.outcome is not None:
+        line += f" outcome={after.outcome.value}"
     return line
 
 
@@ -905,25 +890,27 @@ def play_game(state: GameState, policies: dict, rng: Random, *,
     """Drive a game to its outcome, mutating state in place.
 
     policies maps each decision StageId to an object with
-    decide(state, legals, rng); a policy whose needs_legals attribute is
-    False is handed legals=None and must construct a legal action itself.
-    timings, when given, accumulates [seconds, calls] per decision stage
-    (covering only the decide call). trace receives one line per stage.
-    check runs the full invariant audit after every stage.
+    decide(state, legals, rng) and a needs_legals attribute; a policy whose
+    needs_legals is False is handed legals=None and must construct a legal
+    action itself. timings, when given, accumulates [seconds, calls] per
+    decision stage (covering only the decide call). trace, when given,
+    receives one line per stage, which the driver derives from a clone taken
+    before the stage and the state after it (the stage handlers log
+    nothing); without trace no clone is taken. check runs the full
+    invariant audit after every stage.
     """
     while state.outcome is None:
+        before = state.clone() if trace is not None else None
         stage = state.stage
-        round_no = state.round_no
-        log: list[str] | None = [] if trace is not None else None
         kind = stage.kind
+        action = None
         if kind is StageKind.RULED:
-            _ruled_inplace(state, log)
+            _ruled_inplace(state)
         elif kind is StageKind.RANDOM:
-            _random_inplace(state, rng, log)
+            _random_inplace(state, rng)
         else:
             policy = policies[stage]
-            legals = legal_actions(state) if getattr(policy, "needs_legals", True) \
-                else None
+            legals = legal_actions(state) if policy.needs_legals else None
             if timings is not None:
                 start = time.perf_counter()
                 action = policy.decide(state, legals, rng)
@@ -933,11 +920,9 @@ def play_game(state: GameState, policies: dict, rng: Random, *,
                 cell[1] += 1
             else:
                 action = policy.decide(state, legals, rng)
-            if log is not None:
-                log.append(describe_action(action, state))
-            _apply_inplace(state, action, log)
+            _apply_inplace(state, action)
         if trace is not None:
-            trace(_trace_line(state, round_no, stage, log))
+            trace(_trace_line(before, state, action))
         if check:
             check_invariants(state)
     return state

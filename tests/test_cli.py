@@ -2,6 +2,7 @@
 flags."""
 
 import json
+import re
 
 import pytest
 
@@ -81,3 +82,13 @@ def test_bad_flags_exit_1_with_one_error_line(argv, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_play_trace_prints_stage_lines_then_the_outcome(capsys):
+    assert cli.main(["play", "--seed", "3", "--trace"]) == 0
+    *trace, summary = capsys.readouterr().out.splitlines()
+    assert trace[0].startswith("R01 gain-resources ")
+    assert all(re.match(r"R\d{2,} [a-z-]+ +.+ \| threat=\d+ ", ln) for ln in trace)
+    outcome = re.search(r" outcome=(\S+)$", trace[-1])[1]
+    assert re.fullmatch(rf"outcome={outcome} rounds=\d+ threat=\d+ "
+                        r"quests_completed=\d", summary)

@@ -26,6 +26,7 @@ from questsim.engine import (
     check_invariants,
     commit_pool,
     defend_capped,
+    hero_pools,
     legal_actions,
     new_game,
     planning_capped,
@@ -64,8 +65,9 @@ LOCATIONS = ("loc-clearing", "loc-ridge")
 
 
 def walk_overflows(state) -> bool:
-    """The planning cap as the full subset walk decides it."""
-    return _planning_enumerate(state, build=False)[1]
+    """The planning cap as the full subset walk over the hand decides it."""
+    pools, total = hero_pools(state.heroes())
+    return _planning_enumerate(state.hand(), pools, total) is None
 
 
 def check_contracts(state) -> list:

@@ -521,6 +521,65 @@ def test_random_game_terminates_cleanly(synth_scenario):
     assert timings[StageId.PLANNING][1] >= 1
 
 
+TRACE_AGENTS = {
+    "expert": "planning=expert,commit=expert,defense=expert",
+    "random": "planning=random,commit=random,defense=random",
+    "search": "planning=mcts:4:0.7:expert,commit=flat:3:random,"
+              "defense=expert,attack=mcts:3:0.5:random",
+}
+
+
+@pytest.mark.parametrize("agents", TRACE_AGENTS.values(), ids=TRACE_AGENTS)
+def test_trace_leaves_outcome_and_rng_alone(shipped, agents):
+    policies = build_stage_policies(parse_policy_map(agents))
+    for seed in range(3):
+        ends = []
+        for trace in (None, [].append):
+            rng = Random(seed)
+            state = new_game(shipped, "hard", rng)
+            play_game(state, policies, rng, trace=trace, check=True)
+            ends.append((state.fingerprint(), rng.getstate()))
+        assert ends[0] == ends[1]
+
+
+def trace_events(line: str) -> list[str]:
+    return line.split(" | ")[0].split(None, 2)[2].split("; ")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_trace_has_one_line_per_stage_naming_every_move(shipped, seed):
+    policies = build_stage_policies(parse_policy_map(TRACE_AGENTS["random"]))
+    rng = Random(seed)
+    state = new_game(shipped, "hard", rng)
+    lines, snaps = [], [state.clone()]
+
+    def record(line):
+        lines.append(line)
+        snaps.append(state.clone())
+
+    play_game(state, policies, rng, trace=record)
+    # The lines walk the pipeline, one per stage, from the first stage to
+    # the stage that ended the game.
+    round_no, stage = 1, StageId.GAIN_RESOURCES_AND_DRAW
+    for line in lines:
+        assert line.startswith(f"R{round_no:02d} {stage.value} ")
+        ended = (round_no, stage)
+        round_no += stage is StageId.REFRESH
+        stage = stage.next
+    assert ended == (state.round_no, state.stage)
+    assert [i for i, ln in enumerate(lines) if "outcome=" in ln] == [len(lines) - 1]
+
+    moves = 0
+    for before, after, line in zip(snaps, snaps[1:], lines):
+        events = trace_events(line)
+        for old, new in zip(before.cards, after.cards):
+            if old.zone is not new.zone:
+                moves += 1
+                assert f"{new.defn.id} {old.zone.value}->{new.zone.value}" \
+                    in events, line
+    assert moves
+
+
 def test_check_invariants_detects_corruption(game):
     game.move(game.cards[game.player_deck[0]], Zone.HAND)
     with pytest.raises(QuestSimError, match="invariant"):

@@ -114,7 +114,7 @@ def test_planning_small_family_not_capped(game):
 
 
 def test_planning_cap_bounds_answer_without_the_walk(game, monkeypatch):
-    def walk(state, build):
+    def walk(*args):
         raise AssertionError("planning_capped walked the subsets")
 
     monkeypatch.setattr(engine, "_planning_enumerate", walk)
@@ -126,6 +126,22 @@ def test_planning_cap_bounds_answer_without_the_walk(game, monkeypatch):
     # Seven cards payable together: exactly 2^7 = 128 actions, capped.
     planning_state(game, ["ally-lantern"] * 7, (7, 0, 0))
     assert planning_capped(game)
+
+
+def test_capped_planning_family_is_built_without_the_walk(game, monkeypatch):
+    def walk(*args):
+        raise AssertionError("legal_actions walked a capped family")
+
+    monkeypatch.setattr(engine, "_planning_enumerate", walk)
+    # Seven cards payable together (5 spirit, 2 leadership, 1 neutral from
+    # the leadership spare) and an unpayable tactics Blade: capped by the
+    # O(hand) bounds alone.
+    planning_state(game, ["item-blade"] + ["ally-lantern"] * 5
+                   + ["ally-banner", "ally-porter"], (5, 3, 0))
+    _, *lanterns, banner, porter = [c.instance_id for c in game.hand()]
+    singles = [banner, *lanterns, porter]  # by descending cost, then id
+    assert legal_actions(game) == ([PlayCards((i,)) for i in singles]
+                                   + [PlayCards(())])
 
 
 # ---- commit -----------------------------------------------------------------

@@ -3,9 +3,13 @@
 import pickle
 import re
 from pathlib import Path
+from random import Random
 
 import pytest
 
+from questsim.agents import parse_policy_map
+from questsim.engine import new_game, play_game
+from questsim.search import build_stage_policies
 from questsim.state import (
     Attack,
     Commit,
@@ -62,9 +66,11 @@ def test_stage_ids_hash_by_identity():
         assert table[pickle.loads(pickle.dumps(stage))] == i
 
 
+ROUND_DOC = Path(__file__).parent.parent / "docs" / "round.md"
+
+
 def test_round_doc_lists_every_stage_in_order():
-    lines = (Path(__file__).parent.parent / "docs" / "round.md").read_text() \
-        .splitlines()
+    lines = ROUND_DOC.read_text().splitlines()
     rows = [[cell.strip() for cell in line.strip("|").split("|")]
             for line in lines if re.match(r"\| \d+ +\| `", line)]
     assert [(value, kind, phase) for _, value, kind, phase, _ in rows] == [
@@ -72,6 +78,30 @@ def test_round_doc_lists_every_stage_in_order():
     for number, stage in enumerate(STAGE_ORDER, 1):
         heading = f"## {number}. `{stage.value}` ({stage.kind.value}, {stage.phase})"
         assert heading in lines, heading
+
+
+def test_round_doc_trace_pattern_matches_a_seeded_trace(shipped):
+    section = ROUND_DOC.read_text().split("\n## Trace lines\n", 1)[1]
+    line_re, event_re = map(re.compile,
+                            re.findall(r"```regex\n(.*)\n```", section))
+    rng = Random(5)
+    state = new_game(shipped, "hard", rng)
+    lines = []
+    policies = build_stage_policies(
+        parse_policy_map("planning=random,commit=random,defense=random"))
+    play_game(state, policies, rng, trace=lines.append)
+    events = []
+    for line in lines:
+        match = line_re.match(line)
+        assert match, line
+        StageId(match["stage"])
+        events += match["events"].split("; ")
+    for event in events:
+        assert event_re.match(event), event
+    # The seeded game shows every event kind.
+    assert any(" takes " in e for e in events)
+    assert any("->" in e for e in events)
+    assert any(e.startswith("play=[") for e in events)
 
 
 def test_buffs_apply_on_top_of_printed_stats(game):
