@@ -2,8 +2,18 @@
 
 The public stage functions (apply_action, advance_ruled_stage,
 resolve_random_stage) are functional: they clone the state, mutate the clone
-and return it. The driver and the search code use the private *_inplace
-variants to skip the clone on hot paths; both share the same stage handlers.
+and return it. play_game and search tree levels use the private *_inplace
+variants to skip the clone; search playouts call the stage handlers in
+_RULED, _RANDOM and _DO directly.
+
+Where actions are checked: each action type has a check, which raises an
+IllegalActionError naming the broken rule and writes nothing, and an
+effect, which applies a legal action and raises nothing (_DO). apply_action,
+play_game, search tree levels (flat Monte-Carlo's root children included)
+and SearchConfig.debug run both, through _apply_inplace. Search playouts
+trust their random, expert and fixed-rule policies and run the effect
+alone: tests/test_contracts.py shows that those policies pick only legal
+actions and that the effect alone leaves the same state as both together.
 
 The engine logs nothing: each handler only applies its rules. play_game
 derives its trace lines by comparing a snapshot taken before each stage
@@ -525,24 +535,32 @@ def legal_actions(state: GameState) -> list[Action]:
 
 
 # ---- action application -----------------------------------------------------
+#
+# Each action type has a check and an effect; the module docstring says
+# which callers run which.
 
 
-def _do_play(state: GameState, action: PlayCards) -> None:
+def _check_play(state: GameState, action: PlayCards) -> None:
     if not action.cards:
         return
     if len(set(action.cards)) != len(action.cards):
         raise IllegalActionError("duplicate card in buy")
-    insts = []
+    defs = []
     for iid in action.cards:
         inst = _instance(state, iid)
         if inst.zone is not Zone.HAND:
             raise IllegalActionError(f"{inst.defn.id}#{iid} is not in hand")
-        insts.append(inst)
-    heroes = state.heroes()
-    ok, why = _payable(heroes, [i.defn for i in insts])
+        defs.append(inst.defn)
+    ok, why = _payable(state.heroes(), defs)
     if not ok:
-        raise IllegalActionError(f"cannot pay for {[i.defn.id for i in insts]}: {why}")
+        raise IllegalActionError(f"cannot pay for {[d.id for d in defs]}: {why}")
 
+
+def _play(state: GameState, action: PlayCards) -> None:
+    if not action.cards:
+        return
+    insts = [state.cards[iid] for iid in action.cards]
+    heroes = state.heroes()
     # Sphere costs drain matching heroes (id order) before neutral costs
     # drain anyone, so paying never strands a sphere requirement.
     for inst in insts:
@@ -570,28 +588,30 @@ def _do_play(state: GameState, action: PlayCards) -> None:
             state.move(inst, Zone.PLAYER_DISCARD)
 
 
-def _do_commit(state: GameState, action: Commit) -> None:
+def _check_commit(state: GameState, action: Commit) -> None:
     if len(set(action.characters)) != len(action.characters):
         raise IllegalActionError("duplicate character in commit")
-    insts = []
     total = 0
     for iid in action.characters:
         c = _ready_character(state, iid)
         if c.willpower <= 0:
             raise IllegalActionError(f"{c.defn.id}#{iid} has zero willpower")
-        insts.append(c)
         total += c.willpower
-    if insts:
+    if action.characters:
         threshold = state.staging_threat()
         if total <= threshold:
             raise IllegalActionError(f"committed willpower {total} must strictly "
                                      f"exceed staging threat {threshold}")
-    for c in insts:
+
+
+def _commit(state: GameState, action: Commit) -> None:
+    for iid in action.characters:
+        c = state.cards[iid]
         c.committed = True
         c.exhausted = True
 
 
-def _do_travel(state: GameState, action: TravelTo) -> None:
+def _check_travel(state: GameState, action: TravelTo) -> None:
     if action.location is None:
         return
     loc = _instance(state, action.location)
@@ -600,39 +620,44 @@ def _do_travel(state: GameState, action: TravelTo) -> None:
                                  f"staging-area location")
     if state.active_location() is not None:
         raise IllegalActionError("a location is already active")
-    state.move(loc, Zone.ACTIVE_LOCATION)
 
 
-def _do_defend(state: GameState, action: Defend) -> None:
+def _travel(state: GameState, action: TravelTo) -> None:
+    if action.location is not None:
+        state.move(state.cards[action.location], Zone.ACTIVE_LOCATION)
+
+
+def _check_defend(state: GameState, action: Defend) -> None:
     engaged = [e.instance_id for e in state.engaged_enemies()]
     keys = [e for e, _ in action.assignments]
     if keys != engaged:
         raise IllegalActionError(f"assignments must cover engaged enemies "
                                  f"exactly: expected {engaged}, got {keys}")
-    dmap: dict[int, int | None] = {}
     used: set[int] = set()
-    for eid, did in action.assignments:
+    for _, did in action.assignments:
         if did is None:
-            dmap[eid] = None
             continue
         defender = _ready_character(state, did)
         if did in used:
             raise IllegalActionError(f"{defender.defn.id}#{did} cannot defend twice")
         used.add(did)
-        dmap[eid] = did
-    for did in used:
-        state.cards[did].exhausted = True
-    state.defense_map = dmap
 
 
-def _do_attack(state: GameState, action: Attack) -> None:
+def _defend(state: GameState, action: Defend) -> None:
+    for _, did in action.assignments:
+        if did is not None:
+            state.cards[did].exhausted = True
+    state.defense_map = dict(action.assignments)
+
+
+def _check_attack(state: GameState, action: Attack) -> None:
     engaged = {e.instance_id for e in state.engaged_enemies()}
-    amap: dict[int, tuple[int, ...]] = {}
+    attacked: set[int] = set()
     used: set[int] = set()
     for eid, group in action.assignments:
         if eid not in engaged:
             raise IllegalActionError(f"instance {eid} is not an engaged enemy")
-        if eid in amap:
+        if eid in attacked:
             raise IllegalActionError(f"enemy {eid} attacked twice")
         if not group:
             raise IllegalActionError(f"empty attacker group for enemy {eid}")
@@ -642,26 +667,24 @@ def _do_attack(state: GameState, action: Attack) -> None:
                 raise IllegalActionError(f"{attacker.defn.id}#{aid} cannot "
                                          f"attack twice")
             used.add(aid)
-        amap[eid] = group
-    for aid in used:
-        state.cards[aid].exhausted = True
-    state.attack_map = amap
+        attacked.add(eid)
 
 
-# Action type -> (the decision stage it applies at, its handler).
-_DO: dict[type, tuple[StageId, Callable]] = {
-    PlayCards: (StageId.PLANNING, _do_play),
-    Commit: (StageId.COMMIT_CHARACTERS, _do_commit),
-    TravelTo: (StageId.TRAVEL, _do_travel),
-    Defend: (StageId.DECLARE_DEFENDERS, _do_defend),
-    Attack: (StageId.DECLARE_ATTACKERS, _do_attack),
+def _attack(state: GameState, action: Attack) -> None:
+    for _, group in action.assignments:
+        for aid in group:
+            state.cards[aid].exhausted = True
+    state.attack_map = dict(action.assignments)
+
+
+# Action type -> (the decision stage it applies at, its check, its effect).
+_DO: dict[type, tuple[StageId, Callable, Callable]] = {
+    PlayCards: (StageId.PLANNING, _check_play, _play),
+    Commit: (StageId.COMMIT_CHARACTERS, _check_commit, _commit),
+    TravelTo: (StageId.TRAVEL, _check_travel, _travel),
+    Defend: (StageId.DECLARE_DEFENDERS, _check_defend, _defend),
+    Attack: (StageId.DECLARE_ATTACKERS, _check_attack, _attack),
 }
-
-
-def _advance(state: GameState) -> None:
-    if state.stage is StageId.REFRESH:
-        state.round_no += 1
-    state.stage = state.stage.next
 
 
 def _apply_inplace(state: GameState, action: Action) -> None:
@@ -670,14 +693,15 @@ def _apply_inplace(state: GameState, action: Action) -> None:
     entry = _DO.get(type(action))
     if entry is None:
         raise IllegalActionError(f"not an action: {action!r}")
-    expected, handler = entry
+    expected, check, effect = entry
     if state.stage is not expected:
         raise IllegalActionError(f"{type(action).__name__} applies at stage "
                                  f"'{expected.value}', game is at "
                                  f"'{state.stage.value}'")
-    handler(state, action)
+    check(state, action)
+    effect(state, action)
     if state.outcome is None:
-        _advance(state)
+        state.stage = expected.next
 
 
 def apply_action(state: GameState, action: Action) -> GameState:
@@ -770,6 +794,9 @@ def _stage_refresh(state: GameState) -> None:
             state.move(shadow, Zone.ENCOUNTER_DISCARD)
             c.shadow_card = None
     _raise_threat(state, 1)
+    # The next round starts here, unless the threat rise ended the game.
+    if state.outcome is None:
+        state.round_no += 1
 
 
 _RULED: dict[StageId, Callable[[GameState], None]] = {
@@ -790,7 +817,7 @@ def _ruled_inplace(state: GameState) -> None:
         raise StageError(f"'{state.stage.value}' is not a ruled stage")
     handler(state)
     if state.outcome is None:
-        _advance(state)
+        state.stage = state.stage.next
 
 
 def advance_ruled_stage(state: GameState) -> GameState:
@@ -846,7 +873,7 @@ def _random_inplace(state: GameState, rng: Random) -> None:
         raise StageError(f"'{state.stage.value}' is not a random stage")
     handler(state, rng)
     if state.outcome is None:
-        _advance(state)
+        state.stage = state.stage.next
 
 
 def resolve_random_stage(state: GameState, rng: Random) -> GameState:
@@ -870,9 +897,11 @@ def _trace_line(before: GameState, after: GameState, action: Action | None) -> s
     events = [] if action is None else [describe_action(action, before)]
     for old, new in zip(before.cards, after.cards):
         if old.zone is not new.zone:
-            events.append(f"{new.defn.id} {old.zone.value}->{new.zone.value}")
+            events.append(f"{new.defn.id}#{new.instance_id} "
+                          f"{old.zone.value}->{new.zone.value}")
         if new.damage > old.damage:
-            events.append(f"{new.defn.id} takes {new.damage - old.damage}")
+            events.append(f"{new.defn.id}#{new.instance_id} "
+                          f"takes {new.damage - old.damage}")
     line = (f"R{before.round_no:02d} {before.stage.value:<18} "
             f"{'; '.join(events) or '-'} | "
             f"threat={after.threat_level} "

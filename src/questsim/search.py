@@ -29,7 +29,15 @@ from .agents import (
     RandomPolicy,
     StagePolicyMap,
 )
-from .engine import _apply_inplace, _random_inplace, _ruled_inplace, legal_actions
+from .engine import (
+    _DO,
+    _RANDOM,
+    _RULED,
+    _apply_inplace,
+    _random_inplace,
+    _ruled_inplace,
+    legal_actions,
+)
 from .errors import ConfigError, QuestSimError
 from .state import Action, GameState, Outcome, StageId, StageKind, Zone
 
@@ -41,8 +49,9 @@ class SearchConfig:
     playout_budget: int
     exploration_c: float = 0.7
     playout_policy: str = "random"
-    # Debug and test knobs: audit tree consistency per iteration, count
-    # playouts.
+    # Debug and test knobs: debug audits the tree after every iteration and
+    # checks every playout action (playouts otherwise trust their policies);
+    # on_playout counts playouts.
     debug: bool = False
     on_playout: Callable[[], None] | None = None
 
@@ -125,26 +134,40 @@ def determinize(state: GameState, rng: Random) -> GameState:
 
 
 def _finish(state: GameState, policies: dict, rng: Random,
-            hook: Callable[[], None] | None = None) -> Outcome:
+            config: SearchConfig | None = None) -> Outcome:
     """Play the (already determinized) state to its end, mutating it.
+
+    The loop calls each stage's handler and advances the stage itself,
+    without the *_inplace wrappers: it runs only while no outcome is set,
+    and the stage's kind picks the handler table. Actions get their effect
+    alone, as the playout policies pick only legal ones (see the engine
+    docstring); config.debug checks them through _apply_inplace instead.
 
     Passing PLAYOUT_ROUND_CAP rounds counts as a loss; threat rises every
     round so a capped game is a threat death in all but name.
     """
-    if hook is not None:
-        hook()
+    if config is not None and config.on_playout is not None:
+        config.on_playout()
+    checked = config is not None and config.debug
     while state.outcome is None:
         if state.round_no > PLAYOUT_ROUND_CAP:
             return Outcome.LOSS_THREAT
-        kind = state.stage.kind
+        stage = state.stage
+        kind = stage.kind
         if kind is StageKind.RULED:
-            _ruled_inplace(state)
+            _RULED[stage](state)
         elif kind is StageKind.RANDOM:
-            _random_inplace(state, rng)
+            _RANDOM[stage](state, rng)
         else:
-            policy = policies[state.stage]
+            policy = policies[stage]
             legals = legal_actions(state) if policy.needs_legals else None
-            _apply_inplace(state, policy.decide(state, legals, rng))
+            action = policy.decide(state, legals, rng)
+            if checked:
+                _apply_inplace(state, action)
+                continue
+            _DO[type(action)][2](state, action)
+        if state.outcome is None:
+            state.stage = stage.next
     return state.outcome
 
 
@@ -194,7 +217,7 @@ def flat_mc_decide(state: GameState, legals: list[Action],
         for _ in range(share):
             trial = child.clone()
             determinize(trial, rng)
-            if _finish(trial, policies, rng, config.on_playout) is Outcome.WIN:
+            if _finish(trial, policies, rng, config) is Outcome.WIN:
                 wins[i] += 1
     return legals[best_child_index(wins)]
 
@@ -276,7 +299,7 @@ def mcts_decide(state: GameState, legals: list[Action],
                 if stable:
                     child.cached_legals = current_legals
 
-        outcome = _finish(trial, policies, rng, config.on_playout)
+        outcome = _finish(trial, policies, rng, config)
         won = outcome is Outcome.WIN
         for visited in path:
             visited.visits += 1

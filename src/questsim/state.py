@@ -374,9 +374,10 @@ Action = PlayCards | Commit | TravelTo | Defend | Attack
 
 
 def describe_action(action: Action, state: GameState) -> str:
-    """Compact human-readable action text for trace logs."""
+    """Compact human-readable action text for trace logs, naming each card
+    as <id>#<instance> so that two copies of one card stay apart."""
     def name(iid: int) -> str:
-        return state.cards[iid].defn.id
+        return f"{state.cards[iid].defn.id}#{iid}"
 
     if isinstance(action, PlayCards):
         return "play=[" + ",".join(name(i) for i in action.cards) + "]"

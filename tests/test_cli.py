@@ -92,3 +92,19 @@ def test_play_trace_prints_stage_lines_then_the_outcome(capsys):
     outcome = re.search(r" outcome=(\S+)$", trace[-1])[1]
     assert re.fullmatch(rf"outcome={outcome} rounds=\d+ threat=\d+ "
                         r"quests_completed=\d", summary)
+
+
+def test_play_trace_tells_copies_of_one_card_apart(capsys):
+    """Seed 3 deals a black-forest-bats as the shadow of another, engaged
+    black-forest-bats: the trace names each by its instance."""
+    assert cli.main(["play", "--seed", "3", "--trace"]) == 0
+    out = capsys.readouterr().out
+    shadow = re.search(r"^R(\d+) deal-shadows .*?(black-forest-bats#\d+) "
+                       r"encounter_deck->engagement_area", out, re.M)
+    assert shadow, out
+    round_no, dealt = shadow[1], shadow[2]
+    enemy = re.search(rf"^R{round_no} engagement .*?(black-forest-bats#\d+) "
+                      r"staging_area->engagement_area", out, re.M)
+    assert enemy and enemy[1] != dealt
+    assert re.search(rf"^R{round_no} declare-defenders +defend=\["
+                     rf"{re.escape(enemy[1])}<-", out, re.M)

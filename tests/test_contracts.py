@@ -5,7 +5,9 @@ stage) and on hand-built states whose families hit the caps. On the same
 states and on wide hand-built hands, the planning cap that
 planning_capped reads off its O(hand) bounds must equal the subset
 walk's. Perturbed legal actions on organic states must be rejected with a
-named error."""
+named error. Every action the playout policies pick passes its check, and
+its effect alone leaves the same state as check and effect together, which
+is what lets playouts skip the check."""
 
 from random import Random
 
@@ -17,6 +19,7 @@ import pytest
 from questsim.agents import default_attack, default_travel, expert_decide
 from questsim.cards import CHARACTER_KINDS, load_scenario_bundle
 from questsim.engine import (
+    _DO,
     MAX_COMMIT_ENUM,
     _apply_inplace,
     _planning_enumerate,
@@ -32,6 +35,7 @@ from questsim.engine import (
     planning_capped,
 )
 from questsim.errors import IllegalActionError, StageError
+from questsim.search import _finish, determinize, playout_policies
 from questsim.state import (
     Attack,
     Commit,
@@ -182,6 +186,46 @@ def test_perturbed_actions_are_rejected_by_name(seed, difficulty):
             assert state.fingerprint() == fingerprint
             assert state.zone_ids == index
             _apply_inplace(state, action)
+
+
+class Audited:
+    """A playout policy whose every action is also applied to two clones of
+    the state: through _apply_inplace (check and effect), which raises if
+    the check fails, and through the effect alone, advanced as _finish
+    advances it. The two clones must agree."""
+
+    def __init__(self, inner, seen: set):
+        self.inner = inner
+        self.needs_legals = inner.needs_legals
+        self.seen = seen
+
+    def decide(self, state, legals, rng):
+        action = self.inner.decide(state, legals, rng)
+        checked, trusted = state.clone(), state.clone()
+        _apply_inplace(checked, action)
+        _DO[type(action)][2](trusted, action)
+        trusted.stage = trusted.stage.next
+        assert trusted.fingerprint() == checked.fingerprint()
+        assert trusted.zone_ids == checked.zone_ids
+        self.seen.add(state.stage)
+        return action
+
+
+@CONTRACT
+@given(seed=st.integers(0, 2**32 - 1),
+       difficulty=st.sampled_from(["medium", "hard"]),
+       policy=st.sampled_from(["random", "expert"]))
+def test_playout_actions_pass_their_check_and_match_the_effect(seed, difficulty,
+                                                              policy):
+    rng = Random(seed)
+    seen: set = set()
+    audited = {stage: Audited(inner, seen)
+               for stage, inner in playout_policies(policy).items()}
+    state = determinize(new_game(SHIPPED, difficulty, rng), rng)
+    _finish(state, audited, rng)
+    check_invariants(state)
+    assert state.outcome is not None
+    assert set(EXPERT_STAGES) <= seen
 
 
 def synth_game():

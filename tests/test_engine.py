@@ -190,6 +190,14 @@ def test_refresh_readies_and_raises_threat(game):
     assert nxt.stage is StageId.GAIN_RESOURCES_AND_DRAW
 
 
+def test_threat_loss_at_refresh_ends_the_game_in_its_round(game):
+    at_stage(game, StageId.REFRESH)
+    game.threat_level = game.threat_limit - 1
+    nxt = advance_ruled_stage(game)
+    assert nxt.outcome is Outcome.LOSS_THREAT
+    assert (nxt.round_no, nxt.stage) == (game.round_no, StageId.REFRESH)
+
+
 # ---- combat resolution ------------------------------------------------------
 
 
@@ -575,8 +583,8 @@ def test_trace_has_one_line_per_stage_naming_every_move(shipped, seed):
         for old, new in zip(before.cards, after.cards):
             if old.zone is not new.zone:
                 moves += 1
-                assert f"{new.defn.id} {old.zone.value}->{new.zone.value}" \
-                    in events, line
+                assert (f"{new.defn.id}#{new.instance_id} "
+                        f"{old.zone.value}->{new.zone.value}") in events, line
     assert moves
 
 

@@ -155,3 +155,67 @@ def test_zones_change_only_through_move(path):
 def test_zone_write_check_sees_card_instance_writes():
     scopes = {scope for scope, _ in zone_writes(parse(SRC / "state.py"))}
     assert scopes == {"CardInstance.__init__", "CardInstance.copy", "GameState.move"}
+
+
+# engine._DO gives each action type a check and an effect. The check
+# raises the named error and writes nothing; the effect writes and raises
+# nothing, because playouts run it alone. The engine functions that either
+# calls, transitively, are held to the same rule.
+def do_table(tree: ast.Module) -> list[tuple[str, str]]:
+    """(check, effect) function names of each engine._DO entry."""
+    for node in tree.body:
+        if "_DO" in defined_names(node):
+            return [(entry.elts[1].id, entry.elts[2].id)
+                    for entry in node.value.values]
+    raise AssertionError("engine.py defines no _DO table")
+
+
+def reached(tree: ast.Module, name: str) -> list[ast.FunctionDef]:
+    """The module function `name` and the module functions it calls by
+    plain name, transitively."""
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    found: dict[str, ast.FunctionDef] = {}
+    todo = [name]
+    while todo:
+        fname = todo.pop()
+        if fname in found or fname not in defs:
+            continue
+        found[fname] = defs[fname]
+        todo.extend(call.func.id for call in ast.walk(defs[fname])
+                    if isinstance(call, ast.Call) and isinstance(call.func, ast.Name))
+    return list(found.values())
+
+
+def raises(fn: ast.FunctionDef) -> list[str]:
+    return [f"{fn.name}:{n.lineno}" for n in ast.walk(fn) if isinstance(n, ast.Raise)]
+
+
+def writes(fn: ast.FunctionDef) -> list[str]:
+    """Attribute stores, setattr calls and .move( calls in fn."""
+    return [f"{fn.name}:{n.lineno}" for n in ast.walk(fn)
+            if (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store))
+            or (isinstance(n, ast.Call)
+                and ((isinstance(n.func, ast.Attribute) and n.func.attr == "move")
+                     or (isinstance(n.func, ast.Name) and n.func.id == "setattr")))]
+
+
+def test_action_checks_write_nothing_and_effects_raise_nothing():
+    tree = parse(SRC / "engine.py")
+    table = do_table(tree)
+    assert len(table) == 5 and all(check != effect for check, effect in table)
+    found = []
+    for check, effect in table:
+        found += [f"check writes at {w}" for fn in reached(tree, check)
+                  for w in writes(fn)]
+        found += [f"effect raises at {r}" for fn in reached(tree, effect)
+                  for r in raises(fn)]
+    assert not found, f"engine.py: {found}"
+
+
+def test_split_check_sees_writes_and_raises():
+    tree = ast.parse("def check(s, a):\n    s.x = 1\n    helper(s, a)\n"
+                     "def helper(s, a):\n    s.move(a, 0)\n    setattr(s, 'y', 2)\n"
+                     "def effect(s, a):\n    if a:\n        raise ValueError(a)\n")
+    assert sorted(w for fn in reached(tree, "check") for w in writes(fn)) == [
+        "check:2", "helper:5", "helper:6"]
+    assert [r for fn in reached(tree, "effect") for r in raises(fn)] == ["effect:9"]

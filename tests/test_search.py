@@ -14,7 +14,7 @@ from questsim.engine import (
     new_game,
     play_game,
 )
-from questsim.errors import ConfigError
+from questsim.errors import ConfigError, IllegalActionError
 from questsim.search import (
     PLAYOUT_ROUND_CAP,
     FlatMcPolicy,
@@ -27,12 +27,14 @@ from questsim.search import (
     flat_mc_decide,
     mcts_decide,
     playout,
+    playout_policies,
     ucb_score,
 )
 from questsim.state import (
     Commit,
     Defend,
     Outcome,
+    PlayCards,
     StageId,
     StageKind,
     Zone,
@@ -169,6 +171,42 @@ def test_budget_exactness_on_wide_midgame_families(synth_scenario):
             on_playout=lambda: count.__setitem__(0, count[0] + 1))
         decide(state, legals, config, Random(2))
         assert count[0] == 40
+
+
+class IllegalPolicy:
+    """A playout policy that always picks an action its check rejects."""
+    needs_legals = False
+
+    def __init__(self, make):
+        self.make = make
+
+    def decide(self, state, legals, rng):
+        return self.make(state)
+
+
+def first_hero(state) -> int:
+    return state.heroes()[0].instance_id
+
+
+@pytest.mark.parametrize("stage, make, rule", [
+    (StageId.PLANNING, lambda s: PlayCards((first_hero(s),)), "is not in hand"),
+    (StageId.DECLARE_DEFENDERS, lambda s: Defend(((first_hero(s), None),)),
+     "must cover engaged enemies exactly"),
+], ids=["buy-from-play", "defend-a-hero"])
+@pytest.mark.parametrize("decide", [flat_mc_decide, mcts_decide])
+def test_debug_checks_every_playout_action(synth_scenario, monkeypatch, stage,
+                                           make, rule, decide):
+    """Playouts trust their policies; debug checks them again, so a policy
+    that breaks a rule fails loudly with the rule's name."""
+    state = helpers.new_synth_game(seed=7, scenario=synth_scenario)
+    _ruled_inplace(state)
+    assert state.stage is StageId.PLANNING
+    legals = legal_actions(state)
+    assert len(legals) >= 2
+    monkeypatch.setitem(playout_policies("expert"), stage, IllegalPolicy(make))
+    config = SearchConfig(playout_budget=4, playout_policy="expert", debug=True)
+    with pytest.raises(IllegalActionError, match=rule):
+        decide(state, legals, config, Random(0))
 
 
 def test_single_legal_action_skips_search(synth_scenario):

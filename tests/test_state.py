@@ -98,6 +98,10 @@ def test_round_doc_trace_pattern_matches_a_seeded_trace(shipped):
         events += match["events"].split("; ")
     for event in events:
         assert event_re.match(event), event
+        if "=[" in event:  # each card an action names is <id>#<instance>
+            for name in re.split(r",|<-|\+", event.split("=[", 1)[1][:-1]):
+                assert name in ("", "none") or re.fullmatch(r"\S+#\d+", name), event
+    assert any(e.startswith("defend=[") and "#" in e for e in events)
     # The seeded game shows every event kind.
     assert any(" takes " in e for e in events)
     assert any("->" in e for e in events)
@@ -217,7 +221,7 @@ def test_describe_action_names_cards(game):
     text = describe_action(PlayCards(tuple(hand_ids)), game)
     assert text.startswith("play=[")
     for iid in hand_ids:
-        assert game.cards[iid].defn.id in text
+        assert f"{game.cards[iid].defn.id}#{iid}" in text
     assert describe_action(TravelTo(None), game) == "travel=none"
 
 
