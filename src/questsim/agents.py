@@ -17,20 +17,32 @@ from dataclasses import dataclass, replace
 from random import Random
 from typing import Protocol
 
-from .cards import Sphere
+from .cards import NEUTRAL, SPIRIT, Sphere
 from .engine import (
     MAX_COMMIT_ENUM,
+    _planning_bounds,
+    _planning_enumerate,
     commit_pool,
     commit_prefixes,
     defend_overflows,
     defender_order,
     fits,
-    hero_pools,
-    planning_capped,
     travel_actions,
 )
 from .errors import ConfigError, StageError
-from .state import Action, Attack, Commit, Defend, GameState, PlayCards, StageId
+from .state import (
+    COMMIT_CHARACTERS,
+    DECLARE_ATTACKERS,
+    DECLARE_DEFENDERS,
+    PLANNING,
+    TRAVEL,
+    Action,
+    Attack,
+    Commit,
+    Defend,
+    GameState,
+    PlayCards,
+)
 
 # The expert's standout purchase; a card set without it simply never
 # triggers the rule.
@@ -101,20 +113,23 @@ class FixedAttackPolicy:
 def _expert_planning(state: GameState) -> Action:
     """Greedy purchase loop: Gandalf whenever affordable, then affordable
     Spirit cards by descending willpower, then the cheapest affordable card;
-    ties by card id, repeated until nothing else is affordable."""
-    pools, total_pool = hero_pools(state.heroes())
+    ties by card id, repeated until nothing else is affordable. The hero
+    pools, the cards payable on their own and the cap answer come from one
+    engine._planning_bounds call."""
+    capped, singles, pools, total_pool = _planning_bounds(state)
     demand: dict[Sphere, int] = {}
     spent = 0
     chosen: list[int] = []
     # The buy only grows, so a card that does not fit now never fits again:
-    # each pick re-filters the cards that were still affordable before it.
-    afford = [c for c in state.hand() if fits(c.defn, pools, total_pool, demand, spent)]
+    # each pick re-filters the cards that were still affordable before it,
+    # starting from the cards payable on their own.
+    afford = singles
     while afford:
         gandalfs = [c for c in afford if c.defn.id == GANDALF_ID]
         if gandalfs:
             pick = gandalfs[0]
         else:
-            spirit = [c for c in afford if c.defn.sphere is Sphere.SPIRIT]
+            spirit = [c for c in afford if c.defn.sphere is SPIRIT]
             if spirit:
                 pick = min(spirit, key=lambda c: (-c.defn.willpower, c.defn.id,
                                                   c.instance_id))
@@ -123,17 +138,20 @@ def _expert_planning(state: GameState) -> Action:
                                                   c.instance_id))
         chosen.append(pick.instance_id)
         spent += pick.defn.cost
-        if pick.defn.sphere is not Sphere.NEUTRAL:
+        if pick.defn.sphere is not NEUTRAL:
             demand[pick.defn.sphere] = (demand.get(pick.defn.sphere, 0)
                                         + pick.defn.cost)
         afford = [c for c in afford if c is not pick
                   and fits(c.defn, pools, total_pool, demand, spent)]
 
-    if len(chosen) >= 2 and planning_capped(state):
-        # Capped family carries only singletons. Each chosen card fitted on
-        # top of the cards picked before it, so it is payable on its own:
-        # keep the first one in hand (instance-id) order.
-        return PlayCards((min(chosen),))
+    if len(chosen) >= 2:
+        if capped is None:
+            capped = _planning_enumerate(singles, pools, total_pool) is None
+        if capped:
+            # Capped family carries only singletons. Each chosen card fitted
+            # on top of the cards picked before it, so it is payable on its
+            # own: keep the first one in hand (instance-id) order.
+            return PlayCards((min(chosen),))
     return PlayCards(tuple(chosen))
 
 
@@ -145,7 +163,7 @@ def _expert_commit(state: GameState) -> Action:
     pool = commit_pool(state)
     preferred = ([c for c in pool if c.defn.id == GANDALF_ID]
                  + sorted((c for c in pool
-                           if c.defn.sphere is Sphere.SPIRIT
+                           if c.defn.sphere is SPIRIT
                            and c.defn.id != GANDALF_ID),
                           key=lambda c: (-c.willpower, c.instance_id)))
     chosen: list[int] = []
@@ -200,15 +218,15 @@ def expert_decide(state: GameState) -> Action:
     """Deterministic rule agent; its construction stays inside the
     enumerated legal family, caps included."""
     stage = state.stage
-    if stage is StageId.PLANNING:
+    if stage is PLANNING:
         return _expert_planning(state)
-    if stage is StageId.COMMIT_CHARACTERS:
+    if stage is COMMIT_CHARACTERS:
         return _expert_commit(state)
-    if stage is StageId.DECLARE_DEFENDERS:
+    if stage is DECLARE_DEFENDERS:
         return _expert_defend(state)
-    if stage is StageId.TRAVEL:
+    if stage is TRAVEL:
         return default_travel(state)
-    if stage is StageId.DECLARE_ATTACKERS:
+    if stage is DECLARE_ATTACKERS:
         return default_attack(state)
     raise StageError(f"'{stage.value}' is not a decision stage")
 
@@ -335,10 +353,10 @@ class StagePolicyMap:
         return ";".join(f"{stage}={kind}" for stage, kind in self.agents().items())
 
 
-STAGE_KEYS = {"planning": StageId.PLANNING,
-              "commit": StageId.COMMIT_CHARACTERS,
-              "defense": StageId.DECLARE_DEFENDERS,
-              "attack": StageId.DECLARE_ATTACKERS}
+STAGE_KEYS = {"planning": PLANNING,
+              "commit": COMMIT_CHARACTERS,
+              "defense": DECLARE_DEFENDERS,
+              "attack": DECLARE_ATTACKERS}
 
 
 def parse_policy_map(text: str) -> StagePolicyMap:

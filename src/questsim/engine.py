@@ -31,19 +31,59 @@ import time
 from random import Random
 from typing import Callable
 
-from .cards import CHARACTER_KINDS, CardDef, CardKind, Scenario, Sphere, expand_deck
+from .cards import (
+    ALLY,
+    CHARACTER_KINDS,
+    ENEMY,
+    EVENT_ENCOUNTER,
+    HERO,
+    ITEM,
+    LOCATION,
+    NEUTRAL,
+    CardDef,
+    Scenario,
+    Sphere,
+    expand_deck,
+)
 from .errors import DataError, IllegalActionError, QuestSimError, StageError
 from .state import (
+    ACTIVE_LOCATION,
+    COMMIT_CHARACTERS,
+    COMPLETED_QUESTS,
+    DEAL_SHADOW_CARDS,
+    DECLARE_ATTACKERS,
+    DECLARE_DEFENDERS,
+    ENCOUNTER_DECK,
+    ENCOUNTER_DISCARD,
+    ENGAGEMENT_AREA,
+    ENGAGEMENT_CHECKS,
+    GAIN_RESOURCES_AND_DRAW,
+    HAND,
+    LOSS_DECK_EMPTY,
+    LOSS_HEROES_DEAD,
+    LOSS_THREAT,
+    PLANNING,
+    PLAY_AREA,
+    PLAYER_DECK,
+    PLAYER_DISCARD,
+    QUEST_RESOLUTION,
+    RANDOM,
+    REFRESH,
+    RESOLVE_ENEMY_ATTACKS,
+    RESOLVE_PLAYER_ATTACKS,
+    RULED,
+    STAGING,
+    STAGING_AREA,
+    TRAVEL,
+    WIN,
     Action,
     Attack,
     CardInstance,
     Commit,
     Defend,
     GameState,
-    Outcome,
     PlayCards,
     StageId,
-    StageKind,
     TravelTo,
     Zone,
     describe_action,
@@ -78,11 +118,11 @@ def new_game(scenario: Scenario, difficulty: str, rng: Random) -> GameState:
         return state.add(db[card_id], zone).instance_id
 
     for cid in scenario.heroes:
-        add(cid, Zone.PLAY_AREA)
-    state.quest_ids = tuple(add(cid, Zone.STAGING_AREA) for cid in scenario.quest_line)
+        add(cid, PLAY_AREA)
+    state.quest_ids = tuple(add(cid, STAGING_AREA) for cid in scenario.quest_line)
 
-    player = [add(cid, Zone.PLAYER_DECK) for cid in expand_deck(scenario.player_deck)]
-    encounter = [add(cid, Zone.ENCOUNTER_DECK) for cid in expand_deck(deck_multiset)]
+    player = [add(cid, PLAYER_DECK) for cid in expand_deck(scenario.player_deck)]
+    encounter = [add(cid, ENCOUNTER_DECK) for cid in expand_deck(deck_multiset)]
     if len(player) < STARTING_HAND_SIZE:
         raise DataError(f"player deck has {len(player)} cards, "
                         f"needs at least {STARTING_HAND_SIZE}")
@@ -93,10 +133,10 @@ def new_game(scenario: Scenario, difficulty: str, rng: Random) -> GameState:
 
     state.threat_level = sum(db[cid].threat_cost for cid in scenario.heroes)
     if state.threat_level >= scenario.threat_limit:
-        state.outcome = Outcome.LOSS_THREAT
+        state.outcome = LOSS_THREAT
 
     for _ in range(STARTING_HAND_SIZE):
-        state.move(state.cards[state.player_deck.pop()], Zone.HAND)
+        state.move(state.cards[state.player_deck.pop()], HAND)
     return state
 
 
@@ -111,7 +151,7 @@ def _instance(state: GameState, iid: object) -> CardInstance:
 
 def _ready_character(state: GameState, iid: object) -> CardInstance:
     c = _instance(state, iid)
-    if c.zone is not Zone.PLAY_AREA or c.defn.kind not in CHARACTER_KINDS:
+    if c.zone is not PLAY_AREA or c.defn.kind not in CHARACTER_KINDS:
         raise IllegalActionError(f"{c.defn.id}#{iid} is not a character in play")
     if c.exhausted:
         raise IllegalActionError(f"{c.defn.id}#{iid} is exhausted")
@@ -122,28 +162,28 @@ def _raise_threat(state: GameState, amount: int) -> None:
     state.threat_level += amount
     if state.threat_level >= state.scenario.threat_limit:
         state.threat_level = state.scenario.threat_limit
-        state.outcome = Outcome.LOSS_THREAT
+        state.outcome = LOSS_THREAT
 
 
 def _destroy(state: GameState, card: CardInstance) -> None:
     if card.defn.kind in CHARACTER_KINDS:
         # Attached items go to the discard pile with their bearer.
-        for item in state.in_zone(Zone.PLAY_AREA):
+        for item in state.in_zone(PLAY_AREA):
             if item.attached_to == card.instance_id:
                 item.reset_in_game_state()
-                state.move(item, Zone.PLAYER_DISCARD)
-        was_hero = card.defn.kind is CardKind.HERO
+                state.move(item, PLAYER_DISCARD)
+        was_hero = card.defn.kind is HERO
         card.reset_in_game_state()
-        state.move(card, Zone.PLAYER_DISCARD)
+        state.move(card, PLAYER_DISCARD)
         if was_hero and not state.heroes():
-            state.outcome = Outcome.LOSS_HEROES_DEAD
+            state.outcome = LOSS_HEROES_DEAD
     else:
         if card.shadow_card is not None:
             shadow = state.cards[card.shadow_card]
             shadow.reset_in_game_state()
-            state.move(shadow, Zone.ENCOUNTER_DISCARD)
+            state.move(shadow, ENCOUNTER_DISCARD)
         card.reset_in_game_state()
-        state.move(card, Zone.ENCOUNTER_DISCARD)
+        state.move(card, ENCOUNTER_DISCARD)
 
 
 def _deal_damage(state: GameState, card: CardInstance, amount: int) -> None:
@@ -166,15 +206,15 @@ def _add_progress(state: GameState, points: int) -> None:
             return
         points -= need
         location.reset_in_game_state()
-        state.move(location, Zone.ENCOUNTER_DISCARD)
+        state.move(location, ENCOUNTER_DISCARD)
     state.quest_progress += points
     while state.quest_progress >= state.current_quest().defn.quest_points:
         state.quest_progress -= state.current_quest().defn.quest_points
         quest = state.current_quest()
-        state.move(quest, Zone.COMPLETED_QUESTS)
+        state.move(quest, COMPLETED_QUESTS)
         state.quest_index += 1
         if state.quest_index > 2:
-            state.outcome = Outcome.WIN
+            state.outcome = WIN
             return
 
 
@@ -182,13 +222,13 @@ def _draw_encounter(state: GameState, rng: Random) -> int | None:
     """Top of the encounter deck, reshuffling the discard pile in (cards are
     reset when reshuffled). None when both are empty."""
     if not state.encounter_deck:
-        pile = state.zone_ids[Zone.ENCOUNTER_DISCARD.slot][:]
+        pile = state.zone_ids[ENCOUNTER_DISCARD.slot][:]
         if not pile:
             return None
         for iid in pile:
             card = state.cards[iid]
             card.reset_in_game_state()
-            state.move(card, Zone.ENCOUNTER_DECK)
+            state.move(card, ENCOUNTER_DECK)
         rng.shuffle(pile)
         state.encounter_deck = pile
     return state.encounter_deck.pop()
@@ -213,7 +253,7 @@ def fits(defn: CardDef, pools: dict[Sphere, int], total: int,
     the grand pool: checking each card as it is added is exact."""
     if spent + defn.cost > total:
         return False
-    return (defn.sphere is Sphere.NEUTRAL
+    return (defn.sphere is NEUTRAL
             or demand.get(defn.sphere, 0) + defn.cost <= pools.get(defn.sphere, 0))
 
 
@@ -226,7 +266,7 @@ def _payable(heroes: list[CardInstance], defs) -> tuple[bool, str]:
     for d in defs:
         ok = ok and fits(d, pools, total_pool, demand, total)
         total += d.cost
-        if d.sphere is not Sphere.NEUTRAL:
+        if d.sphere is not NEUTRAL:
             demand[d.sphere] = demand.get(d.sphere, 0) + d.cost
     if ok:
         return True, ""
@@ -273,13 +313,13 @@ def _planning_enumerate(cards: list[CardInstance], pools: dict[Sphere, int],
             if len(subsets) >= MAX_PLANNING_ACTIONS:
                 return False
             spent[0] += d.cost
-            if d.sphere is not Sphere.NEUTRAL:
+            if d.sphere is not NEUTRAL:
                 demand[d.sphere] = demand.get(d.sphere, 0) + d.cost
             if not dfs(i + 1):
                 return False
             chosen.pop()
             spent[0] -= d.cost
-            if d.sphere is not Sphere.NEUTRAL:
+            if d.sphere is not NEUTRAL:
                 demand[d.sphere] -= d.cost
         return True
 
@@ -405,8 +445,8 @@ def travel_actions(state: GameState) -> list[Action]:
     staying put; only staying put while a location is active."""
     actions: list[Action] = []
     if state.active_location() is None:
-        spots = [c for c in state.in_zone(Zone.STAGING_AREA)
-                 if c.defn.kind is CardKind.LOCATION]
+        spots = [c for c in state.in_zone(STAGING_AREA)
+                 if c.defn.kind is LOCATION]
         spots.sort(key=lambda c: (-c.defn.threat, c.instance_id))
         actions.extend(TravelTo(c.instance_id) for c in spots)
     actions.append(TravelTo(None))
@@ -418,7 +458,7 @@ def defender_order(state: GameState) -> list[CardInstance]:
     then heroes by descending defense, ties by id."""
     return sorted(state.ready_characters(),
                   key=lambda c: ((0, c.defn.cost, c.instance_id)
-                                 if c.defn.kind is CardKind.ALLY
+                                 if c.defn.kind is ALLY
                                  else (1, -c.defense, c.instance_id)))
 
 
@@ -508,11 +548,11 @@ def _attack_actions(state: GameState) -> list[Action]:
 
 
 _LEGAL: dict[StageId, Callable[[GameState], list[Action]]] = {
-    StageId.PLANNING: _planning_actions,
-    StageId.COMMIT_CHARACTERS: _commit_actions,
-    StageId.TRAVEL: travel_actions,
-    StageId.DECLARE_DEFENDERS: _defend_actions,
-    StageId.DECLARE_ATTACKERS: _attack_actions,
+    PLANNING: _planning_actions,
+    COMMIT_CHARACTERS: _commit_actions,
+    TRAVEL: travel_actions,
+    DECLARE_DEFENDERS: _defend_actions,
+    DECLARE_ATTACKERS: _attack_actions,
 }
 
 
@@ -548,7 +588,7 @@ def _check_play(state: GameState, action: PlayCards) -> None:
     defs = []
     for iid in action.cards:
         inst = _instance(state, iid)
-        if inst.zone is not Zone.HAND:
+        if inst.zone is not HAND:
             raise IllegalActionError(f"{inst.defn.id}#{iid} is not in hand")
         defs.append(inst.defn)
     ok, why = _payable(state.heroes(), defs)
@@ -564,19 +604,19 @@ def _play(state: GameState, action: PlayCards) -> None:
     # Sphere costs drain matching heroes (id order) before neutral costs
     # drain anyone, so paying never strands a sphere requirement.
     for inst in insts:
-        if inst.defn.sphere is not Sphere.NEUTRAL:
+        if inst.defn.sphere is not NEUTRAL:
             _spend([h for h in heroes if h.defn.sphere is inst.defn.sphere],
                    inst.defn.cost)
     for inst in insts:
-        if inst.defn.sphere is Sphere.NEUTRAL:
+        if inst.defn.sphere is NEUTRAL:
             _spend(heroes, inst.defn.cost)
 
     for inst in insts:
         kind = inst.defn.kind
-        if kind is CardKind.ALLY:
-            state.move(inst, Zone.PLAY_AREA)
-        elif kind is CardKind.ITEM:
-            state.move(inst, Zone.PLAY_AREA)
+        if kind is ALLY:
+            state.move(inst, PLAY_AREA)
+        elif kind is ITEM:
+            state.move(inst, PLAY_AREA)
             target = next((h for h in heroes
                            if h.defn.sphere is inst.defn.sphere), heroes[0])
             inst.attached_to = target.instance_id
@@ -585,7 +625,7 @@ def _play(state: GameState, action: PlayCards) -> None:
             if inst.defn.effect == "reduce_threat":
                 state.threat_level = max(0, state.threat_level
                                          - inst.defn.effect_amount)
-            state.move(inst, Zone.PLAYER_DISCARD)
+            state.move(inst, PLAYER_DISCARD)
 
 
 def _check_commit(state: GameState, action: Commit) -> None:
@@ -615,7 +655,7 @@ def _check_travel(state: GameState, action: TravelTo) -> None:
     if action.location is None:
         return
     loc = _instance(state, action.location)
-    if loc.defn.kind is not CardKind.LOCATION or loc.zone is not Zone.STAGING_AREA:
+    if loc.defn.kind is not LOCATION or loc.zone is not STAGING_AREA:
         raise IllegalActionError(f"{loc.defn.id}#{loc.instance_id} is not a "
                                  f"staging-area location")
     if state.active_location() is not None:
@@ -624,7 +664,7 @@ def _check_travel(state: GameState, action: TravelTo) -> None:
 
 def _travel(state: GameState, action: TravelTo) -> None:
     if action.location is not None:
-        state.move(state.cards[action.location], Zone.ACTIVE_LOCATION)
+        state.move(state.cards[action.location], ACTIVE_LOCATION)
 
 
 def _check_defend(state: GameState, action: Defend) -> None:
@@ -679,11 +719,11 @@ def _attack(state: GameState, action: Attack) -> None:
 
 # Action type -> (the decision stage it applies at, its check, its effect).
 _DO: dict[type, tuple[StageId, Callable, Callable]] = {
-    PlayCards: (StageId.PLANNING, _check_play, _play),
-    Commit: (StageId.COMMIT_CHARACTERS, _check_commit, _commit),
-    TravelTo: (StageId.TRAVEL, _check_travel, _travel),
-    Defend: (StageId.DECLARE_DEFENDERS, _check_defend, _defend),
-    Attack: (StageId.DECLARE_ATTACKERS, _check_attack, _attack),
+    PlayCards: (PLANNING, _check_play, _play),
+    Commit: (COMMIT_CHARACTERS, _check_commit, _commit),
+    TravelTo: (TRAVEL, _check_travel, _travel),
+    Defend: (DECLARE_DEFENDERS, _check_defend, _defend),
+    Attack: (DECLARE_ATTACKERS, _check_attack, _attack),
 }
 
 
@@ -722,10 +762,10 @@ def _stage_gain(state: GameState) -> None:
     for hero in state.heroes():
         hero.resource_pool += 1
     if not state.player_deck:
-        state.outcome = Outcome.LOSS_DECK_EMPTY
+        state.outcome = LOSS_DECK_EMPTY
         return
     card = state.cards[state.player_deck.pop()]
-    state.move(card, Zone.HAND)
+    state.move(card, HAND)
 
 
 def _stage_quest_resolution(state: GameState) -> None:
@@ -739,22 +779,22 @@ def _stage_quest_resolution(state: GameState) -> None:
 
 def _stage_engagement(state: GameState) -> None:
     # Engaging changes no threat, so one pass engages every enemy that can.
-    for c in state.in_zone(Zone.STAGING_AREA):
-        if (c.defn.kind is CardKind.ENEMY
+    for c in state.in_zone(STAGING_AREA):
+        if (c.defn.kind is ENEMY
                 and c.defn.engagement_cost <= state.threat_level):
-            state.move(c, Zone.ENGAGEMENT_AREA)
+            state.move(c, ENGAGEMENT_AREA)
 
 
 def _stage_enemy_attacks(state: GameState) -> None:
     for eid in sorted(state.defense_map):
         enemy = state.cards[eid]
-        if enemy.zone is not Zone.ENGAGEMENT_AREA:
+        if enemy.zone is not ENGAGEMENT_AREA:
             continue
         attack = enemy.attack
         if enemy.shadow_card is not None:
             attack += state.cards[enemy.shadow_card].defn.shadow_attack_bonus
         did = state.defense_map[eid]
-        if did is not None and state.cards[did].zone is Zone.PLAY_AREA:
+        if did is not None and state.cards[did].zone is PLAY_AREA:
             defender = state.cards[did]
             _deal_damage(state, defender, attack - defender.defense)
         else:
@@ -771,10 +811,10 @@ def _stage_enemy_attacks(state: GameState) -> None:
 def _stage_player_attacks(state: GameState) -> None:
     for eid in sorted(state.attack_map):
         enemy = state.cards[eid]
-        if enemy.zone is not Zone.ENGAGEMENT_AREA:
+        if enemy.zone is not ENGAGEMENT_AREA:
             continue
         total = sum(state.cards[aid].attack for aid in state.attack_map[eid]
-                    if state.cards[aid].zone is Zone.PLAY_AREA)
+                    if state.cards[aid].zone is PLAY_AREA)
         _deal_damage(state, enemy, total - enemy.defense)
     state.attack_map = {}
 
@@ -782,16 +822,16 @@ def _stage_player_attacks(state: GameState) -> None:
 def _stage_refresh(state: GameState) -> None:
     # Only characters in play exhaust or commit; only engaged enemies hold
     # shadows, and leaving either zone clears these marks.
-    for c in state.in_zone(Zone.PLAY_AREA):
+    for c in state.in_zone(PLAY_AREA):
         if c.exhausted:
             c.exhausted = False
         if c.committed:
             c.committed = False
-    for c in state.in_zone(Zone.ENGAGEMENT_AREA):
+    for c in state.in_zone(ENGAGEMENT_AREA):
         if c.shadow_card is not None:
             shadow = state.cards[c.shadow_card]
             shadow.reset_in_game_state()
-            state.move(shadow, Zone.ENCOUNTER_DISCARD)
+            state.move(shadow, ENCOUNTER_DISCARD)
             c.shadow_card = None
     _raise_threat(state, 1)
     # The next round starts here, unless the threat rise ended the game.
@@ -800,12 +840,12 @@ def _stage_refresh(state: GameState) -> None:
 
 
 _RULED: dict[StageId, Callable[[GameState], None]] = {
-    StageId.GAIN_RESOURCES_AND_DRAW: _stage_gain,
-    StageId.QUEST_RESOLUTION: _stage_quest_resolution,
-    StageId.ENGAGEMENT_CHECKS: _stage_engagement,
-    StageId.RESOLVE_ENEMY_ATTACKS: _stage_enemy_attacks,
-    StageId.RESOLVE_PLAYER_ATTACKS: _stage_player_attacks,
-    StageId.REFRESH: _stage_refresh,
+    GAIN_RESOURCES_AND_DRAW: _stage_gain,
+    QUEST_RESOLUTION: _stage_quest_resolution,
+    ENGAGEMENT_CHECKS: _stage_engagement,
+    RESOLVE_ENEMY_ATTACKS: _stage_enemy_attacks,
+    RESOLVE_PLAYER_ATTACKS: _stage_player_attacks,
+    REFRESH: _stage_refresh,
 }
 
 
@@ -835,7 +875,7 @@ def _stage_staging(state: GameState, rng: Random) -> None:
     if iid is None:
         return
     card = state.cards[iid]
-    if card.defn.kind is CardKind.EVENT_ENCOUNTER:
+    if card.defn.kind is EVENT_ENCOUNTER:
         if card.defn.effect == "raise_threat":
             _raise_threat(state, card.defn.effect_amount)
         else:  # damage_committed
@@ -843,9 +883,9 @@ def _stage_staging(state: GameState, rng: Random) -> None:
                 _deal_damage(state, ch, card.defn.effect_amount)
                 if state.outcome is not None:
                     break
-        state.move(card, Zone.ENCOUNTER_DISCARD)
+        state.move(card, ENCOUNTER_DISCARD)
     else:
-        state.move(card, Zone.STAGING_AREA)
+        state.move(card, STAGING_AREA)
 
 
 def _stage_shadows(state: GameState, rng: Random) -> None:
@@ -854,14 +894,14 @@ def _stage_shadows(state: GameState, rng: Random) -> None:
         if iid is None:
             return
         shadow = state.cards[iid]
-        state.move(shadow, Zone.ENGAGEMENT_AREA)
+        state.move(shadow, ENGAGEMENT_AREA)
         shadow.attached_to = enemy.instance_id
         enemy.shadow_card = iid
 
 
 _RANDOM: dict[StageId, Callable[[GameState, Random], None]] = {
-    StageId.STAGING: _stage_staging,
-    StageId.DEAL_SHADOW_CARDS: _stage_shadows,
+    STAGING: _stage_staging,
+    DEAL_SHADOW_CARDS: _stage_shadows,
 }
 
 
@@ -933,9 +973,9 @@ def play_game(state: GameState, policies: dict, rng: Random, *,
         stage = state.stage
         kind = stage.kind
         action = None
-        if kind is StageKind.RULED:
+        if kind is RULED:
             _ruled_inplace(state)
-        elif kind is StageKind.RANDOM:
+        elif kind is RANDOM:
             _random_inplace(state, rng)
         else:
             policy = policies[stage]
@@ -978,8 +1018,8 @@ def check_invariants(state: GameState) -> None:
             fail(f"zone index lists {state.zone_ids[zone.slot]} in {zone.value}, "
                  f"but the cards there are {ids}")
 
-    for deck, zone, name in ((state.player_deck, Zone.PLAYER_DECK, "player"),
-                             (state.encounter_deck, Zone.ENCOUNTER_DECK,
+    for deck, zone, name in ((state.player_deck, PLAYER_DECK, "player"),
+                             (state.encounter_deck, ENCOUNTER_DECK,
                               "encounter")):
         if len(set(deck)) != len(deck):
             fail(f"duplicate ids in {name} deck")
@@ -997,41 +1037,41 @@ def check_invariants(state: GameState) -> None:
         fail("one card dealt as shadow to two enemies")
     for c in state.cards:
         if c.shadow_card is not None:
-            if c.defn.kind is not CardKind.ENEMY or c.zone is not Zone.ENGAGEMENT_AREA:
+            if c.defn.kind is not ENEMY or c.zone is not ENGAGEMENT_AREA:
                 fail(f"{c!r} holds a shadow card but is not an engaged enemy")
             shadow = state.cards[c.shadow_card]
-            if shadow.zone is not Zone.ENGAGEMENT_AREA:
+            if shadow.zone is not ENGAGEMENT_AREA:
                 fail(f"shadow card {c.shadow_card} left the engagement area")
             if shadow.attached_to != c.instance_id:
                 fail(f"shadow card {c.shadow_card} not marked as attached "
                      f"to its enemy {c.instance_id}")
-        if (c.zone is Zone.ENGAGEMENT_AREA and c.attached_to is not None
+        if (c.zone is ENGAGEMENT_AREA and c.attached_to is not None
                 and state.cards[c.attached_to].shadow_card != c.instance_id):
             fail(f"{c!r} marked as a shadow of {c.attached_to} which does "
                  f"not hold it")
-        if c.committed and (c.zone is not Zone.PLAY_AREA or not c.exhausted
+        if c.committed and (c.zone is not PLAY_AREA or not c.exhausted
                             or c.defn.kind not in CHARACTER_KINDS):
             fail(f"{c!r} committed but not an exhausted character in play")
-        if c.damage and c.zone in (Zone.PLAYER_DECK, Zone.ENCOUNTER_DECK,
-                                   Zone.PLAYER_DISCARD, Zone.ENCOUNTER_DISCARD):
+        if c.damage and c.zone in (PLAYER_DECK, ENCOUNTER_DECK,
+                                   PLAYER_DISCARD, ENCOUNTER_DISCARD):
             fail(f"{c!r} carries damage outside play")
-        if c.zone in (Zone.PLAY_AREA, Zone.ENGAGEMENT_AREA, Zone.STAGING_AREA) \
+        if c.zone in (PLAY_AREA, ENGAGEMENT_AREA, STAGING_AREA) \
                 and c.defn.hit_points and c.damage >= c.hit_points:
             fail(f"{c!r} should have been destroyed")
-        if c.resource_pool and c.defn.kind is not CardKind.HERO:
+        if c.resource_pool and c.defn.kind is not HERO:
             fail(f"{c!r} holds resources but is not a hero")
-        if c.progress and c.zone is not Zone.ACTIVE_LOCATION:
+        if c.progress and c.zone is not ACTIVE_LOCATION:
             fail(f"{c!r} carries quest progress but is not the active location")
         if c.attached_to is not None:
             bearer = state.cards[c.attached_to]
-            if c.zone is Zone.PLAY_AREA and bearer.zone is not Zone.PLAY_AREA:
+            if c.zone is PLAY_AREA and bearer.zone is not PLAY_AREA:
                 fail(f"{c!r} attached to {bearer!r} which left play")
 
-    active = [c for c in state.cards if c.zone is Zone.ACTIVE_LOCATION]
+    active = [c for c in state.cards if c.zone is ACTIVE_LOCATION]
     if len(active) > 1:
         fail("more than one active location")
 
-    if state.outcome is Outcome.WIN:
+    if state.outcome is WIN:
         if state.quest_index != 3:
             fail(f"won with quest_index {state.quest_index}")
     elif not 0 <= state.quest_index <= 2:
@@ -1040,7 +1080,7 @@ def check_invariants(state: GameState) -> None:
         done = {state.quest_ids[i] for i in range(state.quest_index)}
         for iid in state.quest_ids:
             zone = state.cards[iid].zone
-            want = Zone.COMPLETED_QUESTS if iid in done else Zone.STAGING_AREA
+            want = COMPLETED_QUESTS if iid in done else STAGING_AREA
             if zone is not want:
                 fail(f"quest card {iid} in {zone.value}, expected {want.value}")
         if state.quest_progress >= state.current_quest().defn.quest_points:

@@ -224,10 +224,11 @@ def budget_sweep(base: ExperimentConfig,
     if not base.policy_map.has_search_agent():
         raise ConfigError("budget sweep needs at least one search agent "
                           f"in the map '{base.policy_map}'")
-    rows = []
     for budget in budgets:
         if budget < 1:
             raise ConfigError(f"budgets must be >= 1, got {budget}")
+    rows = []
+    for budget in budgets:
         config = replace(base, policy_map=base.policy_map.with_budget(budget))
         rows.append((budget, run_games(config, label=str(budget))))
     return rows

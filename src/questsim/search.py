@@ -39,7 +39,24 @@ from .engine import (
     legal_actions,
 )
 from .errors import ConfigError, QuestSimError
-from .state import Action, GameState, Outcome, StageId, StageKind, Zone
+from .state import (
+    COMMIT_CHARACTERS,
+    DECISION,
+    DECLARE_ATTACKERS,
+    DECLARE_DEFENDERS,
+    ENCOUNTER_DECK,
+    ENGAGEMENT_AREA,
+    LOSS_THREAT,
+    PLANNING,
+    RANDOM,
+    RULED,
+    TRAVEL,
+    WIN,
+    Action,
+    GameState,
+    Outcome,
+    StageId,
+)
 
 PLAYOUT_ROUND_CAP = 100
 
@@ -113,13 +130,13 @@ def determinize(state: GameState, rng: Random) -> GameState:
     shadow cards returned to the encounter deck, reshuffled and re-dealt to
     the same enemies (in id order)."""
     rng.shuffle(state.player_deck)
-    owners = [c for c in state.in_zone(Zone.ENGAGEMENT_AREA)
+    owners = [c for c in state.in_zone(ENGAGEMENT_AREA)
               if c.shadow_card is not None]
     deck = state.encounter_deck
     for owner in owners:
         sid = owner.shadow_card
         shadow = state.cards[sid]
-        state.move(shadow, Zone.ENCOUNTER_DECK)
+        state.move(shadow, ENCOUNTER_DECK)
         shadow.attached_to = None
         deck.append(sid)
         owner.shadow_card = None
@@ -127,7 +144,7 @@ def determinize(state: GameState, rng: Random) -> GameState:
     for owner in owners:
         sid = deck.pop()
         shadow = state.cards[sid]
-        state.move(shadow, Zone.ENGAGEMENT_AREA)
+        state.move(shadow, ENGAGEMENT_AREA)
         shadow.attached_to = owner.instance_id
         owner.shadow_card = sid
     return state
@@ -151,12 +168,12 @@ def _finish(state: GameState, policies: dict, rng: Random,
     checked = config is not None and config.debug
     while state.outcome is None:
         if state.round_no > PLAYOUT_ROUND_CAP:
-            return Outcome.LOSS_THREAT
+            return LOSS_THREAT
         stage = state.stage
         kind = stage.kind
-        if kind is StageKind.RULED:
+        if kind is RULED:
             _RULED[stage](state)
-        elif kind is StageKind.RANDOM:
+        elif kind is RANDOM:
             _RANDOM[stage](state, rng)
         else:
             policy = policies[stage]
@@ -217,7 +234,7 @@ def flat_mc_decide(state: GameState, legals: list[Action],
         for _ in range(share):
             trial = child.clone()
             determinize(trial, rng)
-            if _finish(trial, policies, rng, config) is Outcome.WIN:
+            if _finish(trial, policies, rng, config) is WIN:
                 wins[i] += 1
     return legals[best_child_index(wins)]
 
@@ -283,9 +300,9 @@ def mcts_decide(state: GameState, legals: list[Action],
             child = node.children[best_action]
             path.append(child)
             _apply_inplace(trial, best_action)
-            while trial.outcome is None and trial.stage.kind is not StageKind.DECISION:
+            while trial.outcome is None and trial.stage.kind is not DECISION:
                 stable = False
-                if trial.stage.kind is StageKind.RULED:
+                if trial.stage.kind is RULED:
                     _ruled_inplace(trial)
                 else:
                     _random_inplace(trial, rng)
@@ -300,7 +317,7 @@ def mcts_decide(state: GameState, legals: list[Action],
                     child.cached_legals = current_legals
 
         outcome = _finish(trial, policies, rng, config)
-        won = outcome is Outcome.WIN
+        won = outcome is WIN
         for visited in path:
             visited.visits += 1
             if won:
@@ -367,11 +384,11 @@ def build_stage_policies(pmap: StagePolicyMap) -> dict[StageId, object]:
     """Per-stage policy objects for a StagePolicyMap, with the fixed rules
     on Travel and (unless overridden) DeclareAttackers."""
     return {
-        StageId.PLANNING: build_policy(pmap.planning),
-        StageId.COMMIT_CHARACTERS: build_policy(pmap.commit),
-        StageId.TRAVEL: FixedTravelPolicy(),
-        StageId.DECLARE_DEFENDERS: build_policy(pmap.defense),
-        StageId.DECLARE_ATTACKERS: (build_policy(pmap.attack)
+        PLANNING: build_policy(pmap.planning),
+        COMMIT_CHARACTERS: build_policy(pmap.commit),
+        TRAVEL: FixedTravelPolicy(),
+        DECLARE_DEFENDERS: build_policy(pmap.defense),
+        DECLARE_ATTACKERS: (build_policy(pmap.attack)
                                     if pmap.attack is not None
                                     else FixedAttackPolicy()),
     }

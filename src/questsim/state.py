@@ -8,6 +8,18 @@ state; nothing here touches an RNG.
 
 GameState.clone() is the deep snapshot used for playouts: the clone shares
 only immutable objects (CardDef, Scenario) with the original.
+
+Each member of StageKind, StageId, Zone and Outcome (and of CardKind and
+Sphere in cards.py) is also bound to a module-level name beside its enum,
+and no function in state, engine, agents or search reads a member as an
+enum class attribute (tests/test_hygiene.py checks this). On CPython 3.11
+EnumType defines __getattr__, which takes every read such as
+Zone.PLAY_AREA off the interpreter's fast path: about 100 ns a read,
+against under 10 ns for a module global (timeit, CPython 3.11.7). A medium
+game of MCTS with expert playouts made about 90,000 such reads. cProfile
+does not show them, because no Python function runs: the member is found
+in the class dict by the slow path. Cold code (the card loader, cli,
+experiments, tests) may keep Zone.PLAY_AREA.
 """
 
 from __future__ import annotations
@@ -16,13 +28,16 @@ from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
 
-from .cards import CHARACTER_KINDS, CardDef, CardKind, Scenario
+from .cards import CHARACTER_KINDS, ENEMY, HERO, CardDef, Scenario
 
 
 class StageKind(Enum):
     RULED = "ruled"
     RANDOM = "random"
     DECISION = "decision"
+
+
+RULED, RANDOM, DECISION = StageKind
 
 
 class StageId(Enum):
@@ -65,6 +80,11 @@ for stage, successor in zip(STAGE_ORDER, STAGE_ORDER[1:] + STAGE_ORDER[:1]):
     stage.next = successor
 del stage, successor
 
+(GAIN_RESOURCES_AND_DRAW, PLANNING, COMMIT_CHARACTERS, STAGING, QUEST_RESOLUTION,
+ TRAVEL, ENGAGEMENT_CHECKS, DEAL_SHADOW_CARDS, DECLARE_DEFENDERS,
+ RESOLVE_ENEMY_ATTACKS, DECLARE_ATTACKERS, RESOLVE_PLAYER_ATTACKS,
+ REFRESH) = STAGE_ORDER
+
 
 class Zone(Enum):
     """Each member's .slot names its list in GameState.zone_ids (a plain int:
@@ -88,12 +108,18 @@ for slot, zone in enumerate(Zone):
     zone.slot = slot
 del slot, zone
 
+(PLAYER_DECK, HAND, PLAY_AREA, STAGING_AREA, ENCOUNTER_DECK, ENGAGEMENT_AREA,
+ ACTIVE_LOCATION, PLAYER_DISCARD, ENCOUNTER_DISCARD, COMPLETED_QUESTS) = Zone
+
 
 class Outcome(Enum):
     WIN = "win"
     LOSS_THREAT = "loss-threat"
     LOSS_HEROES_DEAD = "loss-heroes-dead"
     LOSS_DECK_EMPTY = "loss-deck-empty"
+
+
+WIN, LOSS_THREAT, LOSS_HEROES_DEAD, LOSS_DECK_EMPTY = Outcome
 
 
 class CardInstance:
@@ -198,7 +224,7 @@ class GameState:
 
     def __init__(self, scenario: Scenario, difficulty: str):
         self.round_no = 1
-        self.stage = StageId.GAIN_RESOURCES_AND_DRAW
+        self.stage = GAIN_RESOURCES_AND_DRAW
         self.threat_level = 0
         self.quest_index = 0
         self.quest_progress = 0
@@ -253,35 +279,35 @@ class GameState:
         return list(map(self.cards.__getitem__, self.zone_ids[zone.slot]))
 
     def hand(self) -> list[CardInstance]:
-        return list(map(self.cards.__getitem__, self.zone_ids[Zone.HAND.slot]))
+        return list(map(self.cards.__getitem__, self.zone_ids[HAND.slot]))
 
     def heroes(self) -> list[CardInstance]:
         """Surviving heroes (in play)."""
-        return [c for c in map(self.cards.__getitem__, self.zone_ids[Zone.PLAY_AREA.slot])
-                if c.defn.kind is CardKind.HERO]
+        return [c for c in map(self.cards.__getitem__, self.zone_ids[PLAY_AREA.slot])
+                if c.defn.kind is HERO]
 
     def ready_characters(self) -> list[CardInstance]:
-        return [c for c in map(self.cards.__getitem__, self.zone_ids[Zone.PLAY_AREA.slot])
+        return [c for c in map(self.cards.__getitem__, self.zone_ids[PLAY_AREA.slot])
                 if not c.exhausted and c.defn.kind in CHARACTER_KINDS]
 
     def committed_characters(self) -> list[CardInstance]:
         # Only characters in play commit, and leaving play clears the mark.
-        return [c for c in map(self.cards.__getitem__, self.zone_ids[Zone.PLAY_AREA.slot])
+        return [c for c in map(self.cards.__getitem__, self.zone_ids[PLAY_AREA.slot])
                 if c.committed]
 
     def engaged_enemies(self) -> list[CardInstance]:
         # Shadow cards also sit in ENGAGEMENT_AREA but carry the attached_to
         # mark of their enemy.
         return [c for c in map(self.cards.__getitem__,
-                               self.zone_ids[Zone.ENGAGEMENT_AREA.slot])
-                if c.attached_to is None and c.defn.kind is CardKind.ENEMY]
+                               self.zone_ids[ENGAGEMENT_AREA.slot])
+                if c.attached_to is None and c.defn.kind is ENEMY]
 
     def staging_threat(self) -> int:
         cards = self.cards
-        return sum([cards[i].defn.threat for i in self.zone_ids[Zone.STAGING_AREA.slot]])
+        return sum([cards[i].defn.threat for i in self.zone_ids[STAGING_AREA.slot]])
 
     def active_location(self) -> CardInstance | None:
-        ids = self.zone_ids[Zone.ACTIVE_LOCATION.slot]
+        ids = self.zone_ids[ACTIVE_LOCATION.slot]
         return self.cards[ids[0]] if ids else None
 
     def current_quest(self) -> CardInstance:

@@ -21,6 +21,7 @@ from questsim.state import (
     Attack,
     Commit,
     Defend,
+    GameState,
     PlayCards,
     StageId,
     StageKind,
@@ -121,6 +122,25 @@ def test_expert_planning_respects_capped_family(game):
     planning_state(game, ["ally-lantern"] * 8, (9, 9, 9))
     action = expert_decide(game)
     assert len(action.cards) == 1
+    assert action in legal_actions(game)
+
+
+@pytest.mark.parametrize("hand, bought", [
+    (["item-charm", "ally-lantern", "ally-porter"], 3),
+    (["ally-lantern"] * 8, 1)], ids=["uncapped", "capped"])
+def test_expert_planning_reads_heroes_and_hand_once(game, monkeypatch, hand, bought):
+    # A buy of two or more cards asks whether the family is capped; the
+    # answer reuses the pools and payable cards the buy started from.
+    planning_state(game, hand, (9, 9, 9))
+    calls = []
+    for name in ("heroes", "hand"):
+        query = getattr(GameState, name)
+        monkeypatch.setattr(GameState, name, lambda self, query=query, name=name:
+                            calls.append(name) or query(self))
+    action = expert_decide(game)
+    monkeypatch.undo()
+    assert sorted(calls) == ["hand", "heroes"]
+    assert len(action.cards) == bought
     assert action in legal_actions(game)
 
 

@@ -5,7 +5,9 @@ import math
 
 import pytest
 
+from questsim import experiments
 from questsim.agents import parse_agent, parse_policy_map
+from questsim.errors import ConfigError
 from questsim.experiments import (
     ExperimentConfig,
     budget_sweep,
@@ -83,6 +85,15 @@ def test_grid_rows_of_one_agent_are_equal():
     (label_a, first), (label_b, second) = rows
     assert label_a == label_b == "3-1-1"
     assert result(first) == result(second)
+
+
+def test_sweep_checks_every_budget_before_playing(monkeypatch):
+    played = []
+    monkeypatch.setattr(experiments, "run_games",
+                        lambda config, label: played.append(label))
+    with pytest.raises(ConfigError, match="budgets must be >= 1, got 0"):
+        budget_sweep(crn_config(1), [1, 0])
+    assert played == []
 
 
 def test_sweep_row_equals_a_batch_at_that_budget_alone():

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from questsim import cards, state
+
 SRC = Path(__file__).parent.parent / "src" / "questsim"
 MODULES = sorted(SRC.glob("*.py"))
 
@@ -219,3 +221,69 @@ def test_split_check_sees_writes_and_raises():
     assert sorted(w for fn in reached(tree, "check") for w in writes(fn)) == [
         "check:2", "helper:5", "helper:6"]
     assert [r for fn in reached(tree, "effect") for r in raises(fn)] == ["effect:9"]
+
+
+# The hot modules read enum members through the module-level names bound
+# beside each enum (HERO, PLAY_AREA, RULED...), never as class attributes:
+# on CPython 3.11 a read such as Zone.PLAY_AREA leaves the interpreter's
+# fast path (the state.py docstring gives the cost). Class bodies and
+# module-level tables run once, at import, and may read them.
+HOT_MODULES = ("state.py", "engine.py", "agents.py", "search.py")
+ENUMS = {"CardKind", "Sphere", "Zone", "StageKind", "StageId", "Outcome"}
+
+
+def enum_reads(tree: ast.Module) -> list[str]:
+    """'scope:line Enum.NAME' for each load of an attribute of one of
+    ENUMS that runs inside a function or lambda body."""
+    found = []
+
+    def visit(node: ast.AST, scope: str, in_body: bool) -> None:
+        if (in_body and isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name) and node.value.id in ENUMS):
+            found.append(f"{scope}:{node.lineno} {node.value.id}.{node.attr}")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+                             ast.ClassDef)):
+            name = getattr(node, "name", "<lambda>")
+            inner = f"{scope}.{name}" if scope else name
+            body = node.body if isinstance(node.body, list) else [node.body]
+            # Decorators, defaults and bases run where the definition stands.
+            runs_inside = in_body or not isinstance(node, ast.ClassDef)
+            for child in ast.iter_child_nodes(node):
+                if any(child is stmt for stmt in body):
+                    visit(child, inner, runs_inside)
+                else:
+                    visit(child, scope, in_body)
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, in_body)
+
+    visit(tree, "", False)
+    return found
+
+
+@pytest.mark.parametrize("name", HOT_MODULES)
+def test_hot_modules_read_no_enum_class_attributes(name):
+    reads = enum_reads(parse(SRC / name))
+    assert not reads, f"{name}: enum class attributes read in functions at {reads}"
+
+
+def test_enum_read_check_sees_reads_in_function_bodies():
+    tree = ast.parse("T = {Zone.HAND: 1}\n"
+                     "class C:\n"
+                     "    K = Zone.HAND\n"
+                     "    def m(self, z=Zone.HAND):\n"
+                     "        return z is Zone.HAND\n"
+                     "f = lambda c: [Sphere.NEUTRAL for _ in c]\n")
+    assert sorted(enum_reads(tree)) == ["<lambda>:6 Sphere.NEUTRAL",
+                                        "C.m:5 Zone.HAND"]
+
+
+@pytest.mark.parametrize("module, enum", [
+    (cards, cards.CardKind), (cards, cards.Sphere), (state, state.StageKind),
+    (state, state.StageId), (state, state.Zone), (state, state.Outcome)],
+    ids=lambda x: x.__name__.rpartition(".")[2])
+def test_each_member_is_bound_to_its_own_name(module, enum):
+    wrong = [member.name for member in enum
+             if getattr(module, member.name, None) is not member]
+    assert not wrong, f"{module.__name__} binds no or another member to {wrong}"
