@@ -105,7 +105,8 @@ MAX_ATTACK_ACTIONS = 512
 
 def new_game(scenario: Scenario, difficulty: str, rng: Random) -> GameState:
     """Set up a fresh game: heroes in play, quest line staged, decks shuffled,
-    starting threat equal to the summed hero threat costs, 6 cards drawn.
+    starting threat equal to the summed hero threat costs (a loss, clamped
+    to the limit, when it reaches the limit), 6 cards drawn.
 
     Instance ids are assigned in a fixed order (heroes, quests, player deck,
     encounter deck); the player deck is shuffled before the encounter deck.
@@ -121,22 +122,21 @@ def new_game(scenario: Scenario, difficulty: str, rng: Random) -> GameState:
         add(cid, PLAY_AREA)
     state.quest_ids = tuple(add(cid, STAGING_AREA) for cid in scenario.quest_line)
 
-    player = [add(cid, PLAYER_DECK) for cid in expand_deck(scenario.player_deck)]
-    encounter = [add(cid, ENCOUNTER_DECK) for cid in expand_deck(deck_multiset)]
+    for cid in expand_deck(scenario.player_deck):
+        add(cid, PLAYER_DECK)
+    for cid in expand_deck(deck_multiset):
+        add(cid, ENCOUNTER_DECK)
+    player = state.zone_ids[PLAYER_DECK.slot]
     if len(player) < STARTING_HAND_SIZE:
         raise DataError(f"player deck has {len(player)} cards, "
                         f"needs at least {STARTING_HAND_SIZE}")
     rng.shuffle(player)
-    rng.shuffle(encounter)
-    state.player_deck = player
-    state.encounter_deck = encounter
+    rng.shuffle(state.zone_ids[ENCOUNTER_DECK.slot])
 
-    state.threat_level = sum(db[cid].threat_cost for cid in scenario.heroes)
-    if state.threat_level >= scenario.threat_limit:
-        state.outcome = LOSS_THREAT
+    _raise_threat(state, sum(db[cid].threat_cost for cid in scenario.heroes))
 
     for _ in range(STARTING_HAND_SIZE):
-        state.move(state.cards[state.player_deck.pop()], HAND)
+        state.move(state.cards[player[-1]], HAND)
     return state
 
 
@@ -210,28 +210,27 @@ def _add_progress(state: GameState, points: int) -> None:
     state.quest_progress += points
     while state.quest_progress >= state.current_quest().defn.quest_points:
         state.quest_progress -= state.current_quest().defn.quest_points
-        quest = state.current_quest()
-        state.move(quest, COMPLETED_QUESTS)
-        state.quest_index += 1
+        state.move(state.current_quest(), COMPLETED_QUESTS)
         if state.quest_index > 2:
             state.outcome = WIN
             return
 
 
 def _draw_encounter(state: GameState, rng: Random) -> int | None:
-    """Top of the encounter deck, reshuffling the discard pile in (cards are
-    reset when reshuffled). None when both are empty."""
-    if not state.encounter_deck:
-        pile = state.zone_ids[ENCOUNTER_DISCARD.slot][:]
+    """Id of the top encounter card, which the caller moves out of the deck.
+    An empty deck first takes in the discard pile (cards are reset) and is
+    shuffled. None when both are empty."""
+    deck = state.zone_ids[ENCOUNTER_DECK.slot]
+    if not deck:
+        pile = state.zone_ids[ENCOUNTER_DISCARD.slot]
         if not pile:
             return None
-        for iid in pile:
+        for iid in pile[:]:
             card = state.cards[iid]
             card.reset_in_game_state()
             state.move(card, ENCOUNTER_DECK)
-        rng.shuffle(pile)
-        state.encounter_deck = pile
-    return state.encounter_deck.pop()
+        rng.shuffle(deck)
+    return deck[-1]
 
 
 def hero_pools(heroes: list[CardInstance]) -> tuple[dict[Sphere, int], int]:
@@ -349,16 +348,6 @@ def _planning_bounds(state: GameState) -> tuple[bool | None, list[CardInstance],
     return capped, singles, pools, total
 
 
-def planning_capped(state: GameState) -> bool:
-    """True when the payable-subset family overflows the 64-action cap and
-    Planning legals collapse to the empty buy plus payable singletons. The
-    subset walk runs only when the O(hand) bounds cannot decide."""
-    capped, singles, pools, total = _planning_bounds(state)
-    if capped is None:
-        return _planning_enumerate(singles, pools, total) is None
-    return capped
-
-
 def defend_overflows(enemies: int, defenders: int) -> bool:
     """Whether assigning at most one distinct defender per enemy has more
     than MAX_DEFEND_ACTIONS ways. Each enemy takes one of the defenders or
@@ -369,14 +358,6 @@ def defend_overflows(enemies: int, defenders: int) -> bool:
     count = sum(math.comb(enemies, j) * math.perm(defenders, j)
                 for j in range(min(enemies, defenders) + 1))
     return count > MAX_DEFEND_ACTIONS
-
-
-def defend_capped(state: GameState) -> bool:
-    """True when the defender-assignment family overflows its cap and
-    DeclareDefenders legals collapse to all-undefended plus single-defender
-    assignments."""
-    return defend_overflows(len(state.engaged_enemies()),
-                             len(state.ready_characters()))
 
 
 def _planning_actions(state: GameState) -> list[Action]:
@@ -761,11 +742,11 @@ def apply_action(state: GameState, action: Action) -> GameState:
 def _stage_gain(state: GameState) -> None:
     for hero in state.heroes():
         hero.resource_pool += 1
-    if not state.player_deck:
+    deck = state.zone_ids[PLAYER_DECK.slot]
+    if not deck:
         state.outcome = LOSS_DECK_EMPTY
         return
-    card = state.cards[state.player_deck.pop()]
-    state.move(card, HAND)
+    state.move(state.cards[deck[-1]], HAND)
 
 
 def _stage_quest_resolution(state: GameState) -> None:
@@ -1014,23 +995,11 @@ def check_invariants(state: GameState) -> None:
 
     for zone in Zone:
         ids = [c.instance_id for c in state.cards if c.zone is zone]
-        if state.zone_ids[zone.slot] != ids:
-            fail(f"zone index lists {state.zone_ids[zone.slot]} in {zone.value}, "
+        listed = state.zone_ids[zone.slot]
+        # A deck lists its cards in draw order, any other zone in id order.
+        if (sorted(listed) if zone in (PLAYER_DECK, ENCOUNTER_DECK) else listed) != ids:
+            fail(f"zone index lists {listed} in {zone.value}, "
                  f"but the cards there are {ids}")
-
-    for deck, zone, name in ((state.player_deck, PLAYER_DECK, "player"),
-                             (state.encounter_deck, ENCOUNTER_DECK,
-                              "encounter")):
-        if len(set(deck)) != len(deck):
-            fail(f"duplicate ids in {name} deck")
-        for iid in deck:
-            if state.cards[iid].zone is not zone:
-                fail(f"{name} deck lists {iid} but its zone is "
-                     f"{state.cards[iid].zone.value}")
-        in_zone = sum(1 for c in state.cards if c.zone is zone)
-        if in_zone != len(deck):
-            fail(f"{in_zone} cards in zone {zone.value} but {name} deck "
-                 f"lists {len(deck)}")
 
     shadows = [c.shadow_card for c in state.cards if c.shadow_card is not None]
     if len(set(shadows)) != len(shadows):

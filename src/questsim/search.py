@@ -48,6 +48,7 @@ from .state import (
     ENGAGEMENT_AREA,
     LOSS_THREAT,
     PLANNING,
+    PLAYER_DECK,
     RANDOM,
     RULED,
     TRAVEL,
@@ -129,20 +130,18 @@ def determinize(state: GameState, rng: Random) -> GameState:
     """Reshuffle the hidden zones in place: both face-down decks, with dealt
     shadow cards returned to the encounter deck, reshuffled and re-dealt to
     the same enemies (in id order)."""
-    rng.shuffle(state.player_deck)
+    rng.shuffle(state.zone_ids[PLAYER_DECK.slot])
     owners = [c for c in state.in_zone(ENGAGEMENT_AREA)
               if c.shadow_card is not None]
-    deck = state.encounter_deck
     for owner in owners:
-        sid = owner.shadow_card
-        shadow = state.cards[sid]
+        shadow = state.cards[owner.shadow_card]
         state.move(shadow, ENCOUNTER_DECK)
         shadow.attached_to = None
-        deck.append(sid)
         owner.shadow_card = None
+    deck = state.zone_ids[ENCOUNTER_DECK.slot]
     rng.shuffle(deck)
     for owner in owners:
-        sid = deck.pop()
+        sid = deck[-1]
         shadow = state.cards[sid]
         state.move(shadow, ENGAGEMENT_AREA)
         shadow.attached_to = owner.instance_id

@@ -9,6 +9,11 @@ state; nothing here touches an RNG.
 GameState.clone() is the deep snapshot used for playouts: the clone shares
 only immutable objects (CardDef, Scenario) with the original.
 
+Each fact is stored once. A deck is its zone's list in the zone index, in
+draw order, and cards are drawn from the top (the end of the list); the
+number of finished quests is the length of the completed-quests list; a
+card's item buffs are its effective stats minus its printed ones.
+
 Each member of StageKind, StageId, Zone and Outcome (and of CardKind and
 Sphere in cards.py) is also bound to a module-level name beside its enum,
 and no function in state, engine, agents or search reads a member as an
@@ -27,6 +32,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .cards import CHARACTER_KINDS, ENEMY, HERO, CardDef, Scenario
 
@@ -88,9 +94,12 @@ del stage, successor
 
 class Zone(Enum):
     """Each member's .slot names its list in GameState.zone_ids (a plain int:
-    keying a dict by the member would run Enum.__hash__ in Python)."""
+    keying a dict by the member would run Enum.__hash__ in Python), and
+    .put(ids, iid) adds a card's id to that list: on top of a deck (the
+    end of its list), in id order anywhere else."""
 
     slot: int
+    put: Callable[[list[int], int], None]
 
     PLAYER_DECK = "player_deck"
     HAND = "hand"
@@ -106,10 +115,12 @@ class Zone(Enum):
 
 for slot, zone in enumerate(Zone):
     zone.slot = slot
+    zone.put = insort
 del slot, zone
 
 (PLAYER_DECK, HAND, PLAY_AREA, STAGING_AREA, ENCOUNTER_DECK, ENGAGEMENT_AREA,
  ACTIVE_LOCATION, PLAYER_DISCARD, ENCOUNTER_DISCARD, COMPLETED_QUESTS) = Zone
+PLAYER_DECK.put = ENCOUNTER_DECK.put = list.append
 
 
 class Outcome(Enum):
@@ -127,15 +138,14 @@ class CardInstance:
 
     willpower/attack/defense/hit_points are the effective stats (printed
     stats plus item buffs), kept as plain attributes because search playouts
-    read them millions of times; buffs records the accumulated item bonuses
-    as a (willpower, attack, defense, hit_points) tuple. Shadow cards dealt
-    to an engaged enemy keep zone ENGAGEMENT_AREA and point back at their
-    enemy through attached_to; that mark excludes them from "engaged enemy"
-    queries.
+    read them millions of times; buffs derives the item bonuses from them.
+    Shadow cards dealt to an engaged enemy keep zone ENGAGEMENT_AREA and
+    point back at their enemy through attached_to; that mark excludes them
+    from "engaged enemy" queries.
     """
 
     __slots__ = ("instance_id", "defn", "zone", "damage", "progress", "exhausted",
-                 "resource_pool", "committed", "shadow_card", "attached_to", "buffs",
+                 "resource_pool", "committed", "shadow_card", "attached_to",
                  "willpower", "attack", "defense", "hit_points")
 
     def __init__(self, instance_id: int, defn: CardDef, zone: Zone):
@@ -149,7 +159,6 @@ class CardInstance:
         self.committed = False
         self.shadow_card: int | None = None
         self.attached_to: int | None = None
-        self.buffs: tuple[int, int, int, int] | None = None
         self.willpower = defn.willpower
         self.attack = defn.attack
         self.defense = defn.defense
@@ -167,7 +176,6 @@ class CardInstance:
         c.committed = self.committed
         c.shadow_card = self.shadow_card
         c.attached_to = self.attached_to
-        c.buffs = self.buffs
         c.willpower = self.willpower
         c.attack = self.attack
         c.defense = self.defense
@@ -178,10 +186,16 @@ class CardInstance:
     def remaining_hp(self) -> int:
         return self.hit_points - self.damage
 
+    @property
+    def buffs(self) -> tuple[int, int, int, int] | None:
+        """Item bonuses as (willpower, attack, defense, hit_points): the
+        effective stats minus the printed ones, or None when there are none."""
+        d = self.defn
+        b = (self.willpower - d.willpower, self.attack - d.attack,
+             self.defense - d.defense, self.hit_points - d.hit_points)
+        return b if any(b) else None
+
     def add_buff(self, stat: str) -> None:
-        b = list(self.buffs) if self.buffs else [0, 0, 0, 0]
-        b[("willpower", "attack", "defense", "hit_points").index(stat)] += 1
-        self.buffs = (b[0], b[1], b[2], b[3])
         setattr(self, stat, getattr(self, stat) + 1)
 
     def reset_in_game_state(self) -> None:
@@ -193,7 +207,6 @@ class CardInstance:
         self.committed = False
         self.shadow_card = None
         self.attached_to = None
-        self.buffs = None
         self.willpower = self.defn.willpower
         self.attack = self.defn.attack
         self.defense = self.defn.defense
@@ -207,33 +220,33 @@ class GameState:
     """Full snapshot of one game.
 
     cards is indexed by instance_id and never grows or shrinks after setup.
-    player_deck / encounter_deck hold instance ids in draw order (top = last
-    element). defense_map / attack_map carry combat declarations from the
-    declaration stage to the matching resolution stage within a round.
+    defense_map / attack_map carry combat declarations from the declaration
+    stage to the matching resolution stage within a round.
 
     zone_ids is the zone index: zone_ids[zone.slot] lists the ids of the
-    cards in that zone in ascending order, so zone queries come out in
-    instance-id order without scanning all cards. Only add() and move()
-    change zones, and both keep the index in step; clone() copies it.
-    fingerprint() leaves this derived state out; check_invariants audits it.
+    cards in that zone, so zone queries need not scan all cards. A deck's
+    list is the deck itself, in draw order with the top card last, and
+    player_deck / encounter_deck read those two lists; every other zone
+    lists its ids in ascending order. Only add() and move() change zones
+    or a deck's cards, and both keep the index in step; the one other
+    write is an in-place shuffle of a deck. clone() copies the index, and
+    check_invariants audits it. quest_index (the number of finished
+    quests) is the length of the completed-quests list.
     """
 
-    __slots__ = ("round_no", "stage", "threat_level", "quest_index", "quest_progress",
-                 "cards", "scenario", "difficulty", "outcome", "player_deck",
-                 "encounter_deck", "quest_ids", "defense_map", "attack_map", "zone_ids")
+    __slots__ = ("round_no", "stage", "threat_level", "quest_progress", "cards",
+                 "scenario", "difficulty", "outcome", "quest_ids", "defense_map",
+                 "attack_map", "zone_ids")
 
     def __init__(self, scenario: Scenario, difficulty: str):
         self.round_no = 1
         self.stage = GAIN_RESOURCES_AND_DRAW
         self.threat_level = 0
-        self.quest_index = 0
         self.quest_progress = 0
         self.cards: list[CardInstance] = []
         self.scenario = scenario
         self.difficulty = difficulty
         self.outcome: Outcome | None = None
-        self.player_deck: list[int] = []
-        self.encounter_deck: list[int] = []
         self.quest_ids: tuple[int, int, int] = (0, 0, 0)
         self.defense_map: dict[int, int] = {}
         self.attack_map: dict[int, tuple[int, ...]] = {}
@@ -244,14 +257,11 @@ class GameState:
         s.round_no = self.round_no
         s.stage = self.stage
         s.threat_level = self.threat_level
-        s.quest_index = self.quest_index
         s.quest_progress = self.quest_progress
         s.cards = [c.copy() for c in self.cards]
         s.scenario = self.scenario
         s.difficulty = self.difficulty
         s.outcome = self.outcome
-        s.player_deck = list(self.player_deck)
-        s.encounter_deck = list(self.encounter_deck)
         s.quest_ids = self.quest_ids
         s.defense_map = dict(self.defense_map)
         s.attack_map = dict(self.attack_map)
@@ -261,19 +271,36 @@ class GameState:
     # ---- the only ways to create a card or change its zone ----
 
     def add(self, defn: CardDef, zone: Zone) -> CardInstance:
-        """Create the next card instance in this game, lying in zone."""
+        """Create the next card instance in this game, lying in zone (on
+        top, if zone is a deck)."""
         card = CardInstance(len(self.cards), defn, zone)
         self.cards.append(card)
         self.zone_ids[zone.slot].append(card.instance_id)  # the largest id yet
         return card
 
     def move(self, card: CardInstance, zone: Zone) -> None:
-        """Put card in zone. Deck lists are the caller's to keep."""
+        """Put card in zone: on top of a deck, so that it is drawn next, or
+        in id order in any other zone. Drawing is moving the top card out."""
         self.zone_ids[card.zone.slot].remove(card.instance_id)
-        insort(self.zone_ids[zone.slot], card.instance_id)
+        zone.put(self.zone_ids[zone.slot], card.instance_id)
         card.zone = zone
 
-    # ---- zone and role queries (always in instance-id order) ----
+    # ---- zone and role queries (in instance-id order; decks in draw order) ----
+
+    @property
+    def player_deck(self) -> list[int]:
+        """The player deck's ids in draw order, top card last."""
+        return self.zone_ids[PLAYER_DECK.slot]
+
+    @property
+    def encounter_deck(self) -> list[int]:
+        """The encounter deck's ids in draw order, top card last."""
+        return self.zone_ids[ENCOUNTER_DECK.slot]
+
+    @property
+    def quest_index(self) -> int:
+        """Quests finished so far (3 once the game is won)."""
+        return len(self.zone_ids[COMPLETED_QUESTS.slot])
 
     def in_zone(self, zone: Zone) -> list[CardInstance]:
         return list(map(self.cards.__getitem__, self.zone_ids[zone.slot]))

@@ -113,22 +113,18 @@ def new_synth_game(seed=0, scenario=None):
 
 
 def put(state: GameState, card_id: str, zone: Zone, **attrs) -> CardInstance:
-    """Append a fresh instance of card_id in the given zone (test surgery)."""
+    """Append a fresh instance of card_id in the given zone, on top if it
+    is a deck (test surgery)."""
     inst = state.add(state.scenario.db[card_id], zone)
-    if zone is Zone.PLAYER_DECK:
-        state.player_deck.append(inst.instance_id)
-    elif zone is Zone.ENCOUNTER_DECK:
-        state.encounter_deck.append(inst.instance_id)
     for name, value in attrs.items():
         setattr(inst, name, value)
     return inst
 
 
 def stash_hand(state: GameState) -> None:
-    """Return every hand card to the bottom of the player deck."""
+    """Return every hand card to the top of the player deck."""
     for c in state.hand():
         state.move(c, Zone.PLAYER_DECK)
-        state.player_deck.insert(0, c.instance_id)
 
 
 def at_stage(state: GameState, stage: StageId) -> GameState:
@@ -140,3 +136,14 @@ def by_id(state: GameState, card_id: str, zone: Zone | None = None):
     """All instances of a card id, optionally filtered by zone."""
     return [c for c in state.cards if c.defn.id == card_id
             and (zone is None or c.zone is zone)]
+
+
+def scanned(state: GameState, decks: tuple[list[int], list[int]]) -> list[list[int]]:
+    """Each zone's ids by a full scan of the cards, in id order, except
+    that the player and encounter decks list `decks`, their expected draw
+    order, once the scan finds the same cards there."""
+    index = [[c.instance_id for c in state.cards if c.zone is zone] for zone in Zone]
+    for zone, deck in zip((Zone.PLAYER_DECK, Zone.ENCOUNTER_DECK), decks):
+        assert sorted(deck) == index[zone.slot]
+        index[zone.slot] = list(deck)
+    return index

@@ -2,10 +2,11 @@
 pick a member of it: the fixed rules pick its head, the expert picks some
 member. Checked on organic states of seeded games (audited after every
 stage) and on hand-built states whose families hit the caps. On the same
-states and on wide hand-built hands, the planning cap that
-planning_capped reads off its O(hand) bounds must equal the subset
-walk's. Perturbed legal actions on organic states must be rejected with a
-named error. Every action the playout policies pick passes its check, and
+states and on wide hand-built hands, the planning cap as the engine
+decides it (from its O(hand) bounds, walking only the singly payable
+cards when they cannot tell) must equal the full subset walk's.
+Perturbed legal actions on organic states must be rejected with a named
+error. Every action the playout policies pick passes its check, and
 its effect alone leaves the same state as check and effect together, which
 is what lets playouts skip the check."""
 
@@ -22,17 +23,17 @@ from questsim.engine import (
     _DO,
     MAX_COMMIT_ENUM,
     _apply_inplace,
+    _planning_bounds,
     _planning_enumerate,
     apply_action,
     _random_inplace,
     _ruled_inplace,
     check_invariants,
     commit_pool,
-    defend_capped,
+    defend_overflows,
     hero_pools,
     legal_actions,
     new_game,
-    planning_capped,
 )
 from questsim.errors import IllegalActionError, StageError
 from questsim.search import _finish, determinize, playout_policies
@@ -72,6 +73,15 @@ def walk_overflows(state) -> bool:
     """The planning cap as the full subset walk over the hand decides it."""
     pools, total = hero_pools(state.heroes())
     return _planning_enumerate(state.hand(), pools, total) is None
+
+
+def planning_capped(state) -> bool:
+    """The planning cap as legal_actions decides it: from the O(hand)
+    bounds, or by walking the singly payable cards when they cannot tell."""
+    capped, singles, pools, total = _planning_bounds(state)
+    if capped is None:
+        return _planning_enumerate(singles, pools, total) is None
+    return capped
 
 
 def check_contracts(state) -> list:
@@ -282,7 +292,8 @@ def test_expert_defense_stays_legal_when_capped(enemies, allies, exhausted):
         put(game, cid, Zone.ENGAGEMENT_AREA)
     for i, cid in enumerate(allies):
         put(game, cid, Zone.PLAY_AREA, exhausted=i in exhausted)
-    assume(defend_capped(game))
+    assume(defend_overflows(len(game.engaged_enemies()),
+                            len(game.ready_characters())))
     check_contracts(game)
 
 

@@ -57,9 +57,13 @@ def test_new_game_is_seed_deterministic(synth_scenario):
 
 
 def test_new_game_loses_immediately_if_threat_at_limit(synth_db):
-    scenario = helpers.make_scenario(threat_limit=29)
-    state = new_game(scenario, "test", Random(0))
-    assert state.outcome is Outcome.LOSS_THREAT
+    # The synthetic heroes cost 29 threat: at the first limit, above the
+    # second, where the threat is clamped to the limit.
+    for limit in (29, 20):
+        state = new_game(helpers.make_scenario(threat_limit=limit), "test", Random(0))
+        assert state.outcome is Outcome.LOSS_THREAT
+        assert state.threat_level == limit
+        check_invariants(state)
 
 
 # ---- ruled stages -----------------------------------------------------------
@@ -79,9 +83,25 @@ def test_empty_player_deck_loses_on_draw(game):
         game.move(c, Zone.PLAYER_DISCARD)
     for iid in list(game.player_deck):
         game.move(game.cards[iid], Zone.PLAYER_DISCARD)
-    game.player_deck.clear()
     nxt = advance_ruled_stage(game)
     assert nxt.outcome is Outcome.LOSS_DECK_EMPTY
+
+
+def test_a_card_moved_into_a_deck_goes_on_top_and_is_drawn_next(game):
+    card = game.hand()[0]
+    game.move(card, Zone.PLAYER_DECK)
+    assert game.player_deck[-1] == card.instance_id
+    nxt = advance_ruled_stage(game)
+    assert nxt.cards[card.instance_id].zone is Zone.HAND
+    assert nxt.player_deck == game.player_deck[:-1]
+
+    wolf = put(game, "enemy-wolf", Zone.ENCOUNTER_DISCARD)
+    game.move(wolf, Zone.ENCOUNTER_DECK)
+    assert game.encounter_deck[-1] == wolf.instance_id
+    nxt = resolve_random_stage(at_stage(game, StageId.STAGING), Random(0))
+    assert nxt.cards[wolf.instance_id].zone is Zone.STAGING_AREA
+    assert nxt.encounter_deck == game.encounter_deck[:-1]
+    check_invariants(nxt)
 
 
 def test_quest_resolution_adds_progress(game):
@@ -131,7 +151,9 @@ def test_quest_completion_rolls_progress_over(game):
 
 def test_completing_third_quest_wins(game):
     at_stage(game, StageId.QUEST_RESOLUTION)
-    game.quest_index = 2
+    for iid in game.quest_ids[:2]:
+        game.move(game.cards[iid], Zone.COMPLETED_QUESTS)
+    assert game.quest_index == 2
     game.quest_progress = 9  # quest-confront needs 10
     star = game.heroes()[0]
     star.committed = True
@@ -329,7 +351,6 @@ def test_encounter_discard_reshuffles_when_deck_empty(game):
     at_stage(game, StageId.STAGING)
     for iid in list(game.encounter_deck):
         game.move(game.cards[iid], Zone.ENCOUNTER_DISCARD)
-    game.encounter_deck.clear()
     nxt = resolve_random_stage(game, Random(0))
     revealed = [c for c in nxt.cards if c.zone is Zone.STAGING_AREA
                 and c.defn.kind.value != "quest"]
@@ -589,7 +610,7 @@ def test_trace_has_one_line_per_stage_naming_every_move(shipped, seed):
 
 
 def test_check_invariants_detects_corruption(game):
-    game.move(game.cards[game.player_deck[0]], Zone.HAND)
+    game.player_deck.append(game.player_deck[0])  # one card listed twice
     with pytest.raises(QuestSimError, match="invariant"):
         check_invariants(game)
 

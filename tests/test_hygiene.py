@@ -159,6 +159,91 @@ def test_zone_write_check_sees_card_instance_writes():
     assert scopes == {"CardInstance.__init__", "CardInstance.copy", "GameState.move"}
 
 
+# A deck is its zone's list in GameState.zone_ids, top card last, and
+# quest_index counts the completed-quests list, so GameState alone writes
+# those lists: add() and move() keep them in step with each card's zone.
+# Other code may read them and shuffle a deck in place (rng.shuffle(deck)),
+# and nothing else. A local alias of such a list counts as the list.
+INDEX_LISTS = {"player_deck", "encounter_deck", "zone_ids"}
+LIST_WRITES = {"append", "pop", "insert", "remove", "clear", "extend", "sort",
+               "reverse"}
+NESTED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def own_nodes(scope: ast.AST) -> list[ast.AST]:
+    """The nodes of a module or function, outside nested definitions."""
+    nodes, stack = [], [scope]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(c for c in ast.iter_child_nodes(node) if not isinstance(c, NESTED))
+    return nodes
+
+
+def index_writes(tree: ast.Module) -> list[tuple[str, int]]:
+    """(enclosing qualified name, line) of each write to a deck list, the
+    zone_ids list or one of its lists, or a local alias of one."""
+    writes = set()
+    for scope, fn in [("<module>", tree), *functions(tree)]:
+        nodes = own_nodes(fn)
+        aliases: set[str] = set()
+
+        def is_list(e: ast.AST) -> bool:
+            if isinstance(e, ast.Attribute):
+                return e.attr in INDEX_LISTS
+            if isinstance(e, ast.Subscript):  # zone_ids[i], not a [:] copy
+                return not isinstance(e.slice, ast.Slice) and is_list(e.value)
+            return isinstance(e, ast.Name) and e.id in aliases
+
+        for n in sorted((n for n in nodes if isinstance(n, (ast.Assign, ast.NamedExpr))),
+                        key=lambda n: (n.lineno, n.col_offset)):
+            if is_list(n.value):
+                targets = n.targets if isinstance(n, ast.Assign) else [n.target]
+                aliases.update(t.id for t in targets if isinstance(t, ast.Name))
+        for n in nodes:
+            if isinstance(n, ast.Call):
+                hit = (isinstance(n.func, ast.Attribute) and n.func.attr in LIST_WRITES
+                       and is_list(n.func.value))
+            elif isinstance(n, ast.AugAssign):
+                hit = is_list(n.target)
+            elif isinstance(n, (ast.Attribute, ast.Subscript)):
+                hit = (isinstance(n.ctx, (ast.Store, ast.Del))
+                       and is_list(n if isinstance(n, ast.Attribute) else n.value))
+            else:
+                hit = False
+            if hit:
+                writes.add((scope, n.lineno))
+    return sorted(writes)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_decks_and_the_zone_index_change_only_in_game_state(path):
+    stray = [f"{scope}:{line}" for scope, line in index_writes(parse(path))
+             if not (path.name == "state.py" and scope.startswith("GameState."))]
+    assert not stray, f"{path.name}: deck or zone index written at {stray}"
+
+
+def test_index_write_check_sees_aliases_and_each_kind_of_write():
+    tree = ast.parse("def f(state, rng, x):\n"
+                     "    deck = state.encounter_deck\n"
+                     "    top = deck\n"
+                     "    pile = state.zone_ids[x][:]\n"
+                     "    rng.shuffle(deck)\n"
+                     "    pile.pop()\n"
+                     "    x = deck[-1] + len(state.player_deck)\n"
+                     "    top.append(x)\n"
+                     "    state.player_deck.pop()\n"
+                     "    state.zone_ids[x].insert(0, x)\n"
+                     "    state.zone_ids[x] = []\n"
+                     "    state.encounter_deck = pile\n"
+                     "    deck += pile\n"
+                     "    del top[0]\n"
+                     "g = lambda s: s.zone_ids[0].clear()\n")
+    assert index_writes(tree) == [("<lambda>", 15)] + [("f", line) for line in range(8, 15)]
+    assert {scope for scope, _ in index_writes(parse(SRC / "state.py"))} == {
+        "GameState.__init__", "GameState.clone", "GameState.add", "GameState.move"}
+
+
 # engine._DO gives each action type a check and an effect. The check
 # raises the named error and writes nothing; the effect writes and raises
 # nothing, because playouts run it alone. The engine functions that either

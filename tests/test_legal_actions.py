@@ -12,11 +12,10 @@ from questsim.engine import (
     MAX_COMMIT_ENUM,
     MAX_DEFEND_ACTIONS,
     MAX_PLANNING_ACTIONS,
+    _planning_bounds,
     apply_action,
-    defend_capped,
     defend_overflows,
     legal_actions,
-    planning_capped,
 )
 from questsim.errors import StageError
 from questsim.state import (
@@ -100,7 +99,7 @@ def test_planning_includes_empty_even_when_nothing_affordable(game):
 
 def test_planning_cap_collapses_to_singletons(game):
     planning_state(game, ["ally-lantern"] * 8, (9, 9, 9))
-    assert planning_capped(game)
+    assert _planning_bounds(game)[0] is True
     legals = legal_actions(game)
     assert len(legals) == 9  # 8 singletons plus the empty buy
     assert all(len(a.cards) <= 1 for a in legals)
@@ -109,23 +108,23 @@ def test_planning_cap_collapses_to_singletons(game):
 
 def test_planning_small_family_not_capped(game):
     planning_state(game, ["ally-lantern", "ally-porter"], (2, 0, 0))
-    assert not planning_capped(game)
+    assert _planning_bounds(game)[0] is False
     assert len(legal_actions(game)) <= MAX_PLANNING_ACTIONS
 
 
 def test_planning_cap_bounds_answer_without_the_walk(game, monkeypatch):
     def walk(*args):
-        raise AssertionError("planning_capped walked the subsets")
+        raise AssertionError("the cap bounds walked the subsets")
 
     monkeypatch.setattr(engine, "_planning_enumerate", walk)
     # Six cards payable on their own (plus an unpayable Gandalf): at most
     # 2^6 = 64 actions, never capped, though not all six fit together.
     planning_state(game, ["ally-lantern"] * 3 + ["ally-porter"] * 3
                    + ["gandalf"], (2, 1, 0))
-    assert not planning_capped(game)
+    assert _planning_bounds(game)[0] is False
     # Seven cards payable together: exactly 2^7 = 128 actions, capped.
     planning_state(game, ["ally-lantern"] * 7, (7, 0, 0))
-    assert planning_capped(game)
+    assert _planning_bounds(game)[0] is True
 
 
 def test_capped_planning_family_is_built_without_the_walk(game, monkeypatch):
@@ -293,7 +292,7 @@ def test_defend_cap_collapses_to_single_defender(game):
                  extra_allies=["ally-porter", "ally-banner", "ally-lantern",
                                "ally-shield"])
     put(game, "enemy-wolf", Zone.ENGAGEMENT_AREA)  # 4th enemy, 7 ready
-    assert defend_capped(game)
+    assert defend_overflows(len(game.engaged_enemies()), len(game.ready_characters()))
     legals = legal_actions(game)
     assert len(legals) == 4 * 7 + 1
     for action in legals[:-1]:

@@ -95,7 +95,6 @@ def forced_commit_state(synth_scenario):
     """Commit stage with exactly two legals: committing the spirit hero wins
     this round on every encounter draw, passing loses on every draw."""
     state = helpers.new_synth_game(seed=3, scenario=synth_scenario)
-    state.quest_index = 2
     state.quest_progress = 9  # the 10-point finale is one push away
     for iid in state.quest_ids[:2]:
         state.move(state.cards[iid], Zone.COMPLETED_QUESTS)
@@ -106,7 +105,6 @@ def forced_commit_state(synth_scenario):
     for iid in list(state.encounter_deck):
         if state.cards[iid].defn.id == "enc-alarm":
             state.move(state.cards[iid], Zone.ENCOUNTER_DISCARD)
-            state.encounter_deck.remove(iid)
     at_stage(state, StageId.COMMIT_CHARACTERS)
     assert legal_actions(state) == [Commit((0,)), Commit(())]
     return state
@@ -319,10 +317,19 @@ def test_determinize_keeps_the_zone_index(synth_scenario, shipped):
         s for s in recorder.seen if any(c.shadow_card is not None for c in s.cards)]
     assert len(states) > 5
     for i, state in enumerate(states):
+        # The decks' draw order as determinize defines it: shuffle the
+        # player deck, put the shadows on the encounter deck in owner
+        # order, shuffle it and deal the shadows from the top.
+        rng = Random(i)
+        player = state.player_deck[:]
+        rng.shuffle(player)
+        owners = [c for c in state.cards if c.shadow_card is not None]
+        encounter = state.encounter_deck + [c.shadow_card for c in owners]
+        rng.shuffle(encounter)
+        del encounter[len(encounter) - len(owners):]
         copy = state.clone()
         determinize(copy, Random(i))
-        assert copy.zone_ids == [[c.instance_id for c in copy.cards if c.zone is zone]
-                                 for zone in Zone]
+        assert copy.zone_ids == helpers.scanned(copy, (player, encounter))
 
 
 # ---- playouts ---------------------------------------------------------------

@@ -125,10 +125,12 @@ def test_buffs_apply_on_top_of_printed_stats(game):
 def test_clone_is_deep_for_cards_and_decks(game):
     copy = game.clone()
     assert copy.fingerprint() == game.fingerprint()
+    deck = game.player_deck[:]
     copy.cards[0].damage = 2
-    copy.player_deck.pop()
+    copy.move(copy.cards[copy.player_deck[-1]], Zone.HAND)
     copy.threat_level += 5
     assert game.cards[0].damage == 0
+    assert game.player_deck == deck and copy.player_deck == deck[:-1]
     assert copy.fingerprint() != game.fingerprint()
 
 
@@ -158,16 +160,12 @@ def test_staging_threat_sums_staged_cards(game):
     assert game.staging_threat() == 4  # quest cards carry no threat
 
 
-def scanned(state):
-    """Each zone's member ids by a full scan of the cards."""
-    return [[c.instance_id for c in state.cards if c.zone is zone] for zone in Zone]
-
-
 def test_zone_slots_number_the_index():
     assert [zone.slot for zone in Zone] == list(range(len(Zone)))
 
 
 def test_move_keeps_each_zone_in_id_order(game):
+    decks = game.player_deck[:], game.encounter_deck[:]
     hand = game.hand()
     for c in reversed(hand):
         game.move(c, Zone.PLAYER_DISCARD)
@@ -176,17 +174,18 @@ def test_move_keeps_each_zone_in_id_order(game):
     game.move(hand[1], Zone.HAND)
     game.move(hand[0], Zone.HAND)
     assert game.hand() == hand[:2]
-    assert game.zone_ids == scanned(game)
+    assert game.zone_ids == helpers.scanned(game, decks)
 
 
 def test_move_on_a_clone_leaves_the_original_index(game):
     before = [ids[:] for ids in game.zone_ids]
+    decks = game.player_deck[:], game.encounter_deck[:]
     copy = game.clone()
     for c in copy.hand():
         copy.move(c, Zone.PLAYER_DISCARD)
     copy.move(copy.heroes()[0], Zone.PLAYER_DISCARD)
-    assert game.zone_ids == before == scanned(game)
-    assert copy.zone_ids == scanned(copy)
+    assert game.zone_ids == before == helpers.scanned(game, decks)
+    assert copy.zone_ids == helpers.scanned(copy, decks)
     assert len(game.hand()) == 6 and len(game.heroes()) == 3
 
 
