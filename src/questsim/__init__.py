@@ -7,6 +7,7 @@ from .agents import (
     FixedAttackPolicy,
     FixedTravelPolicy,
     RandomPolicy,
+    SearchConfig,
     StagePolicyMap,
     default_attack,
     default_travel,
@@ -57,7 +58,6 @@ from .experiments import (
 from .search import (
     FlatMcPolicy,
     MctsPolicy,
-    SearchConfig,
     SearchNode,
     build_policy,
     build_stage_policies,

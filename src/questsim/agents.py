@@ -7,15 +7,17 @@ handed legals=None by the driver; such policies still guarantee membership
 in the enumerated legal family (they build on the engine's family helpers
 and cap predicates instead of enumerating).
 
-AgentKind is the parsed description of an agent (used by the CLI and the
-experiment harness); the search-backed kinds are instantiated in search.py.
+AgentKind is one parsed agent string (docs/agents.md), its search settings
+in a SearchConfig for the flat and mcts kinds. STAGE_KEYS names the stages
+an agent can be given; the str() of a StagePolicyMap is the --agents syntax
+that parse_policy_map reads back. search.py builds the policy objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from random import Random
-from typing import Protocol
+from typing import Callable
 
 from .cards import NEUTRAL, SPIRIT, Sphere
 from .engine import (
@@ -47,13 +49,6 @@ from .state import (
 # The expert's standout purchase; a card set without it simply never
 # triggers the rule.
 GANDALF_ID = "gandalf"
-
-
-class DecisionPolicy(Protocol):
-    needs_legals: bool
-
-    def decide(self, state: GameState, legals: list[Action] | None,
-               rng: Random) -> Action: ...
 
 
 # ---- random agent -----------------------------------------------------------
@@ -242,48 +237,71 @@ class ExpertPolicy:
 
 
 @dataclass(frozen=True)
-class AgentKind:
-    """Parsed agent description: random, expert, flat:<budget>:<playout> or
-    mcts:<budget>:<C>:<playout>."""
+class SearchConfig:
+    """Settings of one flat or mcts agent, the one place where they are
+    checked and defaulted; exploration_c is read by MCTS only."""
 
-    kind: str  # "random" | "expert" | "flat" | "mcts"
-    budget: int | None = None
-    exploration_c: float | None = None
-    playout: str | None = None
+    playout_budget: int
+    exploration_c: float = 0.7
+    playout_policy: str = "random"
+    # Debug and test knobs: debug audits the tree after every iteration and
+    # checks every playout action (playouts otherwise trust their policies);
+    # on_playout counts playouts.
+    debug: bool = False
+    on_playout: Callable[[], None] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("random", "expert", "flat", "mcts"):
+        if self.playout_budget < 1:
+            raise ConfigError(f"playout budget must be >= 1, "
+                              f"got {self.playout_budget}")
+        if not 0.0 <= self.exploration_c <= 1.0:
+            raise ConfigError(f"exploration constant must lie in [0, 1], "
+                              f"got {self.exploration_c}")
+        if self.playout_policy not in ("random", "expert"):
+            raise ConfigError(f"playout policy must be 'random' or 'expert', "
+                              f"got {self.playout_policy!r}")
+
+
+# Agent kinds in strength order; an agent's numeric label is its place here.
+AGENT_KINDS = ("random", "expert", "flat", "mcts")
+_SEARCH_KINDS = ("flat", "mcts")
+
+
+@dataclass(frozen=True)
+class AgentKind:
+    """Parsed agent description: random, expert, flat:<budget>:<playout> or
+    mcts:<budget>:<C>:<playout>. search holds the settings of the two
+    search kinds and is None for the others."""
+
+    kind: str
+    search: SearchConfig | None = None
+
+    def __post_init__(self):
+        if self.kind not in AGENT_KINDS:
             raise ConfigError(f"unknown agent kind '{self.kind}'")
-        if self.kind in ("flat", "mcts"):
-            if self.budget is None or self.budget < 1:
-                raise ConfigError(f"agent '{self.kind}': budget must be >= 1, "
-                                  f"got {self.budget}")
-            if self.playout not in ("random", "expert"):
-                raise ConfigError(f"agent '{self.kind}': playout must be "
-                                  f"'random' or 'expert', got {self.playout!r}")
-        if self.kind == "mcts":
-            if self.exploration_c is None or not 0.0 <= self.exploration_c <= 1.0:
-                raise ConfigError(f"agent 'mcts': exploration constant must lie "
-                                  f"in [0, 1], got {self.exploration_c}")
+        if (self.search is None) == (self.kind in _SEARCH_KINDS):
+            need = "needs" if self.search is None else "takes no"
+            raise ConfigError(f"agent '{self.kind}' {need} search settings")
 
     @property
     def is_search(self) -> bool:
-        return self.kind in ("flat", "mcts")
+        return self.search is not None
 
     @property
     def number(self) -> int:
         """Compact numeric label: 1 random, 2 expert, 3 flat, 4 mcts."""
-        return ("random", "expert", "flat", "mcts").index(self.kind) + 1
+        return AGENT_KINDS.index(self.kind) + 1
 
     def with_budget(self, budget: int) -> "AgentKind":
-        return replace(self, budget=budget) if self.is_search else self
+        return (self if self.search is None else
+                replace(self, search=replace(self.search, playout_budget=budget)))
 
     def __str__(self) -> str:
-        if self.kind == "flat":
-            return f"flat:{self.budget}:{self.playout}"
-        if self.kind == "mcts":
-            return f"mcts:{self.budget}:{self.exploration_c:g}:{self.playout}"
-        return self.kind
+        s = self.search
+        if s is None:
+            return self.kind
+        c = f":{s.exploration_c}" if self.kind == "mcts" else ""
+        return f"{self.kind}:{s.playout_budget}{c}:{s.playout_policy}"
 
 
 RANDOM_AGENT = AgentKind("random")
@@ -292,34 +310,42 @@ EXPERT_AGENT = AgentKind("expert")
 
 def parse_agent(token: str) -> AgentKind:
     """Parse a compact agent string; raises ConfigError naming the token."""
-    parts = token.strip().split(":")
-    head = parts[0]
+    head, *params = token.strip().split(":")
     try:
-        if head in ("random", "expert"):
-            if len(parts) != 1:
+        if head not in _SEARCH_KINDS:
+            kind = AgentKind(head)
+            if params:
                 raise ConfigError(f"agent '{head}' takes no parameters")
-            return AgentKind(head)
+            return kind
         if head == "flat":
-            if len(parts) != 3:
+            if len(params) != 2:
                 raise ConfigError("expected flat:<budget>:<playout>")
-            return AgentKind("flat", budget=int(parts[1]), playout=parts[2])
-        if head == "mcts":
-            if len(parts) != 4:
-                raise ConfigError("expected mcts:<budget>:<C>:<playout>")
-            return AgentKind("mcts", budget=int(parts[1]),
-                             exploration_c=float(parts[2]), playout=parts[3])
-        raise ConfigError(f"unknown agent kind '{head}'")
-    except ValueError as exc:
+            budget, playout = params
+            return AgentKind(head, SearchConfig(int(budget),
+                                                playout_policy=playout))
+        if len(params) != 3:
+            raise ConfigError("expected mcts:<budget>:<C>:<playout>")
+        budget, c, playout = params
+        return AgentKind(head, SearchConfig(int(budget), float(c), playout))
+    except (ValueError, ConfigError) as exc:
         raise ConfigError(f"bad agent string '{token}': {exc}") from exc
-    except ConfigError as exc:
-        raise ConfigError(f"bad agent string '{token}': {exc}") from exc
+
+
+# The --agents and grid stage names, each with the decision stage it sets.
+STAGE_KEYS = {"planning": PLANNING,
+              "commit": COMMIT_CHARACTERS,
+              "defense": DECLARE_DEFENDERS,
+              "attack": DECLARE_ATTACKERS}
+# The stages every map assigns; attack is optional and mcts-only.
+REQUIRED_STAGES = ("planning", "commit", "defense")
 
 
 @dataclass(frozen=True)
 class StagePolicyMap:
     """Agent assignment for the three configurable decision stages; Travel
     always uses the fixed rule and DeclareAttackers uses the fixed rule
-    unless overridden with an mcts agent."""
+    unless overridden with an mcts agent. Its str() is the --agents
+    syntax, which parse_policy_map reads back."""
 
     planning: AgentKind
     commit: AgentKind
@@ -332,11 +358,9 @@ class StagePolicyMap:
                               f"an mcts agent, got '{self.attack}'")
 
     def agents(self) -> dict[str, AgentKind]:
-        out = {"planning": self.planning, "commit": self.commit,
-               "defense": self.defense}
-        if self.attack is not None:
-            out["attack"] = self.attack
-        return out
+        """The assigned stages by STAGE_KEYS name, in STAGE_KEYS order."""
+        return {stage: kind for stage in STAGE_KEYS
+                if (kind := getattr(self, stage)) is not None}
 
     def with_budget(self, budget: int) -> "StagePolicyMap":
         return replace(self, **{stage: kind.with_budget(budget)
@@ -347,38 +371,45 @@ class StagePolicyMap:
 
     def triple_label(self) -> str:
         """Numeric planning-commit-defense label, e.g. '4-2-4'."""
-        return f"{self.planning.number}-{self.commit.number}-{self.defense.number}"
+        return "-".join(str(getattr(self, stage).number)
+                        for stage in REQUIRED_STAGES)
 
     def __str__(self) -> str:
-        return ";".join(f"{stage}={kind}" for stage, kind in self.agents().items())
+        return ",".join(f"{stage}={kind}" for stage, kind in self.agents().items())
 
 
-STAGE_KEYS = {"planning": PLANNING,
-              "commit": COMMIT_CHARACTERS,
-              "defense": DECLARE_DEFENDERS,
-              "attack": DECLARE_ATTACKERS}
-
-
-def parse_policy_map(text: str) -> StagePolicyMap:
-    """Parse 'planning=A,commit=B,defense=C[,attack=D]' agent assignments."""
-    fields: dict[str, AgentKind] = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
+def _parse_stage_lists(text: str, sep: str) -> dict[str, list[AgentKind]]:
+    """Read 'stage=agent[,agent...]' blocks separated by sep into a dict of
+    agent lists, in the order given; empty blocks are skipped."""
+    lists: dict[str, list[AgentKind]] = {}
+    for block in text.split(sep):
+        block = block.strip()
+        if not block:
             continue
-        if "=" not in part:
-            raise ConfigError(f"bad agent assignment '{part}', "
+        if "=" not in block:
+            raise ConfigError(f"bad agent assignment '{block}', "
                               f"expected stage=agent")
-        stage, _, token = part.partition("=")
+        stage, _, agents = block.partition("=")
         stage = stage.strip()
         if stage not in STAGE_KEYS:
             raise ConfigError(f"unknown stage '{stage}', expected one of "
                               f"{sorted(STAGE_KEYS)}")
-        if stage in fields:
+        if stage in lists:
             raise ConfigError(f"stage '{stage}' assigned twice")
-        fields[stage] = parse_agent(token)
-    for stage in ("planning", "commit", "defense"):
+        lists[stage] = [parse_agent(token) for token in agents.split(",")]
+    return lists
+
+
+def parse_policy_map(text: str) -> StagePolicyMap:
+    """Parse 'planning=A,commit=B,defense=C[,attack=D]' agent assignments."""
+    fields = {stage: agents[0]
+              for stage, agents in _parse_stage_lists(text, ",").items()}
+    for stage in REQUIRED_STAGES:
         if stage not in fields:
             raise ConfigError(f"missing agent for stage '{stage}' in '{text}'")
-    return StagePolicyMap(planning=fields["planning"], commit=fields["commit"],
-                          defense=fields["defense"], attack=fields.get("attack"))
+    return StagePolicyMap(**fields)
+
+
+def parse_stage_choices(text: str) -> dict[str, list[AgentKind]]:
+    """Parse grid choices 'stage=A,B;stage=C,...' into agent lists."""
+    return _parse_stage_lists(text, ";")

@@ -12,7 +12,12 @@ import argparse
 import sys
 from random import Random
 
-from .agents import AgentKind, parse_agent, parse_policy_map
+from .agents import (
+    RANDOM_AGENT,
+    StagePolicyMap,
+    parse_policy_map,
+    parse_stage_choices,
+)
 from .cards import load_scenario_bundle
 from .engine import new_game, play_game
 from .errors import ConfigError, QuestSimError
@@ -26,7 +31,7 @@ from .experiments import (
 )
 from .search import build_stage_policies
 
-DEFAULT_AGENTS = "planning=random,commit=random,defense=random"
+DEFAULT_AGENTS = str(StagePolicyMap(RANDOM_AGENT, RANDOM_AGENT, RANDOM_AGENT))
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -38,7 +43,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="per-stage agents 'planning=A,commit=B,defense=C"
                              "[,attack=D]' where an agent is random, expert, "
                              "flat:<budget>:<playout> or "
-                             "mcts:<budget>:<C>:<playout> "
+                             "mcts:<budget>:<C>:<playout>; see docs/agents.md "
                              f"(default: {DEFAULT_AGENTS})")
     parser.add_argument("--seed", type=int, default=0,
                         help="master seed (default: 0)")
@@ -84,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="per-stage choice lists "
                            "'stage=agent,agent;stage=...' over planning, "
                            "commit and defense; unlisted stages keep the "
-                           "--agents assignment")
+                           "--agents assignment (see docs/agents.md)")
     return parser
 
 
@@ -97,23 +102,6 @@ def _parse_budgets(text: str) -> list[int]:
         except ValueError:
             raise ConfigError(f"bad budget '{token}' in '{text}'") from None
     return budgets
-
-
-def _parse_choices(text: str) -> dict[str, list[AgentKind]]:
-    choices: dict[str, list[AgentKind]] = {}
-    for block in text.split(";"):
-        block = block.strip()
-        if not block:
-            continue
-        if "=" not in block:
-            raise ConfigError(f"bad grid choices '{block}', expected "
-                              f"stage=agent,agent,...")
-        stage, _, agents = block.partition("=")
-        stage = stage.strip()
-        if stage in choices:
-            raise ConfigError(f"grid stage '{stage}' listed twice")
-        choices[stage] = [parse_agent(tok) for tok in agents.split(",")]
-    return choices
 
 
 def _config_from(args: argparse.Namespace) -> ExperimentConfig:
@@ -169,7 +157,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_grid(args: argparse.Namespace) -> int:
     config = _config_from(args)
-    choices = _parse_choices(args.choices)
+    choices = parse_stage_choices(args.choices)
     rows = combination_grid(config, choices)
     header = {"command": "grid", "choices": args.choices, **config.resolved()}
     _emit(args.out, [stats for _, stats in rows], header)

@@ -21,7 +21,7 @@ from multiprocessing import Pool
 from pathlib import Path
 from random import Random
 
-from .agents import STAGE_KEYS, AgentKind, StagePolicyMap
+from .agents import REQUIRED_STAGES, STAGE_KEYS, AgentKind, StagePolicyMap
 from .cards import Scenario, load_scenario_bundle
 from .engine import new_game, play_game
 from .errors import ConfigError
@@ -77,8 +77,8 @@ class ExperimentConfig:
             raise ConfigError(f"games must be >= 1, got {self.games}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.z <= 0:
-            raise ConfigError(f"z must be positive, got {self.z}")
+        if not 0 < self.z < math.inf:  # also rejects nan
+            raise ConfigError(f"z must be finite and positive, got {self.z}")
 
     def resolved(self) -> dict[str, object]:
         """Full config with defaults expanded, for output headers."""
@@ -224,14 +224,10 @@ def budget_sweep(base: ExperimentConfig,
     if not base.policy_map.has_search_agent():
         raise ConfigError("budget sweep needs at least one search agent "
                           f"in the map '{base.policy_map}'")
-    for budget in budgets:
-        if budget < 1:
-            raise ConfigError(f"budgets must be >= 1, got {budget}")
-    rows = []
-    for budget in budgets:
-        config = replace(base, policy_map=base.policy_map.with_budget(budget))
-        rows.append((budget, run_games(config, label=str(budget))))
-    return rows
+    # Building every map checks every budget before any game is played.
+    maps = [base.policy_map.with_budget(budget) for budget in budgets]
+    return [(budget, run_games(replace(base, policy_map=pmap), label=str(budget)))
+            for budget, pmap in zip(budgets, maps)]
 
 
 def combination_grid(base: ExperimentConfig,
@@ -241,18 +237,16 @@ def combination_grid(base: ExperimentConfig,
     choices over planning/commit/defense; stages without choices keep the
     base agent. Rows are keyed by the numeric triple (e.g. '4-2-4') and
     share per-game seeds."""
-    for stage in per_stage_choices:
-        if stage not in ("planning", "commit", "defense"):
+    for stage, choices in per_stage_choices.items():
+        if stage not in REQUIRED_STAGES:
             raise ConfigError(f"unknown grid stage '{stage}'")
-        if not per_stage_choices[stage]:
+        if not choices:
             raise ConfigError(f"grid stage '{stage}' has no choices")
     base_map = base.policy_map
-    planning = per_stage_choices.get("planning", [base_map.planning])
-    commit = per_stage_choices.get("commit", [base_map.commit])
-    defense = per_stage_choices.get("defense", [base_map.defense])
     rows = []
-    for p, c, d in product(planning, commit, defense):
-        pmap = replace(base_map, planning=p, commit=c, defense=d)
+    for combo in product(*(per_stage_choices.get(stage, [getattr(base_map, stage)])
+                           for stage in REQUIRED_STAGES)):
+        pmap = replace(base_map, **dict(zip(REQUIRED_STAGES, combo)))
         config = replace(base, policy_map=pmap)
         rows.append((pmap.triple_label(),
                      run_games(config, label=pmap.triple_label())))
@@ -301,9 +295,13 @@ def write_output(dest: str | Path, rows: list[RunStats],
                  header: dict[str, object]) -> str:
     """Write results to a file ('-' for stdout handled by the CLI); the
     format follows the extension: .json is JSON, anything else CSV.
-    Returns the rendered text."""
+    Returns the rendered text; a file that cannot be written raises
+    ConfigError naming it."""
     name = str(dest)
     text = (render_json(rows, header) if name.endswith(".json")
             else render_csv(rows, header))
-    Path(dest).write_text(text)
+    try:
+        Path(dest).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write '{name}': {exc.strerror}") from exc
     return text

@@ -15,18 +15,20 @@ legal under the current sampling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 from random import Random
 from typing import Callable
 
 from .agents import (
     EXPERT_AGENT,
     RANDOM_AGENT,
+    STAGE_KEYS,
     AgentKind,
     ExpertPolicy,
     FixedAttackPolicy,
     FixedTravelPolicy,
     RandomPolicy,
+    SearchConfig,
     StagePolicyMap,
 )
 from .engine import (
@@ -40,14 +42,11 @@ from .engine import (
 )
 from .errors import ConfigError, QuestSimError
 from .state import (
-    COMMIT_CHARACTERS,
     DECISION,
     DECLARE_ATTACKERS,
-    DECLARE_DEFENDERS,
     ENCOUNTER_DECK,
     ENGAGEMENT_AREA,
     LOSS_THREAT,
-    PLANNING,
     PLAYER_DECK,
     RANDOM,
     RULED,
@@ -60,29 +59,6 @@ from .state import (
 )
 
 PLAYOUT_ROUND_CAP = 100
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    playout_budget: int
-    exploration_c: float = 0.7
-    playout_policy: str = "random"
-    # Debug and test knobs: debug audits the tree after every iteration and
-    # checks every playout action (playouts otherwise trust their policies);
-    # on_playout counts playouts.
-    debug: bool = False
-    on_playout: Callable[[], None] | None = None
-
-    def __post_init__(self):
-        if self.playout_budget < 1:
-            raise ConfigError(f"playout budget must be >= 1, "
-                              f"got {self.playout_budget}")
-        if not 0.0 <= self.exploration_c <= 1.0:
-            raise ConfigError(f"exploration constant must lie in [0, 1], "
-                              f"got {self.exploration_c}")
-        if self.playout_policy not in ("random", "expert"):
-            raise ConfigError(f"playout policy must be 'random' or 'expert', "
-                              f"got {self.playout_policy!r}")
 
 
 class SearchNode:
@@ -368,29 +344,18 @@ def build_policy(kind: AgentKind, *, on_playout: Callable[[], None] | None = Non
         return RandomPolicy()
     if kind.kind == "expert":
         return ExpertPolicy()
-    config = SearchConfig(
-        playout_budget=kind.budget,
-        exploration_c=kind.exploration_c if kind.exploration_c is not None else 0.7,
-        playout_policy=kind.playout,
-        on_playout=on_playout,
-    )
-    if kind.kind == "flat":
-        return FlatMcPolicy(config)
-    return MctsPolicy(config)
+    policy = FlatMcPolicy if kind.kind == "flat" else MctsPolicy
+    return policy(replace(kind.search, on_playout=on_playout))
 
 
 def build_stage_policies(pmap: StagePolicyMap) -> dict[StageId, object]:
     """Per-stage policy objects for a StagePolicyMap, with the fixed rules
     on Travel and (unless overridden) DeclareAttackers."""
-    return {
-        PLANNING: build_policy(pmap.planning),
-        COMMIT_CHARACTERS: build_policy(pmap.commit),
-        TRAVEL: FixedTravelPolicy(),
-        DECLARE_DEFENDERS: build_policy(pmap.defense),
-        DECLARE_ATTACKERS: (build_policy(pmap.attack)
-                                    if pmap.attack is not None
-                                    else FixedAttackPolicy()),
-    }
+    policies = {TRAVEL: FixedTravelPolicy(),
+                DECLARE_ATTACKERS: FixedAttackPolicy()}
+    for stage, kind in pmap.agents().items():
+        policies[STAGE_KEYS[stage]] = build_policy(kind)
+    return policies
 
 
 # Playouts play one agent on every configurable stage, with the fixed rules

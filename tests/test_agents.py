@@ -1,10 +1,14 @@
 """Decision agents: fixed rules, the expert heuristics, agent parsing."""
 
+import re
+from pathlib import Path
 from random import Random
 
 import pytest
 
 from questsim.agents import (
+    AGENT_KINDS,
+    STAGE_KEYS,
     AgentKind,
     ExpertPolicy,
     RandomPolicy,
@@ -14,9 +18,11 @@ from questsim.agents import (
     expert_decide,
     parse_agent,
     parse_policy_map,
+    parse_stage_choices,
 )
 from questsim.engine import legal_actions
 from questsim.errors import ConfigError
+from questsim.experiments import ExperimentConfig
 from questsim.state import (
     Attack,
     Commit,
@@ -292,12 +298,16 @@ def test_expert_choice_is_always_legal_on_random_walks(synth_scenario):
 
 def test_parse_agent_round_trips():
     flat = parse_agent("flat:40:expert")
-    assert (flat.kind, flat.budget, flat.playout) == ("flat", 40, "expert")
+    assert (flat.kind, flat.search.playout_budget,
+            flat.search.playout_policy) == ("flat", 40, "expert")
     mcts = parse_agent("mcts:25:0.5:random")
-    assert (mcts.kind, mcts.budget, mcts.exploration_c, mcts.playout) == \
-        ("mcts", 25, 0.5, "random")
-    assert str(parse_agent(str(mcts))) == str(mcts)
+    assert (mcts.kind, mcts.search.playout_budget, mcts.search.exploration_c,
+            mcts.search.playout_policy) == ("mcts", 25, 0.5, "random")
     assert parse_agent("expert") == AgentKind("expert")
+    for token in ("random", "expert", "flat:40:expert", "mcts:25:0.5:random"):
+        kind = parse_agent(token)
+        assert str(kind) == token
+        assert parse_agent(str(kind)) == kind
 
 
 @pytest.mark.parametrize("token", [
@@ -330,8 +340,31 @@ def test_policy_map_parses_and_labels():
     assert pmap.has_search_agent()
     assert pmap.attack is None
     bumped = pmap.with_budget(80)
-    assert bumped.planning.budget == 80
+    assert bumped.planning.search.playout_budget == 80
     assert bumped.commit == pmap.commit  # fixed agents keep their shape
+
+
+@pytest.mark.parametrize("text", [
+    "planning=expert,commit=expert,defense=expert",
+    "planning=mcts:10:0.7:expert,commit=expert,defense=expert",
+    "planning=random,commit=flat:5:random,defense=expert,"
+    "attack=mcts:8:0.3:expert",
+])
+def test_printed_policy_map_parses_back(text):
+    pmap = parse_policy_map(text)
+    assert str(pmap) == text
+    assert parse_policy_map(str(pmap)) == pmap
+    config = ExperimentConfig(games=1, master_seed=0, policy_map=pmap)
+    assert parse_policy_map(config.resolved()["agents"]) == pmap
+
+
+def test_stage_choices_parse_one_list_per_stage():
+    choices = parse_stage_choices(
+        " planning=random,expert ; defense=mcts:4:0.7:random;")
+    assert choices == {"planning": [parse_agent("random"), parse_agent("expert")],
+                       "defense": [parse_agent("mcts:4:0.7:random")]}
+    with pytest.raises(ConfigError, match="twice"):
+        parse_stage_choices("planning=random;planning=expert")
 
 
 def test_policy_map_attack_override_must_be_mcts():
@@ -359,3 +392,25 @@ def test_expert_policy_object_ignores_legals(game):
     assert policy.needs_legals is False
     action = policy.decide(game, None, Random(0))
     assert action in legal_actions(game)
+
+
+# ---- agents doc -------------------------------------------------------------
+
+
+def test_agents_doc_covers_every_kind_and_stage_and_its_examples_parse():
+    doc = (Path(__file__).parent.parent / "docs" / "agents.md").read_text()
+    for number, kind in enumerate(AGENT_KINDS, 1):
+        row = next(line for line in doc.splitlines()
+                   if line.startswith(f"| `{kind}` "))
+        assert f"| {number} " in row, row
+    for key in STAGE_KEYS:
+        assert f"| `{key}` " in doc, key
+    maps, choices = (re.search(rf"```{tag}\n(.*?)```", doc, re.S)[1].splitlines()
+                     for tag in ("map", "choices"))
+    assert maps and choices
+    for text in maps:
+        assert str(parse_policy_map(text)) == text
+    for text in choices:
+        assert parse_stage_choices(text)
+    text, label = re.search(r"agents: `(\S+)`\nis `(\S+)`", doc).groups()
+    assert parse_policy_map(text).triple_label() == label

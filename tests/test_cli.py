@@ -75,6 +75,9 @@ def test_simulate_json_repeats_up_to_measured_fields(tmp_path):
      "--budgets", "5,many"],
     ["grid", "--choices", "planning=random,wizard"],
     ["grid", "--choices", "planning random"],
+    ["simulate", "--z", "nan"],
+    ["simulate", "--z", "inf"],
+    ["simulate", "--out", "/nonexistent/dir/x.csv"],
 ])
 def test_bad_flags_exit_1_with_one_error_line(argv, capsys):
     assert cli.main(argv + ["--games", "2"]) == 1

@@ -91,7 +91,7 @@ def test_sweep_checks_every_budget_before_playing(monkeypatch):
     played = []
     monkeypatch.setattr(experiments, "run_games",
                         lambda config, label: played.append(label))
-    with pytest.raises(ConfigError, match="budgets must be >= 1, got 0"):
+    with pytest.raises(ConfigError, match="budget must be >= 1, got 0"):
         budget_sweep(crn_config(1), [1, 0])
     assert played == []
 
