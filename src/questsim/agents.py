@@ -16,10 +16,11 @@ that parse_policy_map reads back. search.py builds the policy objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from random import Random
 from typing import Callable
 
-from .cards import NEUTRAL, SPIRIT, Sphere
+from .cards import LOCATION, NEUTRAL, SPIRIT, Sphere
 from .engine import (
     MAX_COMMIT_ENUM,
     _planning_bounds,
@@ -29,7 +30,6 @@ from .engine import (
     defend_overflows,
     defender_order,
     fits,
-    travel_actions,
 )
 from .errors import ConfigError, StageError
 from .state import (
@@ -37,13 +37,16 @@ from .state import (
     DECLARE_ATTACKERS,
     DECLARE_DEFENDERS,
     PLANNING,
+    STAGING_AREA,
     TRAVEL,
     Action,
     Attack,
+    CardInstance,
     Commit,
     Defend,
     GameState,
     PlayCards,
+    TravelTo,
 )
 
 # The expert's standout purchase; a card set without it simply never
@@ -68,24 +71,46 @@ class RandomPolicy:
 
 
 # ---- fixed default rules ----------------------------------------------------
+#
+# The fixed and expert rules run at every decision of an expert playout, so
+# each makes one pass over the cards it reads and builds its action in
+# canonical order through the actions' _canonical constructor (state.py).
+# The empty actions are shared constants.
+
+_NO_BUY = PlayCards(())
+_NO_COMMIT = Commit(())
+_STAY = TravelTo(None)
+_NO_DEFENSE = Defend(())
+_NO_ATTACK = Attack(())
+
+_remaining_hp = attrgetter("remaining_hp")
 
 
 def default_travel(state: GameState) -> Action:
     """Travel to the staging location with the highest threat (ties by id);
     stay put when a location is already active or none are staged. This is
-    the head of the travel family."""
-    return travel_actions(state)[0]
+    the head of the travel family (engine.travel_actions)."""
+    if state.active_location() is not None:
+        return _STAY
+    best = None
+    for c in state.in_zone(STAGING_AREA):  # in id order: the first best wins
+        if c.defn.kind is LOCATION and (best is None
+                                        or c.defn.threat > best.defn.threat):
+            best = c
+    return _STAY if best is None else TravelTo(best.instance_id)
 
 
 def default_attack(state: GameState) -> Action:
     """All ready characters attack the engaged enemy with the fewest
     remaining hit points (ties by id); empty when nothing to do."""
     enemies = state.engaged_enemies()
-    ready = state.ready_characters() if enemies else []
+    ready = state.ready_characters() if enemies else None
     if not ready:
-        return Attack(())
-    target = min(enemies, key=lambda e: (e.remaining_hp, e.instance_id))
-    return Attack(((target.instance_id, tuple(c.instance_id for c in ready)),))
+        return _NO_ATTACK
+    # Enemies come in id order, and min keeps the first of equal keys.
+    target = enemies[0] if len(enemies) == 1 else min(enemies, key=_remaining_hp)
+    return Attack._canonical(
+        ((target.instance_id, tuple([c.instance_id for c in ready])),))
 
 
 class FixedTravelPolicy:
@@ -105,39 +130,41 @@ class FixedAttackPolicy:
 # ---- expert agent -----------------------------------------------------------
 
 
+def _buy_order(card: CardInstance) -> tuple:
+    """The expert's purchase preference: Gandalf, then Spirit cards by
+    descending willpower, then the rest by ascending cost; ties by card
+    id, then by instance id."""
+    d = card.defn
+    if d.id == GANDALF_ID:
+        return (0, card.instance_id)
+    if d.sphere is SPIRIT:
+        return (1, -d.willpower, d.id, card.instance_id)
+    return (2, d.cost, d.id, card.instance_id)
+
+
 def _expert_planning(state: GameState) -> Action:
-    """Greedy purchase loop: Gandalf whenever affordable, then affordable
-    Spirit cards by descending willpower, then the cheapest affordable card;
-    ties by card id, repeated until nothing else is affordable. The hero
-    pools, the cards payable on their own and the cap answer come from one
-    engine._planning_bounds call."""
+    """Greedy purchase: the most preferred affordable card (_buy_order),
+    repeated until nothing else is affordable. The hero pools, the cards
+    payable on their own and the cap answer come from one
+    engine._planning_bounds call.
+
+    The buy only grows, so a card that does not fit now never fits later:
+    taking, in preference order, each card that still fits picks the same
+    cards as re-filtering the affordable cards before every pick."""
     capped, singles, pools, total_pool = _planning_bounds(state)
+    if len(singles) <= 1:
+        return PlayCards._canonical((singles[0].instance_id,)) if singles else _NO_BUY
+    singles.sort(key=_buy_order)
     demand: dict[Sphere, int] = {}
     spent = 0
     chosen: list[int] = []
-    # The buy only grows, so a card that does not fit now never fits again:
-    # each pick re-filters the cards that were still affordable before it,
-    # starting from the cards payable on their own.
-    afford = singles
-    while afford:
-        gandalfs = [c for c in afford if c.defn.id == GANDALF_ID]
-        if gandalfs:
-            pick = gandalfs[0]
-        else:
-            spirit = [c for c in afford if c.defn.sphere is SPIRIT]
-            if spirit:
-                pick = min(spirit, key=lambda c: (-c.defn.willpower, c.defn.id,
-                                                  c.instance_id))
-            else:
-                pick = min(afford, key=lambda c: (c.defn.cost, c.defn.id,
-                                                  c.instance_id))
-        chosen.append(pick.instance_id)
-        spent += pick.defn.cost
-        if pick.defn.sphere is not NEUTRAL:
-            demand[pick.defn.sphere] = (demand.get(pick.defn.sphere, 0)
-                                        + pick.defn.cost)
-        afford = [c for c in afford if c is not pick
-                  and fits(c.defn, pools, total_pool, demand, spent)]
+    for c in singles:
+        d = c.defn
+        if fits(d, pools, total_pool, demand, spent):
+            chosen.append(c.instance_id)
+            spent += d.cost
+            if d.sphere is not NEUTRAL:
+                demand[d.sphere] = demand.get(d.sphere, 0) + d.cost
 
     if len(chosen) >= 2:
         if capped is None:
@@ -146,30 +173,39 @@ def _expert_planning(state: GameState) -> Action:
             # Capped family carries only singletons. Each chosen card fitted
             # on top of the cards picked before it, so it is payable on its
             # own: keep the first one in hand (instance-id) order.
-            return PlayCards((min(chosen),))
-    return PlayCards(tuple(chosen))
+            return PlayCards._canonical((min(chosen),))
+        chosen.sort()
+    return PlayCards._canonical(tuple(chosen))
 
 
 def _expert_commit(state: GameState) -> Action:
     """Commit Gandalf then Spirit characters by descending willpower until
     total willpower strictly exceeds the staging threat; empty commit when
     that is unreachable."""
-    threshold = state.staging_threat()
     pool = commit_pool(state)
-    preferred = ([c for c in pool if c.defn.id == GANDALF_ID]
-                 + sorted((c for c in pool
-                           if c.defn.sphere is SPIRIT
-                           and c.defn.id != GANDALF_ID),
-                          key=lambda c: (-c.willpower, c.instance_id)))
+    gandalfs: list[CardInstance] = []
+    spirits: list[CardInstance] = []
+    reach = 0
+    for c in pool:
+        if c.defn.id == GANDALF_ID:
+            gandalfs.append(c)
+        elif c.defn.sphere is SPIRIT:
+            spirits.append(c)
+        else:
+            continue
+        reach += c.willpower
+    threshold = state.staging_threat()
+    if reach <= threshold:
+        return _NO_COMMIT
+    if len(spirits) > 1:
+        spirits.sort(key=lambda c: (-c.willpower, c.instance_id))
     chosen: list[int] = []
     total = 0
-    for c in preferred:
+    for c in gandalfs + spirits:
         chosen.append(c.instance_id)
         total += c.willpower
         if total > threshold:
             break
-    if total <= threshold:
-        return Commit(())
 
     if len(pool) > MAX_COMMIT_ENUM:
         # Capped family carries only the qualifying prefixes: take the
@@ -179,7 +215,8 @@ def _expert_commit(state: GameState) -> Action:
         ideal = set(chosen)
         inside = [p for p in prefixes if ideal.issuperset(p)]
         return Commit(inside[-1] if inside else prefixes[0])
-    return Commit(tuple(chosen))
+    chosen.sort()
+    return Commit._canonical(tuple(chosen))
 
 
 def _expert_defend(state: GameState) -> Action:
@@ -188,25 +225,26 @@ def _expert_defend(state: GameState) -> Action:
     undefended."""
     engaged = state.engaged_enemies()
     if not engaged:
-        return Defend(())
-    enemies = sorted(engaged, key=lambda e: (-e.attack, e.instance_id))
+        return _NO_DEFENSE
     queue = defender_order(state)
-    ideal: dict[int, int | None] = {}
-    for i, enemy in enumerate(enemies):
-        ideal[enemy.instance_id] = (queue[i].instance_id
-                                    if i < len(queue) else None)
+    if len(engaged) == 1:  # its ideal pair, which a capped family also keeps
+        only = engaged[0].instance_id
+        return Defend._canonical(
+            ((only, queue[0].instance_id if queue else None),))
+    ranked = sorted(engaged, key=lambda e: (-e.attack, e.instance_id))
+    ideal = {e.instance_id: c.instance_id for e, c in zip(ranked, queue)}
 
-    if defend_overflows(len(enemies), len(queue)):
+    if defend_overflows(len(engaged), len(queue)):
         # Capped family: all-undefended plus single-defender assignments,
         # enemies outer / characters inner, so keep the first ideal pair.
-        engaged_ids = sorted(ideal)
-        for eid in engaged_ids:
-            did = ideal[eid]
-            if did is not None:
-                return Defend(tuple((e, did if e == eid else None)
-                                    for e in engaged_ids))
-        return Defend(tuple((e, None) for e in engaged_ids))
-    return Defend(tuple(ideal.items()))
+        # There is one: with no defender the family never overflows.
+        first = min(ideal)
+        return Defend._canonical(tuple([
+            (e.instance_id, ideal[first] if e.instance_id == first else None)
+            for e in engaged]))
+    # engaged_enemies is in id order, the canonical order of assignments.
+    return Defend._canonical(tuple([(e.instance_id, ideal.get(e.instance_id))
+                                    for e in engaged]))
 
 
 def expert_decide(state: GameState) -> Action:
@@ -236,13 +274,18 @@ class ExpertPolicy:
 # ---- agent descriptions -----------------------------------------------------
 
 
+# SearchConfig's default exploration constant, and the only one a flat
+# agent may carry: a flat agent string has no C field to print it in.
+DEFAULT_EXPLORATION_C = 0.7
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Settings of one flat or mcts agent, the one place where they are
     checked and defaulted; exploration_c is read by MCTS only."""
 
     playout_budget: int
-    exploration_c: float = 0.7
+    exploration_c: float = DEFAULT_EXPLORATION_C
     playout_policy: str = "random"
     # Debug and test knobs: debug audits the tree after every iteration and
     # checks every playout action (playouts otherwise trust their policies);
@@ -282,6 +325,10 @@ class AgentKind:
         if (self.search is None) == (self.kind in _SEARCH_KINDS):
             need = "needs" if self.search is None else "takes no"
             raise ConfigError(f"agent '{self.kind}' {need} search settings")
+        if (self.kind == "flat"
+                and self.search.exploration_c != DEFAULT_EXPLORATION_C):
+            raise ConfigError(f"agent 'flat' takes no exploration constant, "
+                              f"got {self.search.exploration_c}")
 
     @property
     def is_search(self) -> bool:

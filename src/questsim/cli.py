@@ -24,6 +24,7 @@ from .errors import ConfigError, QuestSimError
 from .experiments import (
     ExperimentConfig,
     budget_sweep,
+    check_writable,
     combination_grid,
     render_csv,
     run_games,
@@ -105,7 +106,9 @@ def _parse_budgets(text: str) -> list[int]:
 
 
 def _config_from(args: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(
+    """The batch configuration; an --out that cannot be written fails here,
+    before any game is played."""
+    config = ExperimentConfig(
         games=args.games,
         master_seed=args.seed,
         policy_map=parse_policy_map(args.agents),
@@ -114,6 +117,9 @@ def _config_from(args: argparse.Namespace) -> ExperimentConfig:
         workers=args.workers,
         z=args.z,
     )
+    if args.out != "-":
+        check_writable(args.out)
+    return config
 
 
 def _emit(out: str, rows, header: dict) -> None:

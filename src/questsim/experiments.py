@@ -291,17 +291,35 @@ def render_json(rows: list[RunStats], header: dict[str, object]) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _unwritable(dest: str | Path, exc: OSError) -> ConfigError:
+    return ConfigError(f"cannot write '{dest}': {exc.strerror}")
+
+
+def check_writable(dest: str | Path) -> None:
+    """Raise ConfigError naming dest unless it can be opened for writing,
+    so that a batch learns of a bad output path before its first game. An
+    existing file keeps its contents; a file the check creates is removed."""
+    path = Path(dest)
+    existed = path.exists()
+    try:
+        with path.open("a"):
+            pass
+    except OSError as exc:
+        raise _unwritable(dest, exc) from exc
+    if not existed:
+        path.unlink()
+
+
 def write_output(dest: str | Path, rows: list[RunStats],
                  header: dict[str, object]) -> str:
     """Write results to a file ('-' for stdout handled by the CLI); the
     format follows the extension: .json is JSON, anything else CSV.
     Returns the rendered text; a file that cannot be written raises
     ConfigError naming it."""
-    name = str(dest)
-    text = (render_json(rows, header) if name.endswith(".json")
+    text = (render_json(rows, header) if str(dest).endswith(".json")
             else render_csv(rows, header))
     try:
         Path(dest).write_text(text)
     except OSError as exc:
-        raise ConfigError(f"cannot write '{name}': {exc.strerror}") from exc
+        raise _unwritable(dest, exc) from exc
     return text

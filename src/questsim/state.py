@@ -367,10 +367,34 @@ class GameState:
 #
 # Actions are immutable, hashable and canonically ordered so that equal
 # decisions compare equal regardless of how they were built.
+#
+# The public constructor sorts its field into canonical order. _canonical
+# stores the field as given, at a third to a half of that cost (timeit,
+# CPython 3.11.7: 0.35 against 0.8 us for PlayCards, 1.2 us for Defend).
+# Only the expert and fixed rules in agents.py call it: they run at every
+# decision of an expert playout and build their fields in canonical order
+# already. Every other caller uses the public constructor, which also
+# accepts fields in any order. tests/test_contracts.py checks that each
+# action the rules build equals, field for field, the one the public
+# constructor makes from its field.
+
+
+class _Action:
+    """Base of the action types whose constructor sorts their one field."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _canonical(cls, field):
+        """The action whose one field is `field`, already in canonical
+        order: skips __post_init__ and the sort in it."""
+        action = object.__new__(cls)
+        action.__dict__[cls.__match_args__[0]] = field
+        return action
 
 
 @dataclass(frozen=True)
-class PlayCards:
+class PlayCards(_Action):
     """Planning: buy this set of hand cards (may be empty)."""
     cards: tuple[int, ...] = ()
 
@@ -379,7 +403,7 @@ class PlayCards:
 
 
 @dataclass(frozen=True)
-class Commit:
+class Commit(_Action):
     """Commit these characters to the quest (may be empty)."""
     characters: tuple[int, ...] = ()
 
@@ -394,7 +418,7 @@ class TravelTo:
 
 
 @dataclass(frozen=True)
-class Defend:
+class Defend(_Action):
     """Assign at most one ready defender per engaged enemy.
 
     assignments lists every engaged enemy exactly once as
@@ -410,7 +434,7 @@ class Defend:
 
 
 @dataclass(frozen=True)
-class Attack:
+class Attack(_Action):
     """Partition attacking characters over engaged enemies.
 
     assignments lists only enemies that are attacked, as

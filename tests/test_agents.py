@@ -11,6 +11,7 @@ from questsim.agents import (
     STAGE_KEYS,
     AgentKind,
     ExpertPolicy,
+    SearchConfig,
     RandomPolicy,
     StagePolicyMap,
     default_attack,
@@ -308,6 +309,16 @@ def test_parse_agent_round_trips():
         kind = parse_agent(token)
         assert str(kind) == token
         assert parse_agent(str(kind)) == kind
+    for kind in (AgentKind("flat", SearchConfig(10, playout_policy="random")),
+                 AgentKind("flat", SearchConfig(3, 0.7, "expert")),
+                 AgentKind("mcts", SearchConfig(25, 0.3, "expert")),
+                 AgentKind("mcts", SearchConfig(1))):
+        assert parse_agent(str(kind)) == kind
+
+
+def test_flat_agent_rejects_an_exploration_constant_it_cannot_print():
+    with pytest.raises(ConfigError, match="flat.*exploration constant"):
+        AgentKind("flat", SearchConfig(10, 0.3, "random"))
 
 
 @pytest.mark.parametrize("token", [

@@ -87,6 +87,45 @@ def test_bad_flags_exit_1_with_one_error_line(argv, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+BATCHES = {"simulate": [],
+           "sweep": ["--budgets", "2", "--agents",
+                     "planning=flat:4:random,commit=random,defense=random"],
+           "grid": ["--choices", "planning=random,expert"]}
+
+
+class Played(Exception):
+    """A batch started playing games."""
+
+
+@pytest.fixture
+def unplayed(monkeypatch):
+    """Make every batch entry point of the CLI raise Played if called."""
+    def play(*args, **kwargs):
+        raise Played
+    for name in ("run_games", "budget_sweep", "combination_grid"):
+        monkeypatch.setattr(cli, name, play)
+
+
+@pytest.mark.parametrize("command", BATCHES)
+def test_unwritable_out_fails_before_the_first_game(command, unplayed, capsys):
+    out = "/nonexistent/dir/x.csv"
+    argv = [command, *BATCHES[command], "--games", "2", "--out", out]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == \
+        f"error: cannot write '{out}': No such file or directory\n"
+
+
+def test_out_check_leaves_existing_and_missing_files_as_they_were(unplayed,
+                                                                 tmp_path):
+    kept, absent = tmp_path / "kept.csv", tmp_path / "absent.json"
+    kept.write_text("earlier results\n")
+    for dest in (kept, absent):
+        with pytest.raises(Played):
+            simulate(str(dest))
+    assert kept.read_text() == "earlier results\n"
+    assert not absent.exists()
+
+
 def test_play_trace_prints_stage_lines_then_the_outcome(capsys):
     assert cli.main(["play", "--seed", "3", "--trace"]) == 0
     *trace, summary = capsys.readouterr().out.splitlines()

@@ -5,11 +5,16 @@ stage) and on hand-built states whose families hit the caps. On the same
 states and on wide hand-built hands, the planning cap as the engine
 decides it (from its O(hand) bounds, walking only the singly payable
 cards when they cannot tell) must equal the full subset walk's.
-Perturbed legal actions on organic states must be rejected with a named
-error. Every action the playout policies pick passes its check, and
-its effect alone leaves the same state as check and effect together, which
-is what lets playouts skip the check."""
+The expert's one-pass rules must pick what the greedy loops and sorts
+that define them pick (kept here as references), and every action the
+rules build through the canonical constructor must equal, field for
+field, the one the public constructor makes. Perturbed legal actions on
+organic states must be rejected with a named error. Every action the
+playout policies pick passes its check, and its effect alone leaves the
+same state as check and effect together, which is what lets playouts skip
+the check."""
 
+from dataclasses import fields
 from random import Random
 
 from hypothesis import HealthCheck, assume, given, settings
@@ -17,8 +22,13 @@ from hypothesis import strategies as st
 
 import pytest
 
-from questsim.agents import default_attack, default_travel, expert_decide
-from questsim.cards import CHARACTER_KINDS, load_scenario_bundle
+from questsim.agents import (
+    GANDALF_ID,
+    default_attack,
+    default_travel,
+    expert_decide,
+)
+from questsim.cards import CHARACTER_KINDS, Sphere, load_scenario_bundle
 from questsim.engine import (
     _DO,
     MAX_COMMIT_ENUM,
@@ -30,10 +40,14 @@ from questsim.engine import (
     _ruled_inplace,
     check_invariants,
     commit_pool,
+    commit_prefixes,
     defend_overflows,
+    defender_order,
+    fits,
     hero_pools,
     legal_actions,
     new_game,
+    travel_actions,
 )
 from questsim.errors import IllegalActionError, StageError
 from questsim.search import _finish, determinize, playout_policies
@@ -84,17 +98,115 @@ def planning_capped(state) -> bool:
     return capped
 
 
+def greedy_buy(state) -> PlayCards:
+    """The expert's buy as its definition reads: pick Gandalf whenever
+    affordable, else the affordable Spirit card of highest willpower, else
+    the cheapest affordable card (ties by card id, then instance), and
+    re-filter the affordable cards after every pick."""
+    _, singles, pools, total_pool = _planning_bounds(state)
+    demand: dict[Sphere, int] = {}
+    spent = 0
+    chosen: list[int] = []
+    afford = singles
+    while afford:
+        gandalfs = [c for c in afford if c.defn.id == GANDALF_ID]
+        spirit = [c for c in afford if c.defn.sphere is Sphere.SPIRIT]
+        if gandalfs:
+            pick = gandalfs[0]
+        elif spirit:
+            pick = min(spirit, key=lambda c: (-c.defn.willpower, c.defn.id,
+                                              c.instance_id))
+        else:
+            pick = min(afford, key=lambda c: (c.defn.cost, c.defn.id,
+                                              c.instance_id))
+        chosen.append(pick.instance_id)
+        spent += pick.defn.cost
+        if pick.defn.sphere is not Sphere.NEUTRAL:
+            demand[pick.defn.sphere] = (demand.get(pick.defn.sphere, 0)
+                                        + pick.defn.cost)
+        afford = [c for c in afford if c is not pick
+                  and fits(c.defn, pools, total_pool, demand, spent)]
+    if len(chosen) >= 2 and (_planning_enumerate(singles, pools, total_pool)
+                             is None):
+        return PlayCards((min(chosen),))
+    return PlayCards(tuple(chosen))
+
+
+def sorted_commit(state) -> Commit:
+    """The expert's commit as its definition reads: Gandalf, then Spirit
+    characters sorted by descending willpower, until the staging threat is
+    beaten; over the cap, the longest qualifying prefix inside that set,
+    else the shortest."""
+    threshold = state.staging_threat()
+    pool = commit_pool(state)
+    preferred = ([c for c in pool if c.defn.id == GANDALF_ID]
+                 + sorted((c for c in pool if c.defn.sphere is Sphere.SPIRIT
+                           and c.defn.id != GANDALF_ID),
+                          key=lambda c: (-c.willpower, c.instance_id)))
+    chosen: list[int] = []
+    total = 0
+    for c in preferred:
+        chosen.append(c.instance_id)
+        total += c.willpower
+        if total > threshold:
+            break
+    if total <= threshold:
+        return Commit(())
+    if len(pool) > MAX_COMMIT_ENUM:
+        prefixes = commit_prefixes(pool, threshold)
+        inside = [p for p in prefixes if set(chosen).issuperset(p)]
+        return Commit(inside[-1] if inside else prefixes[0])
+    return Commit(tuple(chosen))
+
+
+def sorted_defense(state) -> Defend:
+    """The expert's defense as its definition reads: enemies sorted by
+    descending attack take the defenders in defender_order, one each;
+    over the cap, only the ideal pair of the lowest enemy id."""
+    enemies = sorted(state.engaged_enemies(),
+                     key=lambda e: (-e.attack, e.instance_id))
+    queue = defender_order(state)
+    ideal = {e.instance_id: queue[i].instance_id if i < len(queue) else None
+             for i, e in enumerate(enemies)}
+    if defend_overflows(len(enemies), len(queue)):
+        first = min(e for e, d in ideal.items() if d is not None)
+        return Defend(tuple((e, ideal[e] if e == first else None)
+                            for e in ideal))
+    return Defend(tuple(ideal.items()))
+
+
+REFERENCE = {StageId.PLANNING: greedy_buy,
+             StageId.COMMIT_CHARACTERS: sorted_commit,
+             StageId.TRAVEL: lambda state: travel_actions(state)[0],
+             StageId.DECLARE_DEFENDERS: sorted_defense,
+             StageId.DECLARE_ATTACKERS: lambda state: legal_actions(state)[0]}
+
+
+def assert_canonical(action) -> None:
+    """The public constructor, which sorts the action's field, leaves it
+    as it is: an action built by _canonical is in canonical form."""
+    name = fields(action)[0].name
+    field = getattr(action, name)
+    rebuilt = type(action)(field)
+    assert rebuilt == action and getattr(rebuilt, name) == field
+
+
 def check_contracts(state) -> list:
-    """Assert the contract for the current decision stage; return legals."""
+    """Assert the contract for the current decision stage: the expert and
+    fixed rules pick what their references pick, in canonical form and
+    inside the legal family, and the fixed rules pick its head. Return
+    the legal family."""
     legals = legal_actions(state)
     if state.stage is StageId.PLANNING:
         assert planning_capped(state) == walk_overflows(state)
+    action = expert_decide(state)
+    assert action == REFERENCE[state.stage](state)
+    assert_canonical(action)
+    assert action in legals
     if state.stage is StageId.TRAVEL:
-        assert default_travel(state) == legals[0]
+        assert action == default_travel(state) == legals[0]
     elif state.stage is StageId.DECLARE_ATTACKERS:
-        assert default_attack(state) == legals[0]
-    else:
-        assert expert_decide(state) in legals
+        assert action == default_attack(state) == legals[0]
     return legals
 
 
