@@ -77,7 +77,6 @@ class RandomPolicy:
 # canonical order through the actions' _canonical constructor (state.py).
 # The empty actions are shared constants.
 
-_NO_BUY = PlayCards(())
 _NO_COMMIT = Commit(())
 _STAY = TravelTo(None)
 _NO_DEFENSE = Defend(())
@@ -108,7 +107,7 @@ def default_attack(state: GameState) -> Action:
     if not ready:
         return _NO_ATTACK
     # Enemies come in id order, and min keeps the first of equal keys.
-    target = enemies[0] if len(enemies) == 1 else min(enemies, key=_remaining_hp)
+    target = min(enemies, key=_remaining_hp)
     return Attack._canonical(
         ((target.instance_id, tuple([c.instance_id for c in ready])),))
 
@@ -152,8 +151,6 @@ def _expert_planning(state: GameState) -> Action:
     taking, in preference order, each card that still fits picks the same
     cards as re-filtering the affordable cards before every pick."""
     capped, singles, pools, total_pool = _planning_bounds(state)
-    if len(singles) <= 1:
-        return PlayCards._canonical((singles[0].instance_id,)) if singles else _NO_BUY
     singles.sort(key=_buy_order)
     demand: dict[Sphere, int] = {}
     spent = 0
@@ -197,8 +194,7 @@ def _expert_commit(state: GameState) -> Action:
     threshold = state.staging_threat()
     if reach <= threshold:
         return _NO_COMMIT
-    if len(spirits) > 1:
-        spirits.sort(key=lambda c: (-c.willpower, c.instance_id))
+    spirits.sort(key=lambda c: (-c.willpower, c.instance_id))
     chosen: list[int] = []
     total = 0
     for c in gandalfs + spirits:
@@ -227,10 +223,6 @@ def _expert_defend(state: GameState) -> Action:
     if not engaged:
         return _NO_DEFENSE
     queue = defender_order(state)
-    if len(engaged) == 1:  # its ideal pair, which a capped family also keeps
-        only = engaged[0].instance_id
-        return Defend._canonical(
-            ((only, queue[0].instance_id if queue else None),))
     ranked = sorted(engaged, key=lambda e: (-e.attack, e.instance_id))
     ideal = {e.instance_id: c.instance_id for e, c in zip(ranked, queue)}
 

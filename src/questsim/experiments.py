@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field, replace
 from itertools import product
@@ -298,16 +299,20 @@ def _unwritable(dest: str | Path, exc: OSError) -> ConfigError:
 def check_writable(dest: str | Path) -> None:
     """Raise ConfigError naming dest unless it can be opened for writing,
     so that a batch learns of a bad output path before its first game. An
-    existing file keeps its contents; a file the check creates is removed."""
-    path = Path(dest)
-    existed = path.exists()
+    existing file keeps its contents, and a symlink stays in place; only a
+    file that the check itself created, exclusively, is removed again."""
+    path = Path(os.path.realpath(dest))
     try:
-        with path.open("a"):
-            pass
+        try:
+            with path.open("x"):
+                pass
+        except FileExistsError:
+            with path.open("a"):
+                pass
+        else:
+            path.unlink()
     except OSError as exc:
         raise _unwritable(dest, exc) from exc
-    if not existed:
-        path.unlink()
 
 
 def write_output(dest: str | Path, rows: list[RunStats],

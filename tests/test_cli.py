@@ -118,12 +118,15 @@ def test_unwritable_out_fails_before_the_first_game(command, unplayed, capsys):
 def test_out_check_leaves_existing_and_missing_files_as_they_were(unplayed,
                                                                  tmp_path):
     kept, absent = tmp_path / "kept.csv", tmp_path / "absent.json"
+    link, target = tmp_path / "link.csv", tmp_path / "target.csv"
     kept.write_text("earlier results\n")
-    for dest in (kept, absent):
+    link.symlink_to(target)
+    for dest in (kept, absent, link):
         with pytest.raises(Played):
             simulate(str(dest))
     assert kept.read_text() == "earlier results\n"
     assert not absent.exists()
+    assert link.is_symlink() and not target.exists()
 
 
 def test_play_trace_prints_stage_lines_then_the_outcome(capsys):
