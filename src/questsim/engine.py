@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import time
+from itertools import combinations, islice, product
 from random import Random
 from typing import Callable
 
@@ -290,39 +291,26 @@ def _spend(heroes: list[CardInstance], amount: int) -> None:
 
 def _planning_enumerate(cards: list[CardInstance], pools: dict[Sphere, int],
                         total_pool: int) -> list[tuple[int, ...]] | None:
-    """Payable subsets of these hand cards (empty buy excluded) found by a
-    depth-first walk, or None once the family overflows the 64-action cap
-    (the walk stops there). Subsets come out in depth-first hand order:
-    subsets led by earlier hand cards first, supersets before their
-    remainders; see legal_actions for why the order matters."""
-    subsets: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-    demand: dict[Sphere, int] = {}
-    spent = [0]  # cost of the chosen subset
-
-    def dfs(start: int) -> bool:
-        """False once the family overflows."""
+    """Payable subsets of these hand cards (empty buy excluded) in
+    depth-first hand order, or None once the family overflows the 64-action
+    cap (the walk stops there). Subsets led by earlier hand cards come
+    first, supersets before their remainders; see legal_actions for why the
+    order matters."""
+    def subsets(start: int, chosen: tuple[int, ...], demand: dict[Sphere, int],
+                spent: int):
+        # An unpayable subset has no payable superset: its branch is pruned.
         for i in range(start, len(cards)):
             d = cards[i].defn
-            if not fits(d, pools, total_pool, demand, spent[0]):
-                continue
-            chosen.append(cards[i].instance_id)
-            subsets.append(tuple(chosen))
-            # The empty buy makes one more action than there are subsets.
-            if len(subsets) >= MAX_PLANNING_ACTIONS:
-                return False
-            spent[0] += d.cost
-            if d.sphere is not NEUTRAL:
-                demand[d.sphere] = demand.get(d.sphere, 0) + d.cost
-            if not dfs(i + 1):
-                return False
-            chosen.pop()
-            spent[0] -= d.cost
-            if d.sphere is not NEUTRAL:
-                demand[d.sphere] -= d.cost
-        return True
+            if fits(d, pools, total_pool, demand, spent):
+                ids = chosen + (cards[i].instance_id,)
+                yield ids
+                more = demand if d.sphere is NEUTRAL else {
+                    **demand, d.sphere: demand.get(d.sphere, 0) + d.cost}
+                yield from subsets(i + 1, ids, more, spent + d.cost)
 
-    return subsets if dfs(0) else None
+    # The empty buy makes one more action than there are subsets.
+    found = list(islice(subsets(0, (), {}, 0), MAX_PLANNING_ACTIONS))
+    return found if len(found) < MAX_PLANNING_ACTIONS else None
 
 
 def _planning_bounds(state: GameState) -> tuple[bool | None, list[CardInstance],
@@ -404,21 +392,14 @@ def _commit_actions(state: GameState) -> list[Action]:
     if len(pool) > MAX_COMMIT_ENUM:
         return [Commit(ids) for ids in commit_prefixes(pool, threshold)] + [Commit(())]
 
-    wills = [c.willpower for c in pool]
-    ids = [c.instance_id for c in pool]
-    m = len(pool)
-    sums = [0] * (1 << m)
-    qualifying: list[tuple[int, tuple[int, ...]]] = []
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + wills[low.bit_length() - 1]
-        if sums[mask] > threshold:
-            qualifying.append((sums[mask],
-                               tuple(ids[b] for b in range(m) if mask >> b & 1)))
+    qualifying = []
+    for r in range(1, len(pool) + 1):
+        for subset in combinations(pool, r):
+            will = sum(c.willpower for c in subset)
+            if will > threshold:
+                qualifying.append((will, tuple(c.instance_id for c in subset)))
     qualifying.sort()
-    actions = [Commit(subset) for _, subset in qualifying]
-    actions.append(Commit(()))
-    return actions
+    return [Commit(ids) for _, ids in qualifying] + [Commit(())]
 
 
 def travel_actions(state: GameState) -> list[Action]:
@@ -462,32 +443,22 @@ def _defend_actions(state: GameState) -> list[Action]:
         actions.append(Defend(tuple((e, None) for e in enemies)))
         return actions
 
-    built: list[tuple[int, int, Action]] = []
-    assign: list[tuple[int, int | None]] = []
-    used: set[int] = set()
-
-    def rec(i: int, blocked: int) -> None:
+    def assignments(i: int, used: tuple[int, ...], assign: tuple):
+        """(blocked, assignment) for each way to extend assign over
+        enemies[i:], each enemy's pick in defending preference, then none."""
         if i == k:
-            built.append((blocked, len(built), Defend(tuple(assign))))
+            yield len(used), assign
             return
-        enemy = enemies[i]
         for c in chars:
-            if c in used:
-                continue
-            used.add(c)
-            assign.append((enemy, c))
-            rec(i + 1, blocked + 1)
-            assign.pop()
-            used.remove(c)
-        assign.append((enemy, None))
-        rec(i + 1, blocked)
-        assign.pop()
+            if c not in used:
+                yield from assignments(i + 1, used + (c,),
+                                       assign + ((enemies[i], c),))
+        yield from assignments(i + 1, used, assign + ((enemies[i], None),))
 
-    rec(0, 0)
-    # Fullest assignments first, preference order within a tier, with the
-    # all-undefended action always last.
-    built.sort(key=lambda t: (t[0] == 0, -t[0], t[1]))
-    return [a for _, _, a in built]
+    # Fullest first. The sort is stable and all undefended comes last among
+    # the assignments blocking none, so it is the last action.
+    built = sorted(assignments(0, (), ()), key=lambda t: -t[0])
+    return [Defend(assign) for _, assign in built]
 
 
 def _attack_actions(state: GameState) -> list[Action]:
@@ -499,32 +470,17 @@ def _attack_actions(state: GameState) -> list[Action]:
                      key=lambda e: (e.remaining_hp, e.instance_id))
     enemies = [e.instance_id for e in targets]
     chars = [c.instance_id for c in state.ready_characters()]
-    k, n = len(enemies), len(chars)
-    if k == 0 or n == 0:
-        return [Attack(())]
-
-    if (k + 1) ** n > MAX_ATTACK_ACTIONS:
+    if (len(enemies) + 1) ** len(chars) > MAX_ATTACK_ACTIONS:
         everyone = tuple(chars)
         return [Attack(((e, everyone),)) for e in enemies] + [Attack(())]
 
     actions: list[Action] = []
-    pick: list[int | None] = [None] * n
-
-    def rec(i: int) -> None:
-        if i == n:
-            groups: dict[int, list[int]] = {}
-            for c, e in zip(chars, pick):
-                if e is not None:
-                    groups.setdefault(e, []).append(c)
-            actions.append(Attack(tuple((e, tuple(g)) for e, g in groups.items())))
-            return
-        for e in enemies:
-            pick[i] = e
-            rec(i + 1)
-        pick[i] = None
-        rec(i + 1)
-
-    rec(0)
+    for picks in product((*enemies, None), repeat=len(chars)):
+        groups: dict[int, list[int]] = {}
+        for c, e in zip(chars, picks):
+            if e is not None:
+                groups.setdefault(e, []).append(c)
+        actions.append(Attack(tuple((e, tuple(g)) for e, g in groups.items())))
     return actions
 
 

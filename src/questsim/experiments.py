@@ -16,7 +16,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import product
 from multiprocessing import Pool
 from pathlib import Path
@@ -110,16 +110,7 @@ class RunStats:
     mean_decision_time: dict[str, float] = field(default_factory=dict)
 
     def to_obj(self) -> dict:
-        return {
-            "label": self.label,
-            "n": self.n,
-            "wins": self.wins,
-            "winrate": self.winrate,
-            "ci_halfwidth": self.ci_halfwidth,
-            "mean_rounds": self.mean_rounds,
-            "wall_time_s": self.wall_time_s,
-            "mean_decision_time": dict(self.mean_decision_time),
-        }
+        return asdict(self)
 
 
 def _search_stages(pmap: StagePolicyMap) -> frozenset[StageId]:

@@ -143,6 +143,19 @@ def test_capped_planning_family_is_built_without_the_walk(game, monkeypatch):
                                    + [PlayCards(())])
 
 
+def test_planning_walk_stops_at_the_cap(game):
+    # 30 neutral one-cost cards and 6 resources: the O(hand) bounds cannot
+    # decide, and about 768k subsets are payable. The walk must stop once
+    # the family overflows, not list them all.
+    planning_state(game, ["ally-porter"] * 30, (2, 2, 2))
+    assert _planning_bounds(game)[0] is None
+    start = time.perf_counter()
+    legals = legal_actions(game)
+    assert time.perf_counter() - start < 0.5
+    assert legals == ([PlayCards((c.instance_id,)) for c in game.hand()]
+                      + [PlayCards(())])
+
+
 # ---- commit -----------------------------------------------------------------
 
 
@@ -272,6 +285,50 @@ def test_defend_three_enemies_five_ready_oracle(game):
     assert time.perf_counter() - start < 1.0
 
 
+def preference_rank(state):
+    """Each ready character's place in defending preference (allies by
+    ascending cost, then heroes by descending defense, ties by id), with
+    None, no defender, last."""
+    ready = sorted(state.ready_characters(), key=lambda c: (
+        c.defn.kind is not CardKind.ALLY,
+        c.defn.cost if c.defn.kind is CardKind.ALLY else -c.defense,
+        c.instance_id))
+    rank = {c.instance_id: i for i, c in enumerate(ready)}
+    rank[None] = len(ready)
+    return rank
+
+
+@pytest.mark.parametrize("fourth_enemy, expected", [(False, 136), (True, 501)])
+def test_defend_family_order_matches_oracle(game, fourth_enemy, expected):
+    defend_state(game)  # 3 enemies, 3 heroes + 2 allies ready
+    if fourth_enemy:  # over the (n+1)^k = 1296 bound, under the cap
+        put(game, "enemy-wolf", Zone.ENGAGEMENT_AREA)
+    rank = preference_rank(game)
+
+    def key(action):
+        picks = [d for _, d in action.assignments]
+        return (-sum(d is not None for d in picks), [rank[d] for d in picks])
+
+    legals = legal_actions(game)
+    assert len(legals) == expected
+    assert legals == sorted(brute_defend_assignments(game), key=key)
+
+
+def test_defend_walk_stays_bounded(game):
+    # 14 enemies and 2 ready characters: 3^14 = 4.8M raw picks, but only
+    # 1 + 14*2 + 91*2 = 211 assignments use each defender at most once.
+    at_stage(game, StageId.DECLARE_DEFENDERS)
+    game.heroes()[2].exhausted = True
+    for _ in range(14):
+        put(game, "enemy-wolf", Zone.ENGAGEMENT_AREA)
+    start = time.perf_counter()
+    legals = legal_actions(game)
+    assert time.perf_counter() - start < 0.5
+    assert len(legals) == 211
+    assert legals[-1] == Defend(tuple((e.instance_id, None)
+                                      for e in game.engaged_enemies()))
+
+
 def test_defend_orders_fullest_first_pass_last(game):
     defend_state(game)
     legals = legal_actions(game)
@@ -366,6 +423,28 @@ def test_attack_first_action_is_all_in_on_weakest(game):
     wolf = put(game, "enemy-wolf", Zone.ENGAGEMENT_AREA)  # 2 hp, weakest
     legals = legal_actions(game)
     assert legals[0] == Attack(((wolf.instance_id, (0, 1, 2)),))
+
+
+def test_attack_family_order_matches_oracle(game):
+    at_stage(game, StageId.DECLARE_ATTACKERS)
+    # Weakest first is neither id order nor its reverse: warg (4 hp) is
+    # attacked before troll (6 hp), wolf (2 hp) before both.
+    for cid in ("enemy-warg", "enemy-troll", "enemy-wolf"):
+        put(game, cid, Zone.ENGAGEMENT_AREA)
+    put(game, "ally-porter", Zone.PLAY_AREA)
+    ready = [c.instance_id for c in game.ready_characters()]
+    weakest_first = sorted(game.engaged_enemies(),
+                           key=lambda e: (e.remaining_hp, e.instance_id))
+    rank = {e.instance_id: i for i, e in enumerate(weakest_first)}
+    rank[None] = len(rank)
+
+    def key(action):
+        target = {c: e for e, group in action.assignments for c in group}
+        return [rank[target.get(c)] for c in ready]
+
+    legals = legal_actions(game)
+    assert len(legals) == 4 ** 4
+    assert legals == sorted(brute_attack_assignments(game), key=key)
 
 
 def test_attack_cap_collapses_to_all_in_options(game):
