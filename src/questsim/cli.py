@@ -157,7 +157,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = budget_sweep(config, budgets)
     header = {"command": "sweep", "budgets": ",".join(map(str, budgets)),
               **config.resolved()}
-    _emit(args.out, [stats for _, stats in rows], header)
+    _emit(args.out, rows, header)
     return 0
 
 
@@ -166,7 +166,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     choices = parse_stage_choices(args.choices)
     rows = combination_grid(config, choices)
     header = {"command": "grid", "choices": args.choices, **config.resolved()}
-    _emit(args.out, [stats for _, stats in rows], header)
+    _emit(args.out, rows, header)
     return 0
 
 

@@ -3,9 +3,10 @@ intervals, playout-budget sweeps and per-stage agent combination grids.
 
 Reproducibility contract: game i of a batch is seeded by
 derive_seed(master_seed, i), a pure function, so results are independent of
-worker count and scheduling; aggregation sorts per-game results by index
-before summing. Sweep and grid rows reuse the same per-game seeds (common
-random numbers) to sharpen comparisons between configurations.
+worker count and scheduling; each worker sums the wins and rounds of a span
+of game indices, and the parent adds those integer sums, which no order of
+arrival can change. Sweep and grid rows reuse the same per-game seeds
+(common random numbers) to sharpen comparisons between configurations.
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ from multiprocessing import Pool
 from pathlib import Path
 from random import Random
 
-from .agents import REQUIRED_STAGES, STAGE_KEYS, AgentKind, StagePolicyMap
-from .cards import Scenario, load_scenario_bundle
+from .agents import REQUIRED_STAGES, AgentKind, StagePolicyMap
+from .cards import load_scenario_bundle
 from .engine import new_game, play_game
 from .errors import ConfigError
 from .search import build_stage_policies
-from .state import Outcome, StageId
+from .state import STAGE_ORDER, WIN, StageId
 
 Z_DEFAULT = 1.96  # 95% confidence
 
@@ -99,118 +100,102 @@ class RunStats:
     """Aggregated result of one batch."""
 
     label: str
+    agents: str  # the batch's StagePolicyMap in --agents syntax
     n: int
     wins: int
     winrate: float
     ci_halfwidth: float
     mean_rounds: float
     wall_time_s: float
-    # Mean seconds per decide() call, split into search-backed stages and
-    # the rest; measured, so excluded from determinism comparisons.
+    # Mean seconds per decide() call at each decision stage, keyed by the
+    # stage's wire name in stage order; measured, so excluded from
+    # determinism comparisons.
     mean_decision_time: dict[str, float] = field(default_factory=dict)
 
     def to_obj(self) -> dict:
         return asdict(self)
 
 
-def _search_stages(pmap: StagePolicyMap) -> frozenset[StageId]:
-    return frozenset(STAGE_KEYS[stage] for stage, kind in pmap.agents().items()
-                     if kind.is_search)
-
-
-def _play_single(scenario: Scenario, difficulty: str, policies: dict,
-                 search_stages: frozenset[StageId],
-                 seed: int) -> tuple[int, int, float, int, float, int]:
-    """One game; returns (win, rounds, search seconds, search decisions,
-    other seconds, other decisions)."""
-    rng = Random(seed)
-    state = new_game(scenario, difficulty, rng)
-    timings: dict[StageId, list] = {}
-    play_game(state, policies, rng, timings=timings)
-    win = 1 if state.outcome is Outcome.WIN else 0
-    s_time = s_count = o_time = o_count = 0
-    for stage, (secs, count) in timings.items():
-        if stage in search_stages:
-            s_time, s_count = s_time + secs, s_count + count
-        else:
-            o_time, o_count = o_time + secs, o_count + count
-    return win, state.round_no, s_time, s_count, o_time, o_count
-
-
-# Worker-process state, set up once per worker by _init_worker.
+# Per-process batch state, set up by _init_worker: in each pool worker,
+# and in the parent before any game.
 _WORKER: dict = {}
 
 
-def _init_worker(scenario_path: str | None, difficulty: str,
-                 pmap: StagePolicyMap, master_seed: int) -> None:
-    _WORKER["scenario"] = load_scenario_bundle(scenario_path)
-    _WORKER["difficulty"] = difficulty
-    _WORKER["policies"] = build_stage_policies(pmap)
-    _WORKER["search_stages"] = _search_stages(pmap)
-    _WORKER["master_seed"] = master_seed
+def _init_worker(config: ExperimentConfig) -> None:
+    """Load the scenario, check its deck and build the policies: the
+    parent's check before any game runs, the in-process set-up and the
+    Pool initializer."""
+    scenario = load_scenario_bundle(config.scenario_path)
+    scenario.encounter_deck(config.difficulty)
+    _WORKER.update(scenario=scenario, config=config,
+                   policies=build_stage_policies(config.policy_map))
 
 
-def _run_indexed(index: int) -> tuple:
-    seed = derive_seed(_WORKER["master_seed"], index)
-    return (index,) + _play_single(_WORKER["scenario"], _WORKER["difficulty"],
-                                   _WORKER["policies"],
-                                   _WORKER["search_stages"], seed)
+def _play_span(games: range) -> tuple[int, int, dict[StageId, list]]:
+    """Play the given game indices; returns (wins, rounds summed over the
+    games, {stage: [decide seconds, decide calls]})."""
+    scenario, config = _WORKER["scenario"], _WORKER["config"]
+    wins = rounds = 0
+    timings: dict[StageId, list] = {}
+    for i in games:
+        rng = Random(derive_seed(config.master_seed, i))
+        state = new_game(scenario, config.difficulty, rng)
+        play_game(state, _WORKER["policies"], rng, timings=timings)
+        wins += state.outcome is WIN
+        rounds += state.round_no
+    return wins, rounds, timings
 
 
 def run_games(config: ExperimentConfig, label: str = "run") -> RunStats:
     """Play config.games independent games and aggregate the batch.
 
+    The scenario and agents are checked before any game runs. One worker
+    plays every game in this process; more play spans of game indices in a
+    pool and send back one (wins, rounds, timings) tuple per span.
     Everything except the timing fields is a pure function of the config;
     worker count only affects wall time.
     """
-    # Validate scenario and agents in the parent before any game runs.
-    scenario = load_scenario_bundle(config.scenario_path)
-    scenario.encounter_deck(config.difficulty)
-
+    _init_worker(config)
+    games = range(config.games)
     start = time.perf_counter()
-    results: list[tuple] = []
     if config.workers == 1:
-        _init_worker(config.scenario_path, config.difficulty,
-                     config.policy_map, config.master_seed)
-        for i in range(config.games):
-            results.append(_run_indexed(i))
+        results = [_play_span(games)]
     else:
         chunk = max(1, config.games // (config.workers * 4))
-        with Pool(processes=config.workers, initializer=_init_worker,
-                  initargs=(config.scenario_path, config.difficulty,
-                            config.policy_map, config.master_seed)) as pool:
-            for row in pool.imap_unordered(_run_indexed, range(config.games),
-                                           chunksize=chunk):
-                results.append(row)
+        spans = [games[i:i + chunk] for i in games[::chunk]]
+        with Pool(processes=min(config.workers, len(spans)),
+                  initializer=_init_worker, initargs=(config,)) as pool:
+            results = list(pool.imap_unordered(_play_span, spans))
     wall = time.perf_counter() - start
 
-    results.sort()  # index order: aggregation independent of arrival order
-    wins = sum(r[1] for r in results)
-    rounds = sum(r[2] for r in results)
-    s_time = sum(r[3] for r in results)
-    s_count = sum(r[4] for r in results)
-    o_time = sum(r[5] for r in results)
-    o_count = sum(r[6] for r in results)
+    wins = rounds = 0
+    timings: dict[StageId, list] = {}
+    for span_wins, span_rounds, span_timings in results:
+        wins += span_wins
+        rounds += span_rounds
+        for stage, (secs, calls) in span_timings.items():
+            cell = timings.setdefault(stage, [0.0, 0])
+            cell[0] += secs
+            cell[1] += calls
     winrate, halfwidth = winrate_ci(wins, config.games, config.z)
     return RunStats(
         label=label,
+        agents=str(config.policy_map),
         n=config.games,
         wins=wins,
         winrate=winrate,
         ci_halfwidth=halfwidth,
         mean_rounds=rounds / config.games,
         wall_time_s=wall,
-        mean_decision_time={
-            "search": s_time / s_count if s_count else 0.0,
-            "other": o_time / o_count if o_count else 0.0,
-        },
+        mean_decision_time={stage.value: timings[stage][0] / timings[stage][1]
+                            for stage in STAGE_ORDER if stage in timings},
     )
 
 
-def budget_sweep(base: ExperimentConfig,
-                 budgets: list[int]) -> list[tuple[int, RunStats]]:
-    """One batch per budget with that budget substituted into every search
-    agent in the map; rows share per-game seeds (common random numbers)."""
+def budget_sweep(base: ExperimentConfig, budgets: list[int]) -> list[RunStats]:
+    """One batch per budget, labelled by it, with that budget substituted
+    into every search agent in the map; rows share per-game seeds (common
+    random numbers)."""
     if not budgets:
         raise ConfigError("budget sweep needs at least one budget")
     if not base.policy_map.has_search_agent():
@@ -218,17 +203,18 @@ def budget_sweep(base: ExperimentConfig,
                           f"in the map '{base.policy_map}'")
     # Building every map checks every budget before any game is played.
     maps = [base.policy_map.with_budget(budget) for budget in budgets]
-    return [(budget, run_games(replace(base, policy_map=pmap), label=str(budget)))
+    return [run_games(replace(base, policy_map=pmap), label=str(budget))
             for budget, pmap in zip(budgets, maps)]
 
 
 def combination_grid(base: ExperimentConfig,
                      per_stage_choices: dict[str, list[AgentKind]],
-                     ) -> list[tuple[str, RunStats]]:
+                     ) -> list[RunStats]:
     """One batch per assignment in the Cartesian product of per-stage agent
     choices over planning/commit/defense; stages without choices keep the
-    base agent. Rows are keyed by the numeric triple (e.g. '4-2-4') and
-    share per-game seeds."""
+    base agent. Rows are labelled by the numeric triple (e.g. '4-2-4'),
+    which two agents of one number share, so each row also carries its
+    map; rows share per-game seeds."""
     for stage, choices in per_stage_choices.items():
         if stage not in REQUIRED_STAGES:
             raise ConfigError(f"unknown grid stage '{stage}'")
@@ -239,21 +225,20 @@ def combination_grid(base: ExperimentConfig,
     for combo in product(*(per_stage_choices.get(stage, [getattr(base_map, stage)])
                            for stage in REQUIRED_STAGES)):
         pmap = replace(base_map, **dict(zip(REQUIRED_STAGES, combo)))
-        config = replace(base, policy_map=pmap)
-        rows.append((pmap.triple_label(),
-                     run_games(config, label=pmap.triple_label())))
+        rows.append(run_games(replace(base, policy_map=pmap),
+                              label=pmap.triple_label()))
     return rows
 
 
 # ---- output -----------------------------------------------------------------
 
 
-CSV_COLUMNS = ("label", "n", "wins", "winrate", "ci_halfwidth",
+CSV_COLUMNS = ("label", "agents", "n", "wins", "winrate", "ci_halfwidth",
                "mean_rounds", "wall_time_s")
 
 
 def _format_row(stats: RunStats) -> list[str]:
-    return [stats.label, str(stats.n), str(stats.wins),
+    return [stats.label, stats.agents, str(stats.n), str(stats.wins),
             f"{stats.winrate:.6f}", f"{stats.ci_halfwidth:.6f}",
             f"{stats.mean_rounds:.6f}", f"{stats.wall_time_s:.3f}"]
 

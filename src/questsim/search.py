@@ -67,7 +67,11 @@ class SearchNode:
     cached_legals holds this node's legal actions when they provably repeat
     across iterations: that is only the case while the path from the root
     crossed no ruled or random stage (no card draw, reveal or shadow damage
-    could differ between determinizations).
+    could differ between determinizations). It changes no decision, only
+    the work: 30 mcts-expert games (planning=mcts:10:0.7:expert, games
+    derive_seed(1, 0..29)) make 418 tree-level legal_actions calls with it
+    and 870 without, for a median 2% less CPU time over ten interleaved
+    runs on a shared 2-core x86-64 machine, with equal final fingerprints.
     """
 
     __slots__ = ("action", "wins", "visits", "children", "cached_legals")

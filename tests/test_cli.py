@@ -1,12 +1,15 @@
 """Command-line interface: batch output bytes and loud failures on bad
 flags."""
 
+import csv
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
 from questsim import cli
+from questsim.agents import parse_agent, parse_policy_map
 from questsim.experiments import render_csv, render_json
 
 AGENTS = "planning=expert,commit=random,defense=expert"
@@ -66,6 +69,20 @@ def test_simulate_json_repeats_up_to_measured_fields(tmp_path):
             del row["wall_time_s"], row["mean_decision_time"]
         docs.append(doc)
     assert docs[0] == docs[1]
+
+
+def test_grid_rows_that_share_a_label_carry_the_map_they_played(capsys):
+    base = parse_policy_map("planning=expert,commit=expert,defense=expert")
+    choices = ["mcts:2:0.7:random", "mcts:4:0.7:random"]
+    assert cli.main(["grid", "--games", "2", "--agents", str(base),
+                     "--choices", "planning=" + ",".join(choices)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if not line.startswith("#")]
+    first, second = csv.DictReader(lines)
+    assert first["label"] == second["label"] == "4-2-2"
+    assert first["agents"] != second["agents"]
+    assert [parse_policy_map(row["agents"]) for row in (first, second)] == \
+        [replace(base, planning=parse_agent(agent)) for agent in choices]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,7 +1,11 @@
-"""Experiment harness: the seed derivation, the confidence interval and
-common random numbers across sweep and grid rows."""
+"""Experiment harness: the seed derivation, the confidence interval,
+common random numbers across sweep and grid rows, the fold of a batch
+over worker spans and the output document."""
 
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -9,13 +13,16 @@ from questsim import experiments
 from questsim.agents import parse_agent, parse_policy_map
 from questsim.errors import ConfigError
 from questsim.experiments import (
+    CSV_COLUMNS,
     ExperimentConfig,
+    RunStats,
     budget_sweep,
     combination_grid,
     derive_seed,
     run_games,
     winrate_ci,
 )
+from questsim.state import DECISION, STAGE_ORDER
 
 M = 2**64
 
@@ -74,7 +81,7 @@ def result(stats) -> tuple:
 
 
 def test_sweep_rows_at_one_budget_are_equal():
-    (_, first), (_, second) = budget_sweep(crn_config(1), [2, 2])
+    first, second = budget_sweep(crn_config(1), [2, 2])
     assert result(first) == result(second)
 
 
@@ -82,8 +89,8 @@ def test_grid_rows_of_one_agent_are_equal():
     rows = combination_grid(crn_config(2),
                             {"commit": [parse_agent("random"),
                                         parse_agent("random")]})
-    (label_a, first), (label_b, second) = rows
-    assert label_a == label_b == "3-1-1"
+    first, second = rows
+    assert first.label == second.label == "3-1-1"
     assert result(first) == result(second)
 
 
@@ -98,6 +105,82 @@ def test_sweep_checks_every_budget_before_playing(monkeypatch):
 
 def test_sweep_row_equals_a_batch_at_that_budget_alone():
     rows = budget_sweep(crn_config(1), [1, 3])
-    assert [budget for budget, _ in rows] == [1, 3]
-    for budget, stats in rows:
+    assert [stats.label for stats in rows] == ["1", "3"]
+    for budget, stats in zip([1, 3], rows):
         assert result(stats) == result(run_games(crn_config(budget)))
+
+
+# ---- the fold of a batch ----------------------------------------------------
+
+EXPERTS = parse_policy_map("planning=expert,commit=expert,defense=expert")
+DECISION_KEYS = [stage.value for stage in STAGE_ORDER if stage.kind is DECISION]
+
+
+def expert_config(games: int, workers: int = 1) -> ExperimentConfig:
+    return ExperimentConfig(games=games, master_seed=3, policy_map=EXPERTS,
+                            workers=workers)
+
+
+def test_an_in_process_batch_reads_the_scenario_once(monkeypatch):
+    reads = []
+    real = experiments.load_scenario_bundle
+
+    def load(path=None):
+        reads.append(path)
+        return real(path)
+
+    monkeypatch.setattr(experiments, "load_scenario_bundle", load)
+    run_games(expert_config(3))
+    assert reads == [None]
+
+
+def in_process_pool(asked: list[int]):
+    """A stand-in for multiprocessing.Pool that records the process count
+    asked for, runs the initializer and every task in this process, and
+    hands results back in reverse order."""
+    class InProcessPool:
+        def __init__(self, processes, initializer, initargs):
+            asked.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def imap_unordered(self, func, tasks, chunksize=1):
+            return map(func, reversed(list(tasks)))
+    return InProcessPool
+
+
+def test_a_pool_asks_for_no_more_processes_than_games(monkeypatch):
+    alone = run_games(expert_config(3))
+    asked = []
+    monkeypatch.setattr(experiments, "Pool", in_process_pool(asked))
+    pooled = run_games(expert_config(3, workers=1000))
+    assert asked and asked[0] <= 3
+    assert result(pooled) == result(alone)
+
+
+def test_decision_time_is_kept_per_decision_stage():
+    for workers in (1, 2):
+        times = run_games(expert_config(4, workers)).mean_decision_time
+        assert list(times) == DECISION_KEYS
+        assert all(seconds > 0 for seconds in times.values())
+
+
+# ---- the output document ----------------------------------------------------
+
+
+def doc_table(doc: str, heading: str) -> list[str]:
+    """The first-column names of the table under '## heading'."""
+    section = doc.split(f"\n## {heading}\n")[1].split("\n## ")[0]
+    return re.findall(r"^\| `([^`]+)`", section, re.M)
+
+
+def test_output_doc_lists_every_column_field_and_stage_key():
+    doc = (Path(__file__).parent.parent / "docs" / "output.md").read_text()
+    assert doc_table(doc, "CSV columns") == list(CSV_COLUMNS)
+    assert doc_table(doc, "JSON fields") == [f.name for f in fields(RunStats)]
+    assert doc_table(doc, "Per-stage keys") == DECISION_KEYS

@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from questsim import search
 from questsim.agents import expert_decide, parse_agent
 from questsim.engine import (
     _random_inplace,
@@ -20,6 +21,7 @@ from questsim.search import (
     FlatMcPolicy,
     MctsPolicy,
     SearchConfig,
+    SearchNode,
     best_child_index,
     build_policy,
     build_stage_policies,
@@ -389,3 +391,73 @@ def test_build_stage_policies_pins_travel_and_attack():
                                 "defense=expert,attack=mcts:5:0.7:random")
     assert isinstance(build_stage_policies(override)[StageId.DECLARE_ATTACKERS],
                       MctsPolicy)
+
+
+# ---- the legals cache -------------------------------------------------------
+
+
+class UncachedNode(SearchNode):
+    """A SearchNode whose legals cache always reads empty and drops writes,
+    so every tree level computes its legal actions afresh."""
+
+    __slots__ = ()
+
+    @property
+    def cached_legals(self):
+        return None
+
+    @cached_legals.setter
+    def cached_legals(self, value):
+        pass
+
+
+class CacheProbe:
+    """Plays the wrapped policy's move; first, at each contested decision,
+    runs MCTS with and without the legals cache from equal seeds, records
+    each side's choice and rng state after it, and counts each side's
+    legal_actions calls."""
+
+    needs_legals = True
+
+    def __init__(self, inner, monkeypatch, pairs, calls):
+        self.inner, self.monkeypatch = inner, monkeypatch
+        self.pairs, self.calls = pairs, calls
+
+    def decide(self, state, legals, rng):
+        if len(legals) > 1:
+            pair = []
+            for side, node in enumerate((SearchNode, UncachedNode)):
+                def counted(trial, side=side):
+                    self.calls[side] += 1
+                    return legal_actions(trial)
+                self.monkeypatch.setattr(search, "SearchNode", node)
+                self.monkeypatch.setattr(search, "legal_actions", counted)
+                search_rng = Random(len(self.pairs))
+                action = mcts_decide(state, legals, CACHE_CONFIG, search_rng)
+                pair.append((action, search_rng.getstate()))
+            self.pairs.append(pair)
+        return self.inner.decide(
+            state, legals if self.inner.needs_legals else None, rng)
+
+
+CACHE_CONFIG = SearchConfig(playout_budget=20, playout_policy="expert")
+
+
+def test_the_legals_cache_changes_no_decision(shipped, monkeypatch):
+    """SearchNode.cached_legals only saves work: on the contested decisions
+    of a seeded shipped game, with expert moves between them, MCTS chooses
+    the same action and draws the same random numbers without it. Expert
+    playouts call no legal_actions, so the calls counted are the tree
+    levels'."""
+    experts = build_stage_policies(parse_policy_map(
+        "planning=expert,commit=expert,defense=expert"))
+    pairs, calls = [], [0, 0]
+    policies = {stage: CacheProbe(policy, monkeypatch, pairs, calls)
+                for stage, policy in experts.items()}
+    rng = Random(0)
+    play_game(new_game(shipped, "hard", rng), policies, rng)
+    assert len(pairs) >= 30
+    for cached, uncached in pairs:
+        assert cached == uncached
+    # The cache answered some tree levels, so the comparison covers it.
+    assert calls[0] < calls[1]
