@@ -198,21 +198,6 @@ class CardDb:
     def __iter__(self):
         return iter(self._defs.values())
 
-    def ids(self) -> list[str]:
-        return sorted(self._defs)
-
-    def to_obj(self) -> dict:
-        """Canonical serializable form (required fields only, ids sorted)."""
-        cards = []
-        for cid in self.ids():
-            d = self._defs[cid]
-            entry: dict[str, object] = {"id": d.id, "name": d.name, "kind": d.kind.value}
-            for key in _REQUIRED[d.kind]:
-                value = getattr(d, key)
-                entry[key] = value.value if isinstance(value, Sphere) else value
-            cards.append(entry)
-        return {"cards": cards}
-
 
 def parse_card_db(obj: dict) -> CardDb:
     """Build a validated CardDb from a parsed JSON object."""
@@ -270,18 +255,6 @@ class Scenario:
             if name == difficulty:
                 return deck
         raise DataError(f"scenario '{self.name}' has no difficulty '{difficulty}'")
-
-    def to_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "quest_line": list(self.quest_line),
-            "heroes": list(self.heroes),
-            "player_deck": {cid: n for cid, n in self.player_deck},
-            "encounter_decks": {
-                diff: {cid: n for cid, n in deck} for diff, deck in self.encounter_decks
-            },
-            "threat_limit": self.threat_limit,
-        }
 
 
 def expand_deck(multiset: tuple[tuple[str, int], ...]) -> list[str]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from random import Random
-from typing import Callable
+from typing import Callable, Sequence
 
 from .agents import (
     EXPERT_AGENT,
@@ -62,29 +62,18 @@ PLAYOUT_ROUND_CAP = 100
 
 
 class SearchNode:
-    """One decision node; children are keyed by their Action.
+    """One decision node: its win and visit counts and its children, keyed
+    by the Action that leads to each."""
 
-    cached_legals holds this node's legal actions when they provably repeat
-    across iterations: that is only the case while the path from the root
-    crossed no ruled or random stage (no card draw, reveal or shadow damage
-    could differ between determinizations). It changes no decision, only
-    the work: 30 mcts-expert games (planning=mcts:10:0.7:expert, games
-    derive_seed(1, 0..29)) make 418 tree-level legal_actions calls with it
-    and 870 without, for a median 2% less CPU time over ten interleaved
-    runs on a shared 2-core x86-64 machine, with equal final fingerprints.
-    """
+    __slots__ = ("wins", "visits", "children")
 
-    __slots__ = ("action", "wins", "visits", "children", "cached_legals")
-
-    def __init__(self, action: Action | None = None):
-        self.action = action
+    def __init__(self):
         self.wins = 0
         self.visits = 0
         self.children: dict[Action, "SearchNode"] = {}
-        self.cached_legals: list[Action] | None = None
 
     def __repr__(self) -> str:
-        return (f"<SearchNode {self.action!r} {self.wins}/{self.visits} "
+        return (f"<SearchNode {self.wins}/{self.visits} "
                 f"children={len(self.children)}>")
 
 
@@ -185,13 +174,10 @@ def playout(state: GameState, policy: str, rng: Random) -> Outcome:
 # ---- flat Monte-Carlo -------------------------------------------------------
 
 
-def best_child_index(win_counts: list[int]) -> int:
-    """Index of the highest win count, first on ties (flat MC's choice)."""
-    best = 0
-    for i in range(1, len(win_counts)):
-        if win_counts[i] > win_counts[best]:
-            best = i
-    return best
+def best_child_index(keys: Sequence) -> int:
+    """Index of the greatest key, the first of equals: flat MC's pick, MCTS
+    selection and MCTS's final pick all break ties this way."""
+    return max(range(len(keys)), key=keys.__getitem__)
 
 
 def flat_mc_decide(state: GameState, legals: list[Action],
@@ -237,12 +223,16 @@ def mcts_decide(state: GameState, legals: list[Action],
                 config: SearchConfig, rng: Random) -> Action:
     """UCB tree search over successive decision stages of the same game.
 
-    Each iteration re-determinizes a fresh snapshot, descends the tree
-    (unvisited actions expand first, otherwise maximal ucb_score, ties to
-    the earliest), auto-advances ruled and random stages between decision
-    levels, plays one playout from the frontier and backpropagates the
-    binary result. Final choice is the root child with the most visits,
-    ties by wins then order.
+    Each iteration re-determinizes a fresh snapshot and then:
+    1. selects the first legal action without a child, else the first
+       maximal ucb_score;
+    2. expands a new child and applies its action, or applies an existing
+       child's action, advances the ruled and random stages and selects
+       again among the next decision level's fresh legal actions;
+    3. plays out from there;
+    4. backs the binary result up along the path.
+    The final choice is the root child with the most (visits, wins), ties
+    to the earliest; unexpanded children rank below every expanded one.
     """
     if len(legals) == 1:
         return legals[0]
@@ -251,70 +241,42 @@ def mcts_decide(state: GameState, legals: list[Action],
     for _ in range(config.playout_budget):
         trial = state.clone()
         determinize(trial, rng)
-        node = root
-        path = [root]
-        current_legals = legals
-        stable = True  # no draw/reveal crossed yet: child legals repeat
+        node, path, level = root, [root], legals
         while True:
-            chosen = None
-            for action in current_legals:
-                if action not in node.children:
-                    chosen = action
-                    break
-            if chosen is not None:
-                child = SearchNode(chosen)
-                node.children[chosen] = child
-                path.append(child)
-                _apply_inplace(trial, chosen)
+            children = node.children
+            action = next((a for a in level if a not in children), None)
+            expand = action is not None
+            if expand:
+                children[action] = SearchNode()
+            else:
+                action = level[best_child_index(
+                    [ucb_score(children[a].wins, children[a].visits,
+                               node.visits, config.exploration_c)
+                     for a in level])]
+            node = children[action]
+            path.append(node)
+            _apply_inplace(trial, action)
+            if expand:
                 break
-            best_action = current_legals[0]
-            best_score = -math.inf
-            for action in current_legals:
-                child = node.children[action]
-                score = ucb_score(child.wins, child.visits, node.visits,
-                                  config.exploration_c)
-                if score > best_score:
-                    best_score = score
-                    best_action = action
-            child = node.children[best_action]
-            path.append(child)
-            _apply_inplace(trial, best_action)
             while trial.outcome is None and trial.stage.kind is not DECISION:
-                stable = False
                 if trial.stage.kind is RULED:
                     _ruled_inplace(trial)
                 else:
                     _random_inplace(trial, rng)
             if trial.outcome is not None:
                 break
-            node = child
-            if stable and child.cached_legals is not None:
-                current_legals = child.cached_legals
-            else:
-                current_legals = legal_actions(trial)
-                if stable:
-                    child.cached_legals = current_legals
+            level = legal_actions(trial)
 
-        outcome = _finish(trial, policies, rng, config)
-        won = outcome is WIN
+        won = _finish(trial, policies, rng, config) is WIN
         for visited in path:
             visited.visits += 1
-            if won:
-                visited.wins += 1
+            visited.wins += won
         if config.debug:
             _audit_tree(root)
 
-    best_action = None
-    best_key = (-1, -1)
-    for action in legals:
-        child = root.children.get(action)
-        if child is None:
-            continue
-        key = (child.visits, child.wins)
-        if key > best_key:
-            best_key = key
-            best_action = action
-    return best_action
+    keys = [(c.visits, c.wins) if c is not None else (0, 0)
+            for c in map(root.children.get, legals)]
+    return legals[best_child_index(keys)]
 
 
 # ---- policy objects and construction ----------------------------------------

@@ -152,17 +152,7 @@ class CardInstance:
         self.instance_id = instance_id
         self.defn = defn
         self.zone = zone
-        self.damage = 0
-        self.progress = 0
-        self.exhausted = False
-        self.resource_pool = 0
-        self.committed = False
-        self.shadow_card: int | None = None
-        self.attached_to: int | None = None
-        self.willpower = defn.willpower
-        self.attack = defn.attack
-        self.defense = defn.defense
-        self.hit_points = defn.hit_points
+        self.reset_in_game_state()
 
     def copy(self) -> "CardInstance":
         c = CardInstance.__new__(CardInstance)
@@ -205,8 +195,8 @@ class CardInstance:
         self.exhausted = False
         self.resource_pool = 0
         self.committed = False
-        self.shadow_card = None
-        self.attached_to = None
+        self.shadow_card: int | None = None
+        self.attached_to: int | None = None
         self.willpower = self.defn.willpower
         self.attack = self.defn.attack
         self.defense = self.defn.defense

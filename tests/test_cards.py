@@ -48,12 +48,6 @@ def test_unknown_id_lookup_raises(synth_db):
         synth_db["no-such-card"]
 
 
-def test_to_obj_round_trip(synth_db):
-    again = parse_card_db(synth_db.to_obj())
-    assert again.ids() == synth_db.ids()
-    assert again["enemy-troll"] == synth_db["enemy-troll"]
-
-
 def test_missing_required_field_names_card_and_field():
     obj = card_entries()
     del obj["cards"][0]["willpower"]
@@ -198,12 +192,6 @@ def test_threat_limit_must_be_positive(synth_db):
     obj["threat_limit"] = 0
     with pytest.raises(DataError, match="threat_limit"):
         parse_scenario(obj, synth_db)
-
-
-def test_scenario_to_obj_round_trips(synth_db, synth_scenario):
-    again = parse_scenario(synth_scenario.to_obj(), synth_db)
-    assert again.player_deck == synth_scenario.player_deck
-    assert again.encounter_decks == synth_scenario.encounter_decks
 
 
 # ---- shipped data -----------------------------------------------------------

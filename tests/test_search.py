@@ -1,6 +1,7 @@
 """Search agents: UCB scoring, budget accounting, determinization and
 choice behavior on states with forced outcomes."""
 
+import itertools
 import math
 from random import Random
 
@@ -88,6 +89,7 @@ def test_best_child_index_ties_to_first():
     assert best_child_index([0, 3, 3]) == 1
     assert best_child_index([5, 5, 2]) == 0
     assert best_child_index([0, 0, 0]) == 0
+    assert best_child_index([(1, 0), (2, 0), (2, 0)]) == 1
 
 
 # ---- forced-outcome fixture -------------------------------------------------
@@ -230,6 +232,43 @@ def test_flat_budget_one_evaluates_only_the_first_action(synth_scenario):
     config = SearchConfig(playout_budget=1)
     action = flat_mc_decide(state, legal_actions(state), config, Random(0))
     assert action == Commit((0,))
+
+
+@pytest.mark.parametrize("extra, wins, chosen", [
+    (0, {}, 0),      # one visit each, equal keys: the first action
+    (0, {1}, 1),     # the second expansion wins: its action
+    (1, {}, 0),      # equal UCB scores: the earliest child descends again
+], ids=["all-lost", "second-won", "one-more-iteration"])
+def test_mcts_expands_and_picks_in_family_order(synth_scenario, monkeypatch,
+                                                 extra, wins, chosen):
+    """Root children are expanded in legal-family order, UCB ties go to the
+    earliest child, and the final pick goes by (visits, wins), then order.
+    Playouts are scripted: the i-th one is a win when i is in wins."""
+    state = helpers.new_synth_game(seed=7, scenario=synth_scenario)
+    _ruled_inplace(state)
+    legals = legal_actions(state)
+    assert len(legals) >= 3
+    outcomes = (Outcome.WIN if i in wins else Outcome.LOSS_THREAT
+                for i in itertools.count())
+    nodes = []
+
+    class RecordedNode(SearchNode):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            nodes.append(self)
+
+    monkeypatch.setattr(search, "_finish", lambda *args: next(outcomes))
+    monkeypatch.setattr(search, "SearchNode", RecordedNode)
+    config = SearchConfig(playout_budget=len(legals) + extra)
+    action = mcts_decide(state, legals, config, Random(0))
+    root = nodes[0]
+    assert list(root.children) == legals
+    visits = [1] * len(legals)
+    visits[0] += extra
+    assert [child.visits for child in root.children.values()] == visits
+    assert action == legals[chosen]
 
 
 # ---- determinization --------------------------------------------------------
@@ -391,73 +430,3 @@ def test_build_stage_policies_pins_travel_and_attack():
                                 "defense=expert,attack=mcts:5:0.7:random")
     assert isinstance(build_stage_policies(override)[StageId.DECLARE_ATTACKERS],
                       MctsPolicy)
-
-
-# ---- the legals cache -------------------------------------------------------
-
-
-class UncachedNode(SearchNode):
-    """A SearchNode whose legals cache always reads empty and drops writes,
-    so every tree level computes its legal actions afresh."""
-
-    __slots__ = ()
-
-    @property
-    def cached_legals(self):
-        return None
-
-    @cached_legals.setter
-    def cached_legals(self, value):
-        pass
-
-
-class CacheProbe:
-    """Plays the wrapped policy's move; first, at each contested decision,
-    runs MCTS with and without the legals cache from equal seeds, records
-    each side's choice and rng state after it, and counts each side's
-    legal_actions calls."""
-
-    needs_legals = True
-
-    def __init__(self, inner, monkeypatch, pairs, calls):
-        self.inner, self.monkeypatch = inner, monkeypatch
-        self.pairs, self.calls = pairs, calls
-
-    def decide(self, state, legals, rng):
-        if len(legals) > 1:
-            pair = []
-            for side, node in enumerate((SearchNode, UncachedNode)):
-                def counted(trial, side=side):
-                    self.calls[side] += 1
-                    return legal_actions(trial)
-                self.monkeypatch.setattr(search, "SearchNode", node)
-                self.monkeypatch.setattr(search, "legal_actions", counted)
-                search_rng = Random(len(self.pairs))
-                action = mcts_decide(state, legals, CACHE_CONFIG, search_rng)
-                pair.append((action, search_rng.getstate()))
-            self.pairs.append(pair)
-        return self.inner.decide(
-            state, legals if self.inner.needs_legals else None, rng)
-
-
-CACHE_CONFIG = SearchConfig(playout_budget=20, playout_policy="expert")
-
-
-def test_the_legals_cache_changes_no_decision(shipped, monkeypatch):
-    """SearchNode.cached_legals only saves work: on the contested decisions
-    of a seeded shipped game, with expert moves between them, MCTS chooses
-    the same action and draws the same random numbers without it. Expert
-    playouts call no legal_actions, so the calls counted are the tree
-    levels'."""
-    experts = build_stage_policies(parse_policy_map(
-        "planning=expert,commit=expert,defense=expert"))
-    pairs, calls = [], [0, 0]
-    policies = {stage: CacheProbe(policy, monkeypatch, pairs, calls)
-                for stage, policy in experts.items()}
-    rng = Random(0)
-    play_game(new_game(shipped, "hard", rng), policies, rng)
-    assert len(pairs) >= 30
-    for cached, uncached in pairs:
-        assert cached == uncached
-    # The cache answered some tree levels, so the comparison covers it.
-    assert calls[0] < calls[1]
