@@ -3,10 +3,7 @@ a parallel winrate benchmarking harness."""
 
 from .agents import (
     AgentKind,
-    ExpertPolicy,
-    FixedAttackPolicy,
-    FixedTravelPolicy,
-    RandomPolicy,
+    Policy,
     SearchConfig,
     StagePolicyMap,
     default_attack,
@@ -56,8 +53,6 @@ from .experiments import (
     winrate_ci,
 )
 from .search import (
-    FlatMcPolicy,
-    MctsPolicy,
     SearchNode,
     build_policy,
     build_stage_policies,

@@ -1,16 +1,18 @@
 """Decision policies: uniform random, the expert rule agent, and the fixed
 default rules for Travel and DeclareAttackers that every agent shares.
 
-Policies expose decide(state, legals, rng) -> Action. A policy whose
-needs_legals attribute is False constructs its action analytically and is
-handed legals=None by the driver; such policies still guarantee membership
-in the enumerated legal family (they build on the engine's family helpers
-and cap predicates instead of enumerating).
+A Policy is how one decision stage is decided: decide(state, legals, rng)
+returns the action, and needs_legals says whether the stage loop
+(engine._run) hands it the enumerated legal actions or None. A policy
+without legals builds its action analytically and still stays inside the
+enumerated legal family (it builds on the engine's family helpers and cap
+predicates instead of enumerating). Each Policy here adapts one of the
+module's rule functions; search.py adds the flat and mcts ones.
 
 AgentKind is one parsed agent string (docs/agents.md), its search settings
 in a SearchConfig for the flat and mcts kinds. STAGE_KEYS names the stages
 an agent can be given; the str() of a StagePolicyMap is the --agents syntax
-that parse_policy_map reads back. search.py builds the policy objects.
+that parse_policy_map reads back. search.py builds the stage policies.
 """
 
 from __future__ import annotations
@@ -49,6 +51,16 @@ from .state import (
     TravelTo,
 )
 
+
+@dataclass(frozen=True, slots=True)
+class Policy:
+    """decide(state, legals, rng) -> Action at one decision stage; legals
+    is the stage's legal family when needs_legals is set, else None."""
+
+    decide: Callable[[GameState, list[Action] | None, Random], Action]
+    needs_legals: bool
+
+
 # The expert's standout purchase; a card set without it simply never
 # triggers the rule.
 GANDALF_ID = "gandalf"
@@ -60,14 +72,6 @@ GANDALF_ID = "gandalf"
 def random_decide(state: GameState, legals: list[Action], rng: Random) -> Action:
     """Uniform choice over the enumerated legal actions."""
     return legals[rng.randrange(len(legals))]
-
-
-class RandomPolicy:
-    needs_legals = True
-
-    def decide(self, state: GameState, legals: list[Action],
-               rng: Random) -> Action:
-        return random_decide(state, legals, rng)
 
 
 # ---- fixed default rules ----------------------------------------------------
@@ -110,20 +114,6 @@ def default_attack(state: GameState) -> Action:
     target = min(enemies, key=_remaining_hp)
     return Attack._canonical(
         ((target.instance_id, tuple([c.instance_id for c in ready])),))
-
-
-class FixedTravelPolicy:
-    needs_legals = False
-
-    def decide(self, state: GameState, legals, rng: Random) -> Action:
-        return default_travel(state)
-
-
-class FixedAttackPolicy:
-    needs_legals = False
-
-    def decide(self, state: GameState, legals, rng: Random) -> Action:
-        return default_attack(state)
 
 
 # ---- expert agent -----------------------------------------------------------
@@ -256,11 +246,36 @@ def expert_decide(state: GameState) -> Action:
     raise StageError(f"'{stage.value}' is not a decision stage")
 
 
-class ExpertPolicy:
-    needs_legals = False
+# ---- policies ---------------------------------------------------------------
+#
+# Each adapter calls its rule by the rule's module-level name when it runs,
+# so a wrapper later put on that name (a profiling span, say) sees every
+# call from a game or a playout.
 
-    def decide(self, state: GameState, legals, rng: Random) -> Action:
-        return expert_decide(state)
+
+def _decide_random(state: GameState, legals: list[Action], rng: Random) -> Action:
+    return random_decide(state, legals, rng)
+
+
+def _decide_expert(state: GameState, legals: None, rng: Random) -> Action:
+    return expert_decide(state)
+
+
+def _decide_travel(state: GameState, legals: None, rng: Random) -> Action:
+    return default_travel(state)
+
+
+def _decide_attack(state: GameState, legals: None, rng: Random) -> Action:
+    return default_attack(state)
+
+
+RANDOM_POLICY = Policy(_decide_random, needs_legals=True)
+EXPERT_POLICY = Policy(_decide_expert, needs_legals=False)
+# The fixed rules keep policies of their own: routing them through
+# expert_decide would add a call at every Travel and DeclareAttackers of
+# every playout.
+TRAVEL_POLICY = Policy(_decide_travel, needs_legals=False)
+ATTACK_POLICY = Policy(_decide_attack, needs_legals=False)
 
 
 # ---- agent descriptions -----------------------------------------------------

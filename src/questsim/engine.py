@@ -2,24 +2,27 @@
 
 The public stage functions (apply_action, advance_ruled_stage,
 resolve_random_stage) are functional: they clone the state, mutate the clone
-and return it. play_game and search tree levels use the private *_inplace
-variants to skip the clone; search playouts call the stage handlers in
-_RULED, _RANDOM and _DO directly.
+and return it. Everything else plays stages in place through one private
+loop, _run: play_game, search playouts and the descent between MCTS tree
+levels. The loop calls the handlers in _RULED, _RANDOM and _DO directly and
+stops at the end of the game or at a decision stage its policies leave out.
 
 Where actions are checked: each action type has a check, which raises an
 IllegalActionError naming the broken rule and writes nothing, and an
 effect, which applies a legal action and raises nothing (_DO). apply_action,
 play_game, search tree levels (flat Monte-Carlo's root children included)
-and SearchConfig.debug run both, through _apply_inplace. Search playouts
-trust their random, expert and fixed-rule policies and run the effect
-alone: tests/test_contracts.py shows that those policies pick only legal
-actions and that the effect alone leaves the same state as both together.
+and playouts under SearchConfig.debug run both, through _apply_inplace
+(_run does so when its checked flag is set). Other search playouts trust
+their random, expert and fixed-rule policies and run the effect alone:
+tests/test_contracts.py shows that those policies pick only legal actions
+and that the effect alone leaves the same state as both together.
 
 The engine logs nothing: each handler only applies its rules. play_game
-derives its trace lines by comparing a snapshot taken before each stage
-with the state after it, and takes the snapshot only when tracing.
+derives its trace lines in the loop's observe callback, by comparing a
+clone of the state before each stage with the state after it, and takes
+the clone only when tracing.
 
-RNG discipline: only new_game, resolve_random_stage and the agents consume
+RNG discipline: only new_game, the random stages and the agents consume
 the injected random.Random. Ruled stages and action application never touch
 an RNG, so replaying the same seeds and decisions reproduces a game exactly.
 """
@@ -27,7 +30,6 @@ an RNG, so replaying the same seeds and decisions reproduces a game exactly.
 from __future__ import annotations
 
 import math
-import time
 from itertools import combinations, islice, product
 from random import Random
 from typing import Callable
@@ -46,7 +48,7 @@ from .cards import (
     Sphere,
     expand_deck,
 )
-from .errors import DataError, IllegalActionError, QuestSimError, StageError
+from .errors import ConfigError, DataError, IllegalActionError, QuestSimError, StageError
 from .state import (
     ACTIVE_LOCATION,
     COMMIT_CHARACTERS,
@@ -91,6 +93,8 @@ from .state import (
 )
 
 STARTING_HAND_SIZE = 6
+# No round starts after this one: its refresh loses the game to threat.
+ROUND_CAP = 100
 
 # Legal-action family caps. Planning is capped at 64 subsets; when the cap
 # would be exceeded the family falls back to a smaller canonical family so
@@ -771,9 +775,13 @@ def _stage_refresh(state: GameState) -> None:
             state.move(shadow, ENCOUNTER_DISCARD)
             c.shadow_card = None
     _raise_threat(state, 1)
-    # The next round starts here, unless the threat rise ended the game.
+    # The next round starts here, unless the threat rise ended the game or
+    # this was the last round.
     if state.outcome is None:
-        state.round_no += 1
+        if state.round_no < ROUND_CAP:
+            state.round_no += 1
+        else:
+            state.outcome = LOSS_THREAT
 
 
 _RULED: dict[StageId, Callable[[GameState], None]] = {
@@ -786,22 +794,24 @@ _RULED: dict[StageId, Callable[[GameState], None]] = {
 }
 
 
-def _ruled_inplace(state: GameState) -> None:
+def _step(state: GameState, handlers: dict, kind: str, *args) -> GameState:
+    """A clone of state with its current stage, which must be of this kind,
+    played by its handler."""
     if state.outcome is not None:
         raise StageError("game is over")
-    handler = _RULED.get(state.stage)
+    handler = handlers.get(state.stage)
     if handler is None:
-        raise StageError(f"'{state.stage.value}' is not a ruled stage")
-    handler(state)
-    if state.outcome is None:
-        state.stage = state.stage.next
+        raise StageError(f"'{state.stage.value}' is not a {kind} stage")
+    successor = state.clone()
+    handler(successor, *args)
+    if successor.outcome is None:
+        successor.stage = successor.stage.next
+    return successor
 
 
 def advance_ruled_stage(state: GameState) -> GameState:
     """Execute the current ruled stage, returning the successor state."""
-    successor = state.clone()
-    _ruled_inplace(successor)
-    return successor
+    return _step(state, _RULED, "ruled")
 
 
 # ---- random stages ----------------------------------------------------------
@@ -842,25 +852,12 @@ _RANDOM: dict[StageId, Callable[[GameState, Random], None]] = {
 }
 
 
-def _random_inplace(state: GameState, rng: Random) -> None:
-    if state.outcome is not None:
-        raise StageError("game is over")
-    handler = _RANDOM.get(state.stage)
-    if handler is None:
-        raise StageError(f"'{state.stage.value}' is not a random stage")
-    handler(state, rng)
-    if state.outcome is None:
-        state.stage = state.stage.next
-
-
 def resolve_random_stage(state: GameState, rng: Random) -> GameState:
     """Execute the current random stage, returning the successor state.
 
     Consumes the caller's rng (the input state itself is untouched).
     """
-    successor = state.clone()
-    _random_inplace(successor, rng)
-    return successor
+    return _step(state, _RANDOM, "random", rng)
 
 
 # ---- driver -----------------------------------------------------------------
@@ -889,48 +886,71 @@ def _trace_line(before: GameState, after: GameState, action: Action | None) -> s
     return line
 
 
-def play_game(state: GameState, policies: dict, rng: Random, *,
-              trace: Callable[[str], None] | None = None,
-              timings: dict | None = None,
-              check: bool = False) -> GameState:
-    """Drive a game to its outcome, mutating state in place.
+def _run(state: GameState, policies: dict, rng: Random, checked: bool,
+         observe: Callable[[GameState, Action | None], None] | None = None,
+         ) -> None:
+    """Play stages in place until the game ends or reaches a decision stage
+    that policies does not map; that stage is left unplayed.
 
-    policies maps each decision StageId to an object with
-    decide(state, legals, rng) and a needs_legals attribute; a policy whose
-    needs_legals is False is handed legals=None and must construct a legal
-    action itself. timings, when given, accumulates [seconds, calls] per
-    decision stage (covering only the decide call). trace, when given,
-    receives one line per stage, which the driver derives from a clone taken
-    before the stage and the state after it (the stage handlers log
-    nothing); without trace no clone is taken. check runs the full
-    invariant audit after every stage.
+    policies maps decision StageIds to agents.Policy values: decide() is
+    handed the stage's legal actions when the policy's needs_legals is
+    set, else None. checked runs each action's check before its effect.
+    observe, when given, is called after every stage with the state and
+    the action taken there (None at ruled and random stages).
     """
     while state.outcome is None:
-        before = state.clone() if trace is not None else None
         stage = state.stage
         kind = stage.kind
         action = None
         if kind is RULED:
-            _ruled_inplace(state)
+            _RULED[stage](state)
         elif kind is RANDOM:
-            _random_inplace(state, rng)
+            _RANDOM[stage](state, rng)
         else:
-            policy = policies[stage]
-            legals = legal_actions(state) if policy.needs_legals else None
-            if timings is not None:
-                start = time.perf_counter()
-                action = policy.decide(state, legals, rng)
-                elapsed = time.perf_counter() - start
-                cell = timings.setdefault(stage, [0.0, 0])
-                cell[0] += elapsed
-                cell[1] += 1
+            try:
+                policy = policies[stage]
+            except KeyError:
+                return
+            action = policy.decide(
+                state, legal_actions(state) if policy.needs_legals else None, rng)
+            if checked:
+                _apply_inplace(state, action)  # advances the stage, as below
             else:
-                action = policy.decide(state, legals, rng)
-            _apply_inplace(state, action)
-        if trace is not None:
-            trace(_trace_line(before, state, action))
-        if check:
-            check_invariants(state)
+                _DO[type(action)][2](state, action)
+        if state.outcome is None:
+            state.stage = stage.next
+        if observe is not None:
+            observe(state, action)
+
+
+def play_game(state: GameState, policies: dict, rng: Random, *,
+              trace: Callable[[str], None] | None = None,
+              check: bool = False) -> GameState:
+    """Drive a game to its outcome, mutating state in place.
+
+    policies maps each decision StageId to an agents.Policy; reaching a
+    stage that it leaves out raises ConfigError naming the stage. Every
+    action is checked before its effect. trace, when given, receives one
+    line per stage, which the driver derives from a clone taken before the
+    stage and the state after it (the stage handlers log nothing); without
+    trace no clone is taken. check runs the full invariant audit after
+    every stage.
+    """
+    observe = None
+    if trace is not None or check:
+        before = state.clone() if trace is not None else None
+
+        def observe(after: GameState, action: Action | None) -> None:
+            nonlocal before
+            if trace is not None:
+                trace(_trace_line(before, after, action))
+                before = after.clone()
+            if check:
+                check_invariants(after)
+
+    _run(state, policies, rng, True, observe)
+    if state.outcome is None:
+        raise ConfigError(f"no policy for decision stage '{state.stage.value}'")
     return state
 
 

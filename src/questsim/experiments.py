@@ -23,7 +23,7 @@ from multiprocessing import Pool
 from pathlib import Path
 from random import Random
 
-from .agents import REQUIRED_STAGES, AgentKind, StagePolicyMap
+from .agents import REQUIRED_STAGES, AgentKind, Policy, StagePolicyMap
 from .cards import load_scenario_bundle
 from .engine import new_game, play_game
 from .errors import ConfigError
@@ -131,19 +131,34 @@ def _init_worker(config: ExperimentConfig) -> None:
                    policies=build_stage_policies(config.policy_map))
 
 
+def _timed(policy: Policy, cell: list) -> Policy:
+    """A copy of policy whose decide() adds its seconds and one call to
+    cell, a [seconds, calls] pair."""
+    def timed(state, legals, rng):
+        start = time.perf_counter()
+        action = policy.decide(state, legals, rng)
+        cell[0] += time.perf_counter() - start
+        cell[1] += 1
+        return action
+    return replace(policy, decide=timed)
+
+
 def _play_span(games: range) -> tuple[int, int, dict[StageId, list]]:
     """Play the given game indices; returns (wins, rounds summed over the
-    games, {stage: [decide seconds, decide calls]})."""
+    games, {stage: [decide seconds, decide calls]}) with only the stages
+    decided at least once."""
     scenario, config = _WORKER["scenario"], _WORKER["config"]
+    timings = {stage: [0.0, 0] for stage in _WORKER["policies"]}
+    policies = {stage: _timed(policy, timings[stage])
+                for stage, policy in _WORKER["policies"].items()}
     wins = rounds = 0
-    timings: dict[StageId, list] = {}
     for i in games:
         rng = Random(derive_seed(config.master_seed, i))
         state = new_game(scenario, config.difficulty, rng)
-        play_game(state, _WORKER["policies"], rng, timings=timings)
+        play_game(state, policies, rng)
         wins += state.outcome is WIN
         rounds += state.round_no
-    return wins, rounds, timings
+    return wins, rounds, {stage: cell for stage, cell in timings.items() if cell[1]}
 
 
 def run_games(config: ExperimentConfig, label: str = "run") -> RunStats:
@@ -151,7 +166,8 @@ def run_games(config: ExperimentConfig, label: str = "run") -> RunStats:
 
     The scenario and agents are checked before any game runs. One worker
     plays every game in this process; more play spans of game indices in a
-    pool and send back one (wins, rounds, timings) tuple per span.
+    pool, of no more processes than spans or usable CPUs, and send back one
+    (wins, rounds, timings) tuple per span.
     Everything except the timing fields is a pure function of the config;
     worker count only affects wall time.
     """
@@ -161,9 +177,13 @@ def run_games(config: ExperimentConfig, label: str = "run") -> RunStats:
     if config.workers == 1:
         results = [_play_span(games)]
     else:
-        chunk = max(1, config.games // (config.workers * 4))
+        # The CPUs this process may run on.
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        workers = min(config.workers, cpus)
+        chunk = max(1, config.games // (workers * 4))
         spans = [games[i:i + chunk] for i in games[::chunk]]
-        with Pool(processes=min(config.workers, len(spans)),
+        with Pool(processes=min(workers, len(spans)),
                   initializer=_init_worker, initargs=(config,)) as pool:
             results = list(pool.imap_unordered(_play_span, spans))
     wall = time.perf_counter() - start

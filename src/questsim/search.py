@@ -20,36 +20,25 @@ from random import Random
 from typing import Callable, Sequence
 
 from .agents import (
+    ATTACK_POLICY,
     EXPERT_AGENT,
+    EXPERT_POLICY,
     RANDOM_AGENT,
+    RANDOM_POLICY,
     STAGE_KEYS,
+    TRAVEL_POLICY,
     AgentKind,
-    ExpertPolicy,
-    FixedAttackPolicy,
-    FixedTravelPolicy,
-    RandomPolicy,
+    Policy,
     SearchConfig,
     StagePolicyMap,
 )
-from .engine import (
-    _DO,
-    _RANDOM,
-    _RULED,
-    _apply_inplace,
-    _random_inplace,
-    _ruled_inplace,
-    legal_actions,
-)
+from .engine import _apply_inplace, _run, legal_actions
 from .errors import ConfigError, QuestSimError
 from .state import (
-    DECISION,
     DECLARE_ATTACKERS,
     ENCOUNTER_DECK,
     ENGAGEMENT_AREA,
-    LOSS_THREAT,
     PLAYER_DECK,
-    RANDOM,
-    RULED,
     TRAVEL,
     WIN,
     Action,
@@ -57,8 +46,6 @@ from .state import (
     Outcome,
     StageId,
 )
-
-PLAYOUT_ROUND_CAP = 100
 
 
 class SearchNode:
@@ -88,7 +75,7 @@ def ucb_score(wins: int, visits: int, parent_visits: int, c: float) -> float:
 # ---- determinization and playouts -------------------------------------------
 
 
-def playout_policies(name: str) -> dict[StageId, object]:
+def playout_policies(name: str) -> dict[StageId, Policy]:
     """Per-stage policy map for a playout policy name (random or expert)."""
     if name not in _PLAYOUTS:
         raise ConfigError(f"unknown playout policy {name!r}")
@@ -122,37 +109,13 @@ def _finish(state: GameState, policies: dict, rng: Random,
             config: SearchConfig | None = None) -> Outcome:
     """Play the (already determinized) state to its end, mutating it.
 
-    The loop calls each stage's handler and advances the stage itself,
-    without the *_inplace wrappers: it runs only while no outcome is set,
-    and the stage's kind picks the handler table. Actions get their effect
-    alone, as the playout policies pick only legal ones (see the engine
-    docstring); config.debug checks them through _apply_inplace instead.
-
-    Passing PLAYOUT_ROUND_CAP rounds counts as a loss; threat rises every
-    round so a capped game is a threat death in all but name.
+    Actions get their effect alone, as the playout policies pick only legal
+    ones (see the engine docstring); config.debug checks them as well.
+    config.on_playout, when set, counts the playout.
     """
     if config is not None and config.on_playout is not None:
         config.on_playout()
-    checked = config is not None and config.debug
-    while state.outcome is None:
-        if state.round_no > PLAYOUT_ROUND_CAP:
-            return LOSS_THREAT
-        stage = state.stage
-        kind = stage.kind
-        if kind is RULED:
-            _RULED[stage](state)
-        elif kind is RANDOM:
-            _RANDOM[stage](state, rng)
-        else:
-            policy = policies[stage]
-            legals = legal_actions(state) if policy.needs_legals else None
-            action = policy.decide(state, legals, rng)
-            if checked:
-                _apply_inplace(state, action)
-                continue
-            _DO[type(action)][2](state, action)
-        if state.outcome is None:
-            state.stage = stage.next
+    _run(state, policies, rng, config is not None and config.debug)
     return state.outcome
 
 
@@ -258,11 +221,7 @@ def mcts_decide(state: GameState, legals: list[Action],
             _apply_inplace(trial, action)
             if expand:
                 break
-            while trial.outcome is None and trial.stage.kind is not DECISION:
-                if trial.stage.kind is RULED:
-                    _ruled_inplace(trial)
-                else:
-                    _random_inplace(trial, rng)
+            _run(trial, {}, rng, True)  # on to the next decision stage
             if trial.outcome is not None:
                 break
             level = legal_actions(trial)
@@ -279,46 +238,32 @@ def mcts_decide(state: GameState, legals: list[Action],
     return legals[best_child_index(keys)]
 
 
-# ---- policy objects and construction ----------------------------------------
+# ---- stage policies ---------------------------------------------------------
 
 
-class FlatMcPolicy:
-    needs_legals = True
-
-    def __init__(self, config: SearchConfig):
-        self.config = config
-
-    def decide(self, state: GameState, legals: list[Action],
-               rng: Random) -> Action:
-        return flat_mc_decide(state, legals, self.config, rng)
-
-
-class MctsPolicy:
-    needs_legals = True
-
-    def __init__(self, config: SearchConfig):
-        self.config = config
-
-    def decide(self, state: GameState, legals: list[Action],
-               rng: Random) -> Action:
-        return mcts_decide(state, legals, self.config, rng)
-
-
-def build_policy(kind: AgentKind, *, on_playout: Callable[[], None] | None = None):
-    """Instantiate the policy object for an agent description."""
+def build_policy(kind: AgentKind, *,
+                 on_playout: Callable[[], None] | None = None) -> Policy:
+    """The Policy for an agent description; on_playout, for the search
+    kinds, is called once per playout."""
     if kind.kind == "random":
-        return RandomPolicy()
+        return RANDOM_POLICY
     if kind.kind == "expert":
-        return ExpertPolicy()
-    policy = FlatMcPolicy if kind.kind == "flat" else MctsPolicy
-    return policy(replace(kind.search, on_playout=on_playout))
+        return EXPERT_POLICY
+    config = replace(kind.search, on_playout=on_playout)
+    # Each decider is called by its module-level name, as in agents.py.
+    if kind.kind == "flat":
+        def decide(state: GameState, legals: list[Action], rng: Random) -> Action:
+            return flat_mc_decide(state, legals, config, rng)
+    else:
+        def decide(state: GameState, legals: list[Action], rng: Random) -> Action:
+            return mcts_decide(state, legals, config, rng)
+    return Policy(decide, needs_legals=True)
 
 
-def build_stage_policies(pmap: StagePolicyMap) -> dict[StageId, object]:
-    """Per-stage policy objects for a StagePolicyMap, with the fixed rules
-    on Travel and (unless overridden) DeclareAttackers."""
-    policies = {TRAVEL: FixedTravelPolicy(),
-                DECLARE_ATTACKERS: FixedAttackPolicy()}
+def build_stage_policies(pmap: StagePolicyMap) -> dict[StageId, Policy]:
+    """Per-stage policies for a StagePolicyMap, with the fixed rules on
+    Travel and (unless overridden) DeclareAttackers."""
+    policies = {TRAVEL: TRAVEL_POLICY, DECLARE_ATTACKERS: ATTACK_POLICY}
     for stage, kind in pmap.agents().items():
         policies[STAGE_KEYS[stage]] = build_policy(kind)
     return policies

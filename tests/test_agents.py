@@ -8,11 +8,11 @@ import pytest
 
 from questsim.agents import (
     AGENT_KINDS,
+    EXPERT_POLICY,
+    RANDOM_POLICY,
     STAGE_KEYS,
     AgentKind,
-    ExpertPolicy,
     SearchConfig,
-    RandomPolicy,
     StagePolicyMap,
     default_attack,
     default_travel,
@@ -36,9 +36,9 @@ from questsim.state import (
     Zone,
 )
 from questsim.engine import (
-    _random_inplace,
-    _ruled_inplace,
     _apply_inplace,
+    advance_ruled_stage,
+    resolve_random_stage,
 )
 
 import helpers
@@ -77,9 +77,9 @@ def test_default_attack_passes_without_enemies(game):
 def test_random_policy_is_seeded_and_legal(game):
     at_stage(game, StageId.COMMIT_CHARACTERS)
     legals = legal_actions(game)
-    policy = RandomPolicy()
-    a = policy.decide(game, legals, Random(5))
-    b = policy.decide(game, legals, Random(5))
+    assert RANDOM_POLICY.needs_legals is True
+    a = RANDOM_POLICY.decide(game, legals, Random(5))
+    b = RANDOM_POLICY.decide(game, legals, Random(5))
     assert a == b
     assert a in legals
 
@@ -283,9 +283,9 @@ def test_expert_choice_is_always_legal_on_random_walks(synth_scenario):
         while state.outcome is None and state.round_no <= 60:
             kind = state.stage.kind
             if kind is StageKind.RULED:
-                _ruled_inplace(state)
+                state = advance_ruled_stage(state)
             elif kind is StageKind.RANDOM:
-                _random_inplace(state, rng)
+                state = resolve_random_stage(state, rng)
             else:
                 legals = legal_actions(state)
                 assert expert_decide(state) in legals
@@ -399,9 +399,9 @@ def test_policy_map_rejects_bad_assignments(text):
 
 def test_expert_policy_object_ignores_legals(game):
     at_stage(game, StageId.COMMIT_CHARACTERS)
-    policy = ExpertPolicy()
-    assert policy.needs_legals is False
-    action = policy.decide(game, None, Random(0))
+    assert EXPERT_POLICY.needs_legals is False
+    action = EXPERT_POLICY.decide(game, None, Random(0))
+    assert action == expert_decide(game)
     assert action in legal_actions(game)
 
 

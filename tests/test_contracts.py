@@ -35,9 +35,8 @@ from questsim.engine import (
     _apply_inplace,
     _planning_bounds,
     _planning_enumerate,
+    advance_ruled_stage,
     apply_action,
-    _random_inplace,
-    _ruled_inplace,
     check_invariants,
     commit_pool,
     commit_prefixes,
@@ -47,6 +46,7 @@ from questsim.engine import (
     hero_pools,
     legal_actions,
     new_game,
+    resolve_random_stage,
     travel_actions,
 )
 from questsim.errors import IllegalActionError, StageError
@@ -221,9 +221,9 @@ def test_contracts_hold_on_organic_states(seed, difficulty, agent):
     while state.outcome is None and state.round_no <= 40:
         kind = state.stage.kind
         if kind is StageKind.RULED:
-            _ruled_inplace(state)
+            state = advance_ruled_stage(state)
         elif kind is StageKind.RANDOM:
-            _random_inplace(state, rng)
+            state = resolve_random_stage(state, rng)
         else:
             legals = check_contracts(state)
             seen.add(state.stage)
@@ -295,9 +295,9 @@ def test_perturbed_actions_are_rejected_by_name(seed, difficulty):
     while state.outcome is None and state.round_no <= 25:
         kind = state.stage.kind
         if kind is StageKind.RULED:
-            _ruled_inplace(state)
+            state = advance_ruled_stage(state)
         elif kind is StageKind.RANDOM:
-            _random_inplace(state, rng)
+            state = resolve_random_stage(state, rng)
         else:
             action = rng.choice(legal_actions(state))
             fingerprint = state.fingerprint()

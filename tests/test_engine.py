@@ -5,6 +5,7 @@ from random import Random
 import pytest
 
 from questsim.engine import (
+    ROUND_CAP,
     STARTING_HAND_SIZE,
     advance_ruled_stage,
     apply_action,
@@ -13,7 +14,7 @@ from questsim.engine import (
     play_game,
     resolve_random_stage,
 )
-from questsim.errors import IllegalActionError, QuestSimError, StageError
+from questsim.errors import ConfigError, IllegalActionError, QuestSimError, StageError
 from questsim.state import (
     Attack,
     Commit,
@@ -541,13 +542,45 @@ def test_random_game_terminates_cleanly(synth_scenario):
     policies = build_stage_policies(
         parse_policy_map("planning=random,commit=random,defense=random"))
     lines = []
-    timings = {}
-    play_game(state, policies, Random(11), trace=lines.append,
-              timings=timings, check=True)
+    play_game(state, policies, Random(11), trace=lines.append, check=True)
     assert state.outcome is not None
     assert state.round_no <= 200
     assert lines and any("planning" in ln for ln in lines)
-    assert timings[StageId.PLANNING][1] >= 1
+
+
+EXPERTS = "planning=expert,commit=expert,defense=expert"
+
+
+@pytest.mark.parametrize("stage", [StageId.TRAVEL, StageId.DECLARE_DEFENDERS])
+def test_a_stage_without_a_policy_is_named(synth_scenario, stage):
+    state = helpers.new_synth_game(seed=11, scenario=synth_scenario)
+    policies = build_stage_policies(parse_policy_map(EXPERTS))
+    del policies[stage]
+    with pytest.raises(ConfigError, match=f"no policy for decision stage "
+                                          f"'{stage.value}'"):
+        play_game(state, policies, Random(11))
+    assert state.stage is stage and state.round_no == 1
+
+
+def test_the_refresh_of_the_last_round_loses_to_threat(synth_scenario):
+    state = helpers.new_synth_game(seed=11, scenario=synth_scenario)
+    state.round_no = ROUND_CAP
+    lines = []
+    play_game(state, build_stage_policies(parse_policy_map(EXPERTS)),
+              Random(11), trace=lines.append, check=True)
+    assert state.outcome is Outcome.LOSS_THREAT
+    assert (state.round_no, state.stage) == (ROUND_CAP, StageId.REFRESH)
+    assert state.threat_level < state.threat_limit
+    assert len(lines) == 13 and lines[-1].startswith(f"R{ROUND_CAP} refresh ")
+
+
+def test_rounds_before_the_last_go_on(synth_scenario):
+    state = helpers.new_synth_game(seed=11, scenario=synth_scenario)
+    state.round_no = ROUND_CAP - 1
+    at_stage(state, StageId.REFRESH)
+    state = advance_ruled_stage(state)
+    assert state.outcome is None
+    assert (state.round_no, state.stage) == (ROUND_CAP, StageId.GAIN_RESOURCES_AND_DRAW)
 
 
 TRACE_AGENTS = {

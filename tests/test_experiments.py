@@ -3,6 +3,7 @@ common random numbers across sweep and grid rows, the fold of a batch
 over worker spans and the output document."""
 
 import math
+import os
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 from questsim import experiments
 from questsim.agents import parse_agent, parse_policy_map
+from questsim.engine import ROUND_CAP
 from questsim.errors import ConfigError
 from questsim.experiments import (
     CSV_COLUMNS,
@@ -22,7 +24,7 @@ from questsim.experiments import (
     run_games,
     winrate_ci,
 )
-from questsim.state import DECISION, STAGE_ORDER
+from questsim.state import DECISION, STAGE_ORDER, StageId
 
 M = 2**64
 
@@ -163,11 +165,53 @@ def test_a_pool_asks_for_no_more_processes_than_games(monkeypatch):
     assert result(pooled) == result(alone)
 
 
+@pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu-count"])
+def test_a_pool_asks_for_no_more_processes_than_usable_cpus(monkeypatch, affinity):
+    """The CPUs this process may use bound the pool: those of its affinity
+    mask, else every CPU. No process is started."""
+    alone = run_games(expert_config(20))
+    asked = []
+    monkeypatch.setattr(experiments, "Pool", in_process_pool(asked))
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    pooled = run_games(expert_config(20, workers=16))
+    assert asked == [3]
+    assert result(pooled) == result(alone)
+    assert list(pooled.mean_decision_time) == DECISION_KEYS
+
+
 def test_decision_time_is_kept_per_decision_stage():
     for workers in (1, 2):
         times = run_games(expert_config(4, workers)).mean_decision_time
         assert list(times) == DECISION_KEYS
         assert all(seconds > 0 for seconds in times.values())
+
+
+def test_a_random_batch_times_its_planning_decisions():
+    config = ExperimentConfig(games=2, master_seed=11, policy_map=parse_policy_map(
+        "planning=random,commit=random,defense=random"))
+    assert run_games(config).mean_decision_time["planning"] > 0
+
+
+def test_stages_never_decided_stay_absent(monkeypatch):
+    """Games that start at the last round's Declare Attackers decide only
+    there, so no other stage gets a decision time."""
+    real = experiments.new_game
+
+    def at_the_last_attack(*args):
+        state = real(*args)
+        state.stage, state.round_no = StageId.DECLARE_ATTACKERS, ROUND_CAP
+        return state
+
+    monkeypatch.setattr(experiments, "new_game", at_the_last_attack)
+    stats = run_games(expert_config(3))
+    assert list(stats.mean_decision_time) == ["declare-attackers"]
+    assert stats.mean_rounds == ROUND_CAP
 
 
 # ---- the output document ----------------------------------------------------

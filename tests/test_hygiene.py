@@ -71,11 +71,12 @@ def test_imports_are_used(path):
 
 
 # Functions whose signature a caller fixes, so they may leave parameters
-# unread: the policy protocol decide(state, legals, rng).
+# unread: the Policy protocol decide(state, legals, rng), which the
+# adapters of the rules that build their own action and random_decide
+# share. Each one named here must leave a parameter unread.
 UNREAD_PARAMS_ALLOWED = {
-    "agents.py": {"RandomPolicy.decide",
-                  "FixedTravelPolicy.decide", "FixedAttackPolicy.decide",
-                  "ExpertPolicy.decide", "random_decide"},
+    "agents.py": {"random_decide", "_decide_expert", "_decide_travel",
+                  "_decide_attack"},
 }
 
 
@@ -101,14 +102,16 @@ def test_parameters_are_read(path):
     seen = set()
     for name, fn in functions(parse(path)):
         seen.add(name)
-        if name in allowed:
-            continue
         a = fn.args
         params = a.posonlyargs + a.args + a.kwonlyargs + [
             p for p in (a.vararg, a.kwarg) if p is not None]
         body = fn.body if isinstance(fn.body, list) else [fn.body]
         read = set().union(*(loaded_names(stmt) for stmt in body))
-        unread.extend(f"{name}({p.arg})" for p in params if p.arg not in read)
+        missed = [f"{name}({p.arg})" for p in params if p.arg not in read]
+        if name not in allowed:
+            unread += missed
+        elif not missed:
+            unread.append(f"{name} reads every parameter but is allowed not to")
     assert allowed <= seen, f"{path.name}: no functions {allowed - seen}"
     assert not unread, f"{path.name}: parameters never read {unread}"
 
@@ -306,6 +309,49 @@ def test_split_check_sees_writes_and_raises():
     assert sorted(w for fn in reached(tree, "check") for w in writes(fn)) == [
         "check:2", "helper:5", "helper:6"]
     assert [r for fn in reached(tree, "effect") for r in raises(fn)] == ["effect:9"]
+
+
+# engine._run is the one loop that plays stages by their kind, calling the
+# handler tables _RULED and _RANDOM and the effects in _DO; every other
+# module plays stages through it or the public stage functions. A second
+# reader of these tables would be a second stage loop.
+STAGE_TABLES = {"_RULED", "_RANDOM", "_DO"}
+
+
+def stage_table_reads(tree: ast.AST) -> list[str]:
+    """'line name' for each import, plain read or attribute read of one
+    of STAGE_TABLES."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names = [node.attr]
+        else:
+            continue
+        found += [f"{node.lineno} {name}" for name in names if name in STAGE_TABLES]
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "engine.py"],
+                         ids=lambda p: p.name)
+def test_only_the_engine_reads_the_stage_tables(path):
+    reads = stage_table_reads(parse(path))
+    assert not reads, f"{path.name}: stage tables read at {reads}"
+
+
+def test_stage_table_check_sees_each_kind_of_read():
+    tree = ast.parse("from .engine import _DO as effects\n"
+                     "import questsim.engine\n"
+                     "def f(state, rng):\n"
+                     "    _RULED[state.stage](state)\n"
+                     "    questsim.engine._RANDOM[state.stage](state, rng)\n"
+                     "    _RULED = {}\n")
+    assert stage_table_reads(tree) == ["1 _DO", "4 _RULED", "5 _RANDOM"]
+    reads = {read.split()[1] for read in stage_table_reads(parse(SRC / "engine.py"))}
+    assert reads == STAGE_TABLES
 
 
 # The hot modules read enum members through the module-level names bound

@@ -8,19 +8,24 @@ from random import Random
 import pytest
 
 from questsim import search
-from questsim.agents import expert_decide, parse_agent
+from questsim.agents import (
+    default_attack,
+    default_travel,
+    expert_decide,
+    parse_agent,
+    parse_policy_map,
+    random_decide,
+)
 from questsim.engine import (
-    _random_inplace,
-    _ruled_inplace,
+    ROUND_CAP,
+    advance_ruled_stage,
     legal_actions,
     new_game,
     play_game,
+    resolve_random_stage,
 )
 from questsim.errors import ConfigError, IllegalActionError
 from questsim.search import (
-    PLAYOUT_ROUND_CAP,
-    FlatMcPolicy,
-    MctsPolicy,
     SearchConfig,
     SearchNode,
     best_child_index,
@@ -34,15 +39,16 @@ from questsim.search import (
     ucb_score,
 )
 from questsim.state import (
+    Attack,
     Commit,
     Defend,
     Outcome,
     PlayCards,
     StageId,
     StageKind,
+    TravelTo,
     Zone,
 )
-from questsim.agents import FixedAttackPolicy, FixedTravelPolicy, parse_policy_map
 
 import helpers
 from helpers import at_stage, put
@@ -157,9 +163,9 @@ def test_budget_exactness_on_wide_midgame_families(synth_scenario):
     while not (state.stage is StageId.PLANNING and state.round_no >= 2):
         kind = state.stage.kind
         if kind is StageKind.RULED:
-            _ruled_inplace(state)
+            state = advance_ruled_stage(state)
         elif kind is StageKind.RANDOM:
-            _random_inplace(state, rng)
+            state = resolve_random_stage(state, rng)
         else:
             legals = legal_actions(state)
             from questsim.engine import _apply_inplace
@@ -201,7 +207,7 @@ def test_debug_checks_every_playout_action(synth_scenario, monkeypatch, stage,
     """Playouts trust their policies; debug checks them again, so a policy
     that breaks a rule fails loudly with the rule's name."""
     state = helpers.new_synth_game(seed=7, scenario=synth_scenario)
-    _ruled_inplace(state)
+    state = advance_ruled_stage(state)
     assert state.stage is StageId.PLANNING
     legals = legal_actions(state)
     assert len(legals) >= 2
@@ -245,7 +251,7 @@ def test_mcts_expands_and_picks_in_family_order(synth_scenario, monkeypatch,
     earliest child, and the final pick goes by (visits, wins), then order.
     Playouts are scripted: the i-th one is a win when i is in wins."""
     state = helpers.new_synth_game(seed=7, scenario=synth_scenario)
-    _ruled_inplace(state)
+    state = advance_ruled_stage(state)
     legals = legal_actions(state)
     assert len(legals) >= 3
     outcomes = (Outcome.WIN if i in wins else Outcome.LOSS_THREAT
@@ -386,9 +392,25 @@ def test_playout_reaches_an_outcome_and_keeps_input(synth_scenario):
 
 def test_playout_round_cap_counts_as_loss(synth_scenario):
     state = helpers.new_synth_game(seed=13, scenario=synth_scenario)
-    state.round_no = PLAYOUT_ROUND_CAP + 1
+    state.round_no = ROUND_CAP + 1
     outcome = playout(state, "random", Random(0))
     assert outcome is Outcome.LOSS_THREAT
+
+
+@pytest.mark.parametrize("round_no, ends", [(ROUND_CAP - 1, False), (ROUND_CAP, True)])
+def test_a_playout_ends_at_the_refresh_of_the_last_round(synth_scenario,
+                                                          round_no, ends):
+    """From the refresh of the last round a playout loses to threat and
+    draws nothing after determinizing; a round earlier it plays on, and its
+    random agent draws at the next round's decisions."""
+    state = helpers.new_synth_game(seed=13, scenario=synth_scenario)
+    at_stage(state, StageId.REFRESH).round_no = round_no
+    rng, twin = Random(0), Random(0)
+    outcome = playout(state, "random", rng)
+    determinize(state.clone(), twin)
+    assert (rng.getstate() == twin.getstate()) is ends
+    if ends:
+        assert outcome is Outcome.LOSS_THREAT
 
 
 def test_playout_policies_reject_unknown_names(synth_scenario):
@@ -403,30 +425,91 @@ def test_playout_policies_reject_unknown_names(synth_scenario):
 def test_search_policies_are_seed_reproducible(synth_scenario):
     state = forced_commit_state(synth_scenario)
     legals = legal_actions(state)
-    for policy in (FlatMcPolicy(SearchConfig(playout_budget=9)),
-                   MctsPolicy(SearchConfig(playout_budget=9))):
+    for agent in ("flat:9:random", "mcts:9:0.7:random"):
+        policy = build_policy(parse_agent(agent))
         a = policy.decide(state.clone(), list(legals), Random(21))
         b = policy.decide(state.clone(), list(legals), Random(21))
         assert a == b
 
 
-def test_build_policy_maps_agent_kinds():
-    assert isinstance(build_policy(parse_agent("flat:5:random")), FlatMcPolicy)
-    assert isinstance(build_policy(parse_agent("mcts:5:0.7:random")),
-                      MctsPolicy)
-    policy = build_policy(parse_agent("mcts:5:0.3:expert"))
-    assert policy.config.exploration_c == 0.3
-    assert policy.config.playout_policy == "expert"
+def wide_planning_state(synth_scenario):
+    state = helpers.new_synth_game(seed=7, scenario=synth_scenario)
+    state = advance_ruled_stage(state)
+    assert state.stage is StageId.PLANNING
+    return state
 
 
-def test_build_stage_policies_pins_travel_and_attack():
+SEARCH_AGENTS = ("flat:12:random", "flat:12:expert", "mcts:12:0.7:random",
+                 "mcts:12:0.3:expert", "mcts:12:0.0:expert")
+
+
+def test_build_policy_maps_agent_kinds(synth_scenario):
+    """A search agent's policy decides as its decider does with the
+    agent's settings: the same action, the same draws, each playout
+    counted."""
+    state = wide_planning_state(synth_scenario)
+    legals = legal_actions(state)
+    assert len(legals) >= 3
+    for agent in SEARCH_AGENTS:
+        kind = parse_agent(agent)
+        decide = flat_mc_decide if kind.kind == "flat" else mcts_decide
+        count = [0]
+        policy = build_policy(
+            kind, on_playout=lambda: count.__setitem__(0, count[0] + 1))
+        assert policy.needs_legals is True
+        rng, twin = Random(21), Random(21)
+        assert (policy.decide(state.clone(), legals, rng)
+                == decide(state.clone(), legals, kind.search, twin)), agent
+        assert rng.getstate() == twin.getstate(), agent
+        assert count[0] == kind.search.playout_budget, agent
+
+
+def test_build_policy_maps_random_and_expert(synth_scenario):
+    state = wide_planning_state(synth_scenario)
+    legals = legal_actions(state)
+    rng, twin = Random(4), Random(4)
+    random_policy = build_policy(parse_agent("random"))
+    assert random_policy.needs_legals is True
+    assert (random_policy.decide(state, legals, rng)
+            == random_decide(state, legals, twin))
+    assert rng.getstate() == twin.getstate()
+    expert_policy = build_policy(parse_agent("expert"))
+    assert expert_policy.needs_legals is False
+    assert expert_policy.decide(state, None, rng) == expert_decide(state)
+    assert rng.getstate() == twin.getstate()
+
+
+def test_build_stage_policies_pins_travel_and_attack(game):
     pmap = parse_policy_map("planning=flat:5:random,commit=expert,"
                             "defense=random")
     policies = build_stage_policies(pmap)
-    assert isinstance(policies[StageId.TRAVEL], FixedTravelPolicy)
-    assert isinstance(policies[StageId.DECLARE_ATTACKERS], FixedAttackPolicy)
-    assert isinstance(policies[StageId.PLANNING], FlatMcPolicy)
+    assert set(policies) == {stage for stage in StageId
+                             if stage.kind is StageKind.DECISION}
+    travel, attack = policies[StageId.TRAVEL], policies[StageId.DECLARE_ATTACKERS]
+    assert not travel.needs_legals and not attack.needs_legals
+    rng = Random(0)
+    before = rng.getstate()
+
+    at_stage(game, StageId.TRAVEL)
+    put(game, "loc-clearing", Zone.STAGING_AREA)
+    ridge = put(game, "loc-ridge", Zone.STAGING_AREA)
+    assert travel.decide(game, None, rng) == default_travel(game) == TravelTo(
+        ridge.instance_id)
+
+    at_stage(game, StageId.DECLARE_ATTACKERS)
+    put(game, "enemy-troll", Zone.ENGAGEMENT_AREA)
+    wolf = put(game, "enemy-wolf", Zone.ENGAGEMENT_AREA)
+    assert attack.decide(game, None, rng) == default_attack(game) == Attack(
+        ((wolf.instance_id, (0, 1, 2)),))
+    assert rng.getstate() == before
+
     override = parse_policy_map("planning=expert,commit=expert,"
                                 "defense=expert,attack=mcts:5:0.7:random")
-    assert isinstance(build_stage_policies(override)[StageId.DECLARE_ATTACKERS],
-                      MctsPolicy)
+    mcts = build_stage_policies(override)[StageId.DECLARE_ATTACKERS]
+    assert mcts.needs_legals
+    legals = legal_actions(game)
+    assert len(legals) >= 2
+    rng, twin = Random(8), Random(8)
+    assert (mcts.decide(game.clone(), legals, rng)
+            == mcts_decide(game.clone(), legals, SearchConfig(5, 0.7, "random"), twin))
+    assert rng.getstate() == twin.getstate()
