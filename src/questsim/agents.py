@@ -288,17 +288,13 @@ DEFAULT_EXPLORATION_C = 0.7
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Settings of one flat or mcts agent, the one place where they are
-    checked and defaulted; exploration_c is read by MCTS only."""
+    """Settings of one flat or mcts agent, exactly those its string prints,
+    checked and defaulted here; exploration_c is read by MCTS only. A
+    playout counter is a decider argument, not a setting."""
 
     playout_budget: int
     exploration_c: float = DEFAULT_EXPLORATION_C
     playout_policy: str = "random"
-    # Debug and test knobs: debug audits the tree after every iteration and
-    # checks every playout action (playouts otherwise trust their policies);
-    # on_playout counts playouts.
-    debug: bool = False
-    on_playout: Callable[[], None] | None = None
 
     def __post_init__(self):
         if self.playout_budget < 1:

@@ -10,12 +10,12 @@ stops at the end of the game or at a decision stage its policies leave out.
 Where actions are checked: each action type has a check, which raises an
 IllegalActionError naming the broken rule and writes nothing, and an
 effect, which applies a legal action and raises nothing (_DO). apply_action,
-play_game, search tree levels (flat Monte-Carlo's root children included)
-and playouts under SearchConfig.debug run both, through _apply_inplace
-(_run does so when its checked flag is set). Other search playouts trust
-their random, expert and fixed-rule policies and run the effect alone:
-tests/test_contracts.py shows that those policies pick only legal actions
-and that the effect alone leaves the same state as both together.
+play_game and search tree levels (flat Monte-Carlo's root children
+included) run both, through _apply_inplace (_run does so when its checked
+flag is set). Search playouts trust their random, expert and fixed-rule
+policies and run the effect alone: tests/test_contracts.py shows that those
+policies pick only legal actions and that the effect alone leaves the same
+state as both together.
 
 The engine logs nothing: each handler only applies its rules. play_game
 derives its trace lines in the loop's observe callback, by comparing a

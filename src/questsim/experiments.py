@@ -5,8 +5,10 @@ Reproducibility contract: game i of a batch is seeded by
 derive_seed(master_seed, i), a pure function, so results are independent of
 worker count and scheduling; each worker sums the wins and rounds of a span
 of game indices, and the parent adds those integer sums, which no order of
-arrival can change. Sweep and grid rows reuse the same per-game seeds
-(common random numbers) to sharpen comparisons between configurations.
+arrival can change. Sweep and grid rows reuse the same per-game seeds.
+A game's encounter cards and its agents' choices still share one random
+stream, so until the two streams are separated, agents that draw
+differently see different encounter cards from the same seed.
 """
 
 from __future__ import annotations

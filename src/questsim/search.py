@@ -1,7 +1,8 @@
 """Search agents: flat Monte-Carlo and MCTS with UCB selection.
 
 Both deciders spend exactly `playout_budget` playouts per decision (single
-legal actions short-circuit with zero). Hidden information is respected by
+legal actions short-circuit with zero) and call their optional on_playout
+argument once per playout. Hidden information is respected by
 determinization: every playout starts from a snapshot whose face-down decks
 and dealt shadow cards are reshuffled with the playout rng, so search never
 exploits the true deck order.
@@ -15,7 +16,6 @@ legal under the current sampling.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from random import Random
 from typing import Callable, Sequence
 
@@ -33,7 +33,7 @@ from .agents import (
     StagePolicyMap,
 )
 from .engine import _apply_inplace, _run, legal_actions
-from .errors import ConfigError, QuestSimError
+from .errors import ConfigError
 from .state import (
     DECLARE_ATTACKERS,
     ENCOUNTER_DECK,
@@ -58,10 +58,6 @@ class SearchNode:
         self.wins = 0
         self.visits = 0
         self.children: dict[Action, "SearchNode"] = {}
-
-    def __repr__(self) -> str:
-        return (f"<SearchNode {self.wins}/{self.visits} "
-                f"children={len(self.children)}>")
 
 
 def ucb_score(wins: int, visits: int, parent_visits: int, c: float) -> float:
@@ -106,16 +102,13 @@ def determinize(state: GameState, rng: Random) -> GameState:
 
 
 def _finish(state: GameState, policies: dict, rng: Random,
-            config: SearchConfig | None = None) -> Outcome:
-    """Play the (already determinized) state to its end, mutating it.
-
-    Actions get their effect alone, as the playout policies pick only legal
-    ones (see the engine docstring); config.debug checks them as well.
-    config.on_playout, when set, counts the playout.
-    """
-    if config is not None and config.on_playout is not None:
-        config.on_playout()
-    _run(state, policies, rng, config is not None and config.debug)
+            on_playout: Callable[[], None] | None = None) -> Outcome:
+    """Play the (already determinized) state to its end, mutating it, and
+    call on_playout, when given, once. Actions get their effect alone: the
+    playout policies pick only legal ones (see the engine docstring)."""
+    if on_playout is not None:
+        on_playout()
+    _run(state, policies, rng, False)
     return state.outcome
 
 
@@ -126,9 +119,9 @@ def playout(state: GameState, policy: str, rng: Random) -> Outcome:
     is never modified; an already terminal state returns its outcome with
     zero stages played.
     """
+    policies = playout_policies(policy)
     if state.outcome is not None:
         return state.outcome
-    policies = playout_policies(policy)
     copy = state.clone()
     determinize(copy, rng)
     return _finish(copy, policies, rng)
@@ -144,7 +137,8 @@ def best_child_index(keys: Sequence) -> int:
 
 
 def flat_mc_decide(state: GameState, legals: list[Action],
-                   config: SearchConfig, rng: Random) -> Action:
+                   config: SearchConfig, rng: Random,
+                   on_playout: Callable[[], None] | None = None) -> Action:
     """Depth-1 search: the budget is floor-divided over the legal actions
     (remainder to the earliest), each share played out from that action's
     successor, and the most-winning action returned (ties to the first)."""
@@ -162,7 +156,7 @@ def flat_mc_decide(state: GameState, legals: list[Action],
         for _ in range(share):
             trial = child.clone()
             determinize(trial, rng)
-            if _finish(trial, policies, rng, config) is WIN:
+            if _finish(trial, policies, rng, on_playout) is WIN:
                 wins[i] += 1
     return legals[best_child_index(wins)]
 
@@ -170,20 +164,9 @@ def flat_mc_decide(state: GameState, legals: list[Action],
 # ---- MCTS with UCB selection ------------------------------------------------
 
 
-def _audit_tree(node: SearchNode) -> None:
-    if node.wins > node.visits:
-        raise QuestSimError(f"search tree corrupt: {node!r} has more wins "
-                            f"than visits")
-    child_visits = sum(c.visits for c in node.children.values())
-    if child_visits > node.visits:
-        raise QuestSimError(f"search tree corrupt: {node!r} children carry "
-                            f"{child_visits} visits")
-    for child in node.children.values():
-        _audit_tree(child)
-
-
 def mcts_decide(state: GameState, legals: list[Action],
-                config: SearchConfig, rng: Random) -> Action:
+                config: SearchConfig, rng: Random,
+                on_playout: Callable[[], None] | None = None) -> Action:
     """UCB tree search over successive decision stages of the same game.
 
     Each iteration re-determinizes a fresh snapshot and then:
@@ -226,12 +209,10 @@ def mcts_decide(state: GameState, legals: list[Action],
                 break
             level = legal_actions(trial)
 
-        won = _finish(trial, policies, rng, config) is WIN
+        won = _finish(trial, policies, rng, on_playout) is WIN
         for visited in path:
             visited.visits += 1
             visited.wins += won
-        if config.debug:
-            _audit_tree(root)
 
     keys = [(c.visits, c.wins) if c is not None else (0, 0)
             for c in map(root.children.get, legals)]
@@ -249,14 +230,13 @@ def build_policy(kind: AgentKind, *,
         return RANDOM_POLICY
     if kind.kind == "expert":
         return EXPERT_POLICY
-    config = replace(kind.search, on_playout=on_playout)
     # Each decider is called by its module-level name, as in agents.py.
     if kind.kind == "flat":
         def decide(state: GameState, legals: list[Action], rng: Random) -> Action:
-            return flat_mc_decide(state, legals, config, rng)
+            return flat_mc_decide(state, legals, kind.search, rng, on_playout)
     else:
         def decide(state: GameState, legals: list[Action], rng: Random) -> Action:
-            return mcts_decide(state, legals, config, rng)
+            return mcts_decide(state, legals, kind.search, rng, on_playout)
     return Policy(decide, needs_legals=True)
 
 

@@ -348,9 +348,11 @@ class GameState:
         )
 
     def __repr__(self) -> str:
+        quest = min(self.quest_index + 1, 3)  # a won game shows its last quest
+        end = "" if self.outcome is None else f" outcome={self.outcome.value}"
         return (f"<GameState r{self.round_no} {self.stage.value} "
-                f"threat={self.threat_level} quest={self.quest_index + 1}"
-                f"+{self.quest_progress} outcome={self.outcome}>")
+                f"threat={self.threat_level} quest={quest}+"
+                f"{self.quest_progress}{end}>")
 
 
 # ---- actions ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Decision agents: fixed rules, the expert heuristics, agent parsing."""
 
+import dataclasses
 import re
 from pathlib import Path
 from random import Random
@@ -314,6 +315,9 @@ def test_parse_agent_round_trips():
                  AgentKind("mcts", SearchConfig(25, 0.3, "expert")),
                  AgentKind("mcts", SearchConfig(1))):
         assert parse_agent(str(kind)) == kind
+    # The string prints every setting, so nothing else may be one.
+    assert [f.name for f in dataclasses.fields(SearchConfig)] == [
+        "playout_budget", "exploration_c", "playout_policy"]
 
 
 def test_flat_agent_rejects_an_exploration_constant_it_cannot_print():

@@ -26,7 +26,7 @@ from questsim.state import (
     Zone,
 )
 from questsim.search import build_stage_policies
-from questsim.agents import parse_policy_map
+from questsim.agents import Policy, parse_policy_map
 
 import helpers
 from helpers import at_stage, by_id, put, stash_hand
@@ -559,6 +559,27 @@ def test_a_stage_without_a_policy_is_named(synth_scenario, stage):
     with pytest.raises(ConfigError, match=f"no policy for decision stage "
                                           f"'{stage.value}'"):
         play_game(state, policies, Random(11))
+    assert state.stage is stage and state.round_no == 1
+
+
+def first_hero(state) -> int:
+    return state.heroes()[0].instance_id
+
+
+@pytest.mark.parametrize("stage, make, rule", [
+    (StageId.PLANNING, lambda s: PlayCards((first_hero(s),)), "is not in hand"),
+    (StageId.DECLARE_DEFENDERS, lambda s: Defend(((first_hero(s), None),)),
+     "must cover engaged enemies exactly"),
+], ids=["buy-from-play", "defend-a-hero"])
+def test_play_game_checks_every_policy_action(synth_scenario, stage, make,
+                                              rule):
+    """A policy that breaks a rule fails loudly with the rule's name, and
+    the game stops at the stage it decides."""
+    state = helpers.new_synth_game(seed=7, scenario=synth_scenario)
+    policies = build_stage_policies(parse_policy_map(EXPERTS))
+    policies[stage] = Policy(lambda s, legals, rng: make(s), needs_legals=False)
+    with pytest.raises(IllegalActionError, match=rule):
+        play_game(state, policies, Random(7))
     assert state.stage is stage and state.round_no == 1
 
 

@@ -24,7 +24,7 @@ from questsim.engine import (
     play_game,
     resolve_random_stage,
 )
-from questsim.errors import ConfigError, IllegalActionError
+from questsim.errors import ConfigError
 from questsim.search import (
     SearchConfig,
     SearchNode,
@@ -35,7 +35,6 @@ from questsim.search import (
     flat_mc_decide,
     mcts_decide,
     playout,
-    playout_policies,
     ucb_score,
 )
 from questsim.state import (
@@ -43,7 +42,6 @@ from questsim.state import (
     Commit,
     Defend,
     Outcome,
-    PlayCards,
     StageId,
     StageKind,
     TravelTo,
@@ -136,24 +134,52 @@ def test_mcts_finds_the_forced_win(synth_scenario, playout_policy):
     assert action == Commit((0,))
 
 
+def counter():
+    """A playout counter: the list holding the count and the callback."""
+    count = [0]
+    return count, lambda: count.__setitem__(0, count[0] + 1)
+
+
+@pytest.fixture
+def recorded_nodes(monkeypatch):
+    """Every SearchNode that mcts_decide makes, in order; the root first."""
+    nodes = []
+
+    class RecordedNode(SearchNode):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            nodes.append(self)
+
+    monkeypatch.setattr(search, "SearchNode", RecordedNode)
+    return nodes
+
+
 @pytest.mark.parametrize("budget", [1, 7, 40])
 def test_flat_mc_spends_exactly_the_budget(synth_scenario, budget):
     state = forced_commit_state(synth_scenario)
-    count = [0]
-    config = SearchConfig(playout_budget=budget,
-                          on_playout=lambda: count.__setitem__(0, count[0] + 1))
-    flat_mc_decide(state, legal_actions(state), config, Random(1))
+    count, on_playout = counter()
+    config = SearchConfig(playout_budget=budget)
+    flat_mc_decide(state, legal_actions(state), config, Random(1), on_playout)
     assert count[0] == budget
 
 
 @pytest.mark.parametrize("budget", [1, 7, 40])
-def test_mcts_spends_exactly_the_budget(synth_scenario, budget):
+def test_mcts_spends_exactly_the_budget(synth_scenario, recorded_nodes,
+                                        budget):
+    """One playout per iteration, each backed up along one path from the
+    root: no node wins more than it is visited, and a node's children share
+    at most its visits."""
     state = forced_commit_state(synth_scenario)
-    count = [0]
-    config = SearchConfig(playout_budget=budget, debug=True,
-                          on_playout=lambda: count.__setitem__(0, count[0] + 1))
-    mcts_decide(state, legal_actions(state), config, Random(1))
+    count, on_playout = counter()
+    config = SearchConfig(playout_budget=budget)
+    mcts_decide(state, legal_actions(state), config, Random(1), on_playout)
     assert count[0] == budget
+    assert recorded_nodes[0].visits == budget
+    for node in recorded_nodes:
+        assert node.wins <= node.visits
+        assert sum(c.visits for c in node.children.values()) <= node.visits
 
 
 def test_budget_exactness_on_wide_midgame_families(synth_scenario):
@@ -173,48 +199,10 @@ def test_budget_exactness_on_wide_midgame_families(synth_scenario):
     legals = legal_actions(state)
     assert len(legals) >= 3
     for decide in (flat_mc_decide, mcts_decide):
-        count = [0]
-        config = SearchConfig(
-            playout_budget=40,
-            on_playout=lambda: count.__setitem__(0, count[0] + 1))
-        decide(state, legals, config, Random(2))
+        count, on_playout = counter()
+        decide(state, legals, SearchConfig(playout_budget=40), Random(2),
+               on_playout)
         assert count[0] == 40
-
-
-class IllegalPolicy:
-    """A playout policy that always picks an action its check rejects."""
-    needs_legals = False
-
-    def __init__(self, make):
-        self.make = make
-
-    def decide(self, state, legals, rng):
-        return self.make(state)
-
-
-def first_hero(state) -> int:
-    return state.heroes()[0].instance_id
-
-
-@pytest.mark.parametrize("stage, make, rule", [
-    (StageId.PLANNING, lambda s: PlayCards((first_hero(s),)), "is not in hand"),
-    (StageId.DECLARE_DEFENDERS, lambda s: Defend(((first_hero(s), None),)),
-     "must cover engaged enemies exactly"),
-], ids=["buy-from-play", "defend-a-hero"])
-@pytest.mark.parametrize("decide", [flat_mc_decide, mcts_decide])
-def test_debug_checks_every_playout_action(synth_scenario, monkeypatch, stage,
-                                           make, rule, decide):
-    """Playouts trust their policies; debug checks them again, so a policy
-    that breaks a rule fails loudly with the rule's name."""
-    state = helpers.new_synth_game(seed=7, scenario=synth_scenario)
-    state = advance_ruled_stage(state)
-    assert state.stage is StageId.PLANNING
-    legals = legal_actions(state)
-    assert len(legals) >= 2
-    monkeypatch.setitem(playout_policies("expert"), stage, IllegalPolicy(make))
-    config = SearchConfig(playout_budget=4, playout_policy="expert", debug=True)
-    with pytest.raises(IllegalActionError, match=rule):
-        decide(state, legals, config, Random(0))
 
 
 def test_single_legal_action_skips_search(synth_scenario):
@@ -223,11 +211,12 @@ def test_single_legal_action_skips_search(synth_scenario):
     at_stage(state, StageId.DECLARE_DEFENDERS)  # nobody engaged
     legals = legal_actions(state)
     assert legals == [Defend(())]
-    count = [0]
-    config = SearchConfig(playout_budget=40,
-                          on_playout=lambda: count.__setitem__(0, count[0] + 1))
-    assert flat_mc_decide(state, legals, config, Random(0)) == Defend(())
-    assert mcts_decide(state, legals, config, Random(0)) == Defend(())
+    count, on_playout = counter()
+    config = SearchConfig(playout_budget=40)
+    assert flat_mc_decide(state, legals, config, Random(0),
+                          on_playout) == Defend(())
+    assert mcts_decide(state, legals, config, Random(0),
+                       on_playout) == Defend(())
     assert count[0] == 0
 
 
@@ -246,7 +235,8 @@ def test_flat_budget_one_evaluates_only_the_first_action(synth_scenario):
     (1, {}, 0),      # equal UCB scores: the earliest child descends again
 ], ids=["all-lost", "second-won", "one-more-iteration"])
 def test_mcts_expands_and_picks_in_family_order(synth_scenario, monkeypatch,
-                                                 extra, wins, chosen):
+                                                 recorded_nodes, extra, wins,
+                                                 chosen):
     """Root children are expanded in legal-family order, UCB ties go to the
     earliest child, and the final pick goes by (visits, wins), then order.
     Playouts are scripted: the i-th one is a win when i is in wins."""
@@ -256,20 +246,10 @@ def test_mcts_expands_and_picks_in_family_order(synth_scenario, monkeypatch,
     assert len(legals) >= 3
     outcomes = (Outcome.WIN if i in wins else Outcome.LOSS_THREAT
                 for i in itertools.count())
-    nodes = []
-
-    class RecordedNode(SearchNode):
-        __slots__ = ()
-
-        def __init__(self, *args):
-            super().__init__(*args)
-            nodes.append(self)
-
     monkeypatch.setattr(search, "_finish", lambda *args: next(outcomes))
-    monkeypatch.setattr(search, "SearchNode", RecordedNode)
     config = SearchConfig(playout_budget=len(legals) + extra)
     action = mcts_decide(state, legals, config, Random(0))
-    root = nodes[0]
+    root = recorded_nodes[0]
     assert list(root.children) == legals
     visits = [1] * len(legals)
     visits[0] += extra
@@ -413,10 +393,33 @@ def test_a_playout_ends_at_the_refresh_of_the_last_round(synth_scenario,
         assert outcome is Outcome.LOSS_THREAT
 
 
-def test_playout_policies_reject_unknown_names(synth_scenario):
+def finished_game(synth_scenario):
     state = helpers.new_synth_game(seed=13, scenario=synth_scenario)
-    with pytest.raises(ConfigError):
-        playout(state, "greedy", Random(0))
+    policies = build_stage_policies(
+        parse_policy_map("planning=expert,commit=expert,defense=expert"))
+    play_game(state, policies, Random(13))
+    assert state.outcome is not None
+    return state
+
+
+def test_playout_policies_reject_unknown_names(synth_scenario):
+    """A finished game plays no stage but still has its name checked."""
+    for state in (helpers.new_synth_game(seed=13, scenario=synth_scenario),
+                  finished_game(synth_scenario)):
+        with pytest.raises(ConfigError, match="unknown playout policy 'greedy'"):
+            playout(state, "greedy", Random(0))
+
+
+@pytest.mark.parametrize("policy", ["random", "expert"])
+def test_playout_of_a_finished_game_plays_no_stage(synth_scenario, policy):
+    """A finished game returns its outcome, draws nothing and is left as
+    it was."""
+    state = finished_game(synth_scenario)
+    before = state.fingerprint()
+    rng, twin = Random(3), Random(3)
+    assert playout(state, policy, rng) is state.outcome
+    assert rng.getstate() == twin.getstate()
+    assert state.fingerprint() == before
 
 
 # ---- reproducibility and wrappers -------------------------------------------
@@ -453,9 +456,8 @@ def test_build_policy_maps_agent_kinds(synth_scenario):
     for agent in SEARCH_AGENTS:
         kind = parse_agent(agent)
         decide = flat_mc_decide if kind.kind == "flat" else mcts_decide
-        count = [0]
-        policy = build_policy(
-            kind, on_playout=lambda: count.__setitem__(0, count[0] + 1))
+        count, on_playout = counter()
+        policy = build_policy(kind, on_playout=on_playout)
         assert policy.needs_legals is True
         rng, twin = Random(21), Random(21)
         assert (policy.decide(state.clone(), legals, rng)

@@ -134,6 +134,22 @@ def test_clone_is_deep_for_cards_and_decks(game):
     assert copy.fingerprint() != game.fingerprint()
 
 
+def test_repr_names_the_quest_and_an_ended_game_s_outcome(shipped):
+    """A fresh game prints no outcome; a won game prints its last quest
+    and its outcome by wire value."""
+    fresh = new_game(shipped, "medium", Random(1))
+    assert repr(fresh) == (f"<GameState r1 gain-resources "
+                           f"threat={fresh.threat_level} quest=1+0>")
+    rng = Random(1)
+    won = new_game(shipped, "medium", rng)
+    play_game(won, build_stage_policies(parse_policy_map(
+        "planning=expert,commit=expert,defense=expert")), rng)
+    assert won.quest_index == 3
+    assert repr(won) == (f"<GameState r{won.round_no} {won.stage.value} "
+                         f"threat={won.threat_level} "
+                         f"quest=3+{won.quest_progress} outcome=win>")
+
+
 def test_zone_queries_are_in_instance_id_order(game):
     hand = game.hand()
     assert [c.instance_id for c in hand] == sorted(c.instance_id for c in hand)
