@@ -240,3 +240,78 @@ def test_format_doc_covers_every_kind_field_and_bound():
     for value in ([s.value for s in cards._PLAYER_SPHERES] + list(cards.BUFF_STATS)
                   + list(cards.PLAYER_EFFECTS) + list(cards.ENCOUNTER_EFFECTS)):
         assert f"`{value}`" in doc, value
+
+
+# ---- every loader check names what is wrong ----------------------------------
+
+
+@pytest.mark.parametrize("obj,message", [
+    ({"cards": ["hero-star"]}, "card entry is not an object: 'hero-star'"),
+    ({"cards": [{"name": "Nameless", "kind": "hero"}]},
+     "card entry missing string 'id'"),
+    ({"cards": [{"id": 7, "name": "Seven", "kind": "hero"}]},
+     "card entry missing string 'id'"),
+    ({"cards": [{"id": "anon", "kind": "quest", "quest_points": 2}]},
+     "card 'anon': missing field 'name'"),
+    ([], "card file must be an object with a 'cards' list"),
+    ({"heroes": []}, "card file must be an object with a 'cards' list"),
+    ({"cards": {"hero-star": {}}}, "'cards' must be a list"),
+])
+def test_malformed_card_file_names_the_fault(obj, message):
+    with pytest.raises(DataError, match=re.escape(message)):
+        parse_card_db(obj)
+
+
+def test_unreadable_card_file_names_the_path(tmp_path):
+    missing = tmp_path / "absent.json"
+    with pytest.raises(DataError, match=re.escape(f"cannot read card file {missing}")):
+        load_card_db(missing)
+
+
+def scenario_with(**changes):
+    obj = scenario_obj()
+    obj.update(changes)
+    return obj
+
+
+@pytest.mark.parametrize("obj,message", [
+    (["testlands"], "scenario file must be a JSON object"),
+    (scenario_with(name=""), "scenario missing string 'name'"),
+    (scenario_with(name=None), "scenario missing string 'name'"),
+    (scenario_with(quest_line=["quest-setout", "quest-lost", "quest-confront"]),
+     "scenario 'testlands': unknown quest card id 'quest-lost'"),
+    (scenario_with(heroes="hero-star"),
+     "scenario 'testlands': heroes must list exactly 3 hero cards"),
+    (scenario_with(heroes=["hero-star", "ally-porter", "hero-axe"]),
+     "scenario 'testlands': 'ally-porter' is not a hero card"),
+    (scenario_with(player_deck=[["ally-lantern", 4]]),
+     "scenario 'testlands' player_deck must be a non-empty object of card-id -> count"),
+    (scenario_with(player_deck={}),
+     "scenario 'testlands' player_deck must be a non-empty object of card-id -> count"),
+    (scenario_with(player_deck={"ally-ghost": 3}),
+     "scenario 'testlands' player_deck references unknown card id 'ally-ghost'"),
+    (scenario_with(encounter_decks={"test": {"enemy-dragon": 1}}),
+     "scenario 'testlands' encounter deck 'test' references unknown card id "
+     "'enemy-dragon'"),
+    (scenario_with(encounter_decks=["test"]),
+     "scenario 'testlands': encounter_decks must map difficulty -> deck"),
+    (scenario_with(encounter_decks={}),
+     "scenario 'testlands': encounter_decks must map difficulty -> deck"),
+])
+def test_malformed_scenario_names_the_fault(synth_db, obj, message):
+    with pytest.raises(DataError, match=re.escape(message)):
+        parse_scenario(obj, synth_db)
+
+
+def test_unknown_hero_names_the_scenario_and_the_id(synth_db):
+    obj = scenario_with(heroes=["hero-star", "hero-crown", "hero-nobody"])
+    with pytest.raises(DataError, match="scenario 'testlands': unknown hero .*'hero-nobody'"):
+        parse_scenario(obj, synth_db)
+
+
+def test_cards_reference_must_be_a_path(tmp_path):
+    scen_file = tmp_path / "scen.json"
+    scen_file.write_text(json.dumps(scenario_with(cards=["pool.json"])))
+    with pytest.raises(DataError, match=re.escape(
+            f"scenario {scen_file}: 'cards' must be a file path")):
+        load_scenario_bundle(scen_file)
