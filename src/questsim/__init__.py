@@ -22,7 +22,6 @@ from .cards import (
     builtin_cards_path,
     builtin_scenario_path,
     load_card_db,
-    load_scenario,
     load_scenario_bundle,
     parse_card_db,
     parse_scenario,

@@ -12,7 +12,7 @@ Loaded objects are immutable and safe to share across worker processes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 
@@ -104,17 +104,12 @@ _REQUIRED: dict[CardKind, tuple[str, ...]] = {
     CardKind.QUEST: ("quest_points",),
 }
 
-_INT_FIELDS = frozenset({
-    "cost", "willpower", "attack", "defense", "hit_points", "threat",
-    "threat_cost", "engagement_cost", "quest_points", "shadow_attack_bonus",
-    "effect_amount",
-})
+_INT_FIELDS = frozenset(f.name for f in fields(CardDef) if f.type == "int")
 
 # Lower bounds; everything else just has to be a non-negative int.
 _MIN_VALUE = {"hit_points": 1, "threat_cost": 1, "quest_points": 1, "effect_amount": 1}
 
-_PLAYER_SPHERES = frozenset({Sphere.SPIRIT, Sphere.LEADERSHIP, Sphere.TACTICS,
-                             Sphere.LORE, Sphere.NEUTRAL})
+_PLAYER_SPHERES = frozenset(Sphere) - {Sphere.NONE}
 
 
 def _card_error(card_id: str, msg: str) -> DataError:
@@ -137,7 +132,7 @@ def _parse_card(entry: dict) -> CardDef:
         raise _card_error(cid, "missing field 'name'")
 
     required = _REQUIRED[kind]
-    fields: dict[str, object] = {"id": cid, "name": name, "kind": kind}
+    values: dict[str, object] = {"id": cid, "name": name, "kind": kind}
     for key in required:
         if key not in entry:
             raise _card_error(cid, f"{kind.value} card missing field '{key}'")
@@ -147,7 +142,7 @@ def _parse_card(entry: dict) -> CardDef:
                 raise _card_error(cid, f"field '{key}' must be an integer, got {value!r}")
             if value < _MIN_VALUE.get(key, 0):
                 raise _card_error(cid, f"field '{key}' must be >= {_MIN_VALUE.get(key, 0)}")
-            fields[key] = value
+            values[key] = value
         elif key == "sphere":
             try:
                 sphere = Sphere(value)
@@ -155,16 +150,16 @@ def _parse_card(entry: dict) -> CardDef:
                 raise _card_error(cid, f"unknown sphere {value!r}") from None
             if sphere not in _PLAYER_SPHERES:
                 raise _card_error(cid, f"sphere {sphere.value!r} not allowed on a player card")
-            fields[key] = sphere
+            values[key] = sphere
         elif key == "buff":
             if value not in BUFF_STATS:
                 raise _card_error(cid, f"unknown buff stat {value!r}")
-            fields[key] = value
+            values[key] = value
         elif key == "effect":
             allowed = PLAYER_EFFECTS if kind is CardKind.EVENT_PLAYER else ENCOUNTER_EFFECTS
             if value not in allowed:
                 raise _card_error(cid, f"unknown effect {value!r} for kind {kind.value}")
-            fields[key] = value
+            values[key] = value
 
     # Reject stats that do not belong to this kind: almost always a typo.
     allowed_keys = {"id", "name", "kind", *required}
@@ -174,7 +169,7 @@ def _parse_card(entry: dict) -> CardDef:
         if key not in allowed_keys:
             raise _card_error(cid, f"field '{key}' does not apply to kind {kind.value}")
 
-    return CardDef(**fields)  # type: ignore[arg-type]
+    return CardDef(**values)  # type: ignore[arg-type]
 
 
 class CardDb:
@@ -194,9 +189,6 @@ class CardDb:
 
     def __len__(self) -> int:
         return len(self._defs)
-
-    def __iter__(self):
-        return iter(self._defs.values())
 
 
 def parse_card_db(obj: dict) -> CardDb:
@@ -233,80 +225,80 @@ def load_card_db(path: str | Path) -> CardDb:
 class Scenario:
     """A playable scenario: quest line, heroes, decks and the loss threshold.
 
-    Deck multisets are stored as (card_id, count) tuples sorted by id; use
-    expand_deck() to get the flat list the engine shuffles. The card database
-    the scenario was validated against rides along so the engine can resolve
-    ids without a separate argument.
+    Card ids are resolved once, when the scenario is loaded: every field
+    that names cards holds their CardDefs. Deck multisets are (CardDef,
+    count) pairs sorted by card id; use expand_deck() to get the flat list
+    the engine shuffles.
     """
 
     name: str
-    quest_line: tuple[str, str, str]
-    heroes: tuple[str, str, str]
-    player_deck: tuple[tuple[str, int], ...]
-    encounter_decks: tuple[tuple[str, tuple[tuple[str, int], ...]], ...]
+    quest_line: tuple[CardDef, CardDef, CardDef]
+    heroes: tuple[CardDef, CardDef, CardDef]
+    player_deck: tuple[tuple[CardDef, int], ...]
+    encounter_decks: tuple[tuple[str, tuple[tuple[CardDef, int], ...]], ...]
     threat_limit: int
-    db: "CardDb" = field(repr=False, compare=False, default=None)  # type: ignore[assignment]
 
     def difficulties(self) -> list[str]:
         return [name for name, _ in self.encounter_decks]
 
-    def encounter_deck(self, difficulty: str) -> tuple[tuple[str, int], ...]:
+    def encounter_deck(self, difficulty: str) -> tuple[tuple[CardDef, int], ...]:
         for name, deck in self.encounter_decks:
             if name == difficulty:
                 return deck
         raise DataError(f"scenario '{self.name}' has no difficulty '{difficulty}'")
 
 
-def expand_deck(multiset: tuple[tuple[str, int], ...]) -> list[str]:
-    """Flatten a deck multiset into a list of card ids (sorted, repeated)."""
-    out: list[str] = []
-    for cid, count in multiset:
-        out.extend([cid] * count)
+def expand_deck(multiset: tuple[tuple[CardDef, int], ...]) -> list[CardDef]:
+    """Flatten a deck multiset into its card definitions (sorted by id,
+    repeated), which the loader resolved once."""
+    out: list[CardDef] = []
+    for defn, count in multiset:
+        out.extend([defn] * count)
     return out
 
 
 def _parse_multiset(raw: object, where: str, db: CardDb,
-                    allowed: frozenset) -> tuple[tuple[str, int], ...]:
+                    allowed: frozenset) -> tuple[tuple[CardDef, int], ...]:
     if not isinstance(raw, dict) or not raw:
         raise DataError(f"{where} must be a non-empty object of card-id -> count")
-    items: list[tuple[str, int]] = []
-    for cid, count in raw.items():
+    items: list[tuple[CardDef, int]] = []
+    for cid, count in sorted(raw.items()):
         if cid not in db:
             raise DataError(f"{where} references unknown card id '{cid}'")
         if not isinstance(count, int) or isinstance(count, bool) or count < 1:
             raise DataError(f"{where}: count for '{cid}' must be a positive integer")
-        kind = db[cid].kind
-        if kind not in allowed:
-            raise DataError(f"{where}: card '{cid}' has kind {kind.value}, not allowed here")
-        items.append((cid, count))
-    return tuple(sorted(items))
+        defn = db[cid]
+        if defn.kind not in allowed:
+            raise DataError(f"{where}: card '{cid}' has kind {defn.kind.value}, not allowed here")
+        items.append((defn, count))
+    return tuple(items)
+
+
+def _three_cards(obj: dict, key: str, kind: CardKind, name: str,
+                 db: CardDb) -> tuple[CardDef, CardDef, CardDef]:
+    """The three cards of this kind that obj[key] lists by id."""
+    ids = obj.get(key)
+    if not isinstance(ids, list) or len(ids) != 3:
+        raise DataError(f"scenario '{name}': {key} must list exactly 3 {kind.value} cards")
+    for cid in ids:
+        if not isinstance(cid, str) or cid not in db:
+            raise DataError(f"scenario '{name}': unknown {kind.value} card id {cid!r}")
+        if db[cid].kind is not kind:
+            raise DataError(f"scenario '{name}': '{cid}' is not a {kind.value} card")
+    return db[ids[0]], db[ids[1]], db[ids[2]]
 
 
 def parse_scenario(obj: dict, db: CardDb) -> Scenario:
-    """Build a validated Scenario from a parsed JSON object."""
+    """Build a validated Scenario from a parsed JSON object, resolving the
+    card ids it names against db."""
     if not isinstance(obj, dict):
         raise DataError("scenario file must be a JSON object")
     name = obj.get("name")
     if not isinstance(name, str) or not name:
         raise DataError("scenario missing string 'name'")
 
-    quest_line = obj.get("quest_line")
-    if not isinstance(quest_line, list) or len(quest_line) != 3:
-        raise DataError(f"scenario '{name}': quest_line must list exactly 3 quest cards")
-    for cid in quest_line:
-        if cid not in db:
-            raise DataError(f"scenario '{name}': unknown quest card id '{cid}'")
-        if db[cid].kind is not CardKind.QUEST:
-            raise DataError(f"scenario '{name}': '{cid}' is not a quest card")
-
-    heroes = obj.get("heroes")
-    if not isinstance(heroes, list) or len(heroes) != 3:
-        raise DataError(f"scenario '{name}': heroes must list exactly 3 hero cards")
-    for cid in heroes:
-        if cid not in db:
-            raise DataError(f"scenario '{name}': unknown hero id '{cid}'")
-        if db[cid].kind is not CardKind.HERO:
-            raise DataError(f"scenario '{name}': '{cid}' is not a hero card")
+    quest_line = _three_cards(obj, "quest_line", CardKind.QUEST, name, db)
+    heroes = _three_cards(obj, "heroes", CardKind.HERO, name, db)
     if len(set(heroes)) != 3:
         raise DataError(f"scenario '{name}': heroes must be three distinct cards")
 
@@ -328,40 +320,28 @@ def parse_scenario(obj: dict, db: CardDb) -> Scenario:
 
     return Scenario(
         name=name,
-        quest_line=(quest_line[0], quest_line[1], quest_line[2]),
-        heroes=(heroes[0], heroes[1], heroes[2]),
+        quest_line=quest_line,
+        heroes=heroes,
         player_deck=player_deck,
         encounter_decks=decks,
         threat_limit=limit,
-        db=db,
     )
-
-
-def load_scenario(path: str | Path, db: CardDb) -> Scenario:
-    """Load and validate a scenario file against a card database."""
-    return parse_scenario(_read_json(Path(path), "scenario"), db)
 
 
 def load_scenario_bundle(path: str | Path | None = None) -> Scenario:
     """Load a scenario together with its card database.
 
     The scenario file's optional "cards" key names the card file, resolved
-    relative to the scenario file; without the key (or with path None) the
-    shipped data is used.
+    relative to the scenario file; without the key the shipped card file is
+    used. Path None reads the shipped scenario file, which has no such key.
     """
-    if path is None:
-        return load_scenario(builtin_scenario_path(),
-                             load_card_db(builtin_cards_path()))
-    path = Path(path)
+    path = builtin_scenario_path() if path is None else Path(path)
     obj = _read_json(path, "scenario")
     cards_ref = obj.get("cards") if isinstance(obj, dict) else None
-    if cards_ref is None:
-        db = load_card_db(builtin_cards_path())
-    else:
-        if not isinstance(cards_ref, str):
-            raise DataError(f"scenario {path}: 'cards' must be a file path")
-        db = load_card_db(path.parent / cards_ref)
-    return parse_scenario(obj, db)
+    if cards_ref is not None and not isinstance(cards_ref, str):
+        raise DataError(f"scenario {path}: 'cards' must be a file path")
+    cards = builtin_cards_path() if cards_ref is None else path.parent / cards_ref
+    return parse_scenario(obj, load_card_db(cards))
 
 
 _DATA_DIR = Path(__file__).parent / "data"

@@ -115,22 +115,19 @@ def new_game(scenario: Scenario, difficulty: str, rng: Random) -> GameState:
 
     Instance ids are assigned in a fixed order (heroes, quests, player deck,
     encounter deck); the player deck is shuffled before the encounter deck.
+    The scenario holds card definitions, resolved when it was loaded.
     """
-    db = scenario.db
     deck_multiset = scenario.encounter_deck(difficulty)
     state = GameState(scenario, difficulty)
+    for defn in scenario.heroes:
+        state.add(defn, PLAY_AREA)
+    state.quest_ids = tuple(state.add(defn, STAGING_AREA).instance_id
+                            for defn in scenario.quest_line)
 
-    def add(card_id: str, zone: Zone) -> int:
-        return state.add(db[card_id], zone).instance_id
-
-    for cid in scenario.heroes:
-        add(cid, PLAY_AREA)
-    state.quest_ids = tuple(add(cid, STAGING_AREA) for cid in scenario.quest_line)
-
-    for cid in expand_deck(scenario.player_deck):
-        add(cid, PLAYER_DECK)
-    for cid in expand_deck(deck_multiset):
-        add(cid, ENCOUNTER_DECK)
+    for defn in expand_deck(scenario.player_deck):
+        state.add(defn, PLAYER_DECK)
+    for defn in expand_deck(deck_multiset):
+        state.add(defn, ENCOUNTER_DECK)
     player = state.zone_ids[PLAYER_DECK.slot]
     if len(player) < STARTING_HAND_SIZE:
         raise DataError(f"player deck has {len(player)} cards, "
@@ -138,7 +135,7 @@ def new_game(scenario: Scenario, difficulty: str, rng: Random) -> GameState:
     rng.shuffle(player)
     rng.shuffle(state.zone_ids[ENCOUNTER_DECK.slot])
 
-    _raise_threat(state, sum(db[cid].threat_cost for cid in scenario.heroes))
+    _raise_threat(state, sum(defn.threat_cost for defn in scenario.heroes))
 
     for _ in range(STARTING_HAND_SIZE):
         state.move(state.cards[player[-1]], HAND)

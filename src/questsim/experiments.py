@@ -166,27 +166,27 @@ def _play_span(games: range) -> tuple[int, int, dict[StageId, list]]:
 def run_games(config: ExperimentConfig, label: str = "run") -> RunStats:
     """Play config.games independent games and aggregate the batch.
 
-    The scenario and agents are checked before any game runs. One worker
-    plays every game in this process; more play spans of game indices in a
-    pool, of no more processes than spans or usable CPUs, and send back one
-    (wins, rounds, timings) tuple per span.
+    The scenario and agents are checked before any game runs. The batch
+    uses no more processes than config.workers, usable CPUs or games. One
+    process plays every game in this one; more play spans of game indices
+    in a pool, and send back one (wins, rounds, timings) tuple per span.
     Everything except the timing fields is a pure function of the config;
     worker count only affects wall time.
     """
     _init_worker(config)
     games = range(config.games)
+    # The CPUs this process may run on.
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(config.workers, cpus, config.games)
     start = time.perf_counter()
-    if config.workers == 1:
+    if workers == 1:
         results = [_play_span(games)]
     else:
-        # The CPUs this process may run on.
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-        workers = min(config.workers, cpus)
         chunk = max(1, config.games // (workers * 4))
         spans = [games[i:i + chunk] for i in games[::chunk]]
-        with Pool(processes=min(workers, len(spans)),
-                  initializer=_init_worker, initargs=(config,)) as pool:
+        with Pool(processes=workers, initializer=_init_worker,
+                  initargs=(config,)) as pool:
             results = list(pool.imap_unordered(_play_span, spans))
     wall = time.perf_counter() - start
 

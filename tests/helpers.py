@@ -1,6 +1,7 @@
 """Shared test fixtures: a small synthetic card pool with hand-checkable
 numbers, plus surgery helpers for building precise game states."""
 
+from functools import cache
 from random import Random
 
 from questsim.cards import parse_card_db, parse_scenario
@@ -98,6 +99,7 @@ SYNTH_SCENARIO = {
 }
 
 
+@cache
 def make_db():
     return parse_card_db(SYNTH_CARDS)
 
@@ -113,9 +115,9 @@ def new_synth_game(seed=0, scenario=None):
 
 
 def put(state: GameState, card_id: str, zone: Zone, **attrs) -> CardInstance:
-    """Append a fresh instance of card_id in the given zone, on top if it
-    is a deck (test surgery)."""
-    inst = state.add(state.scenario.db[card_id], zone)
+    """Append a fresh instance of the synthetic card card_id in the given
+    zone, on top if it is a deck (test surgery)."""
+    inst = state.add(make_db()[card_id], zone)
     for name, value in attrs.items():
         setattr(inst, name, value)
     return inst

@@ -14,7 +14,6 @@ from questsim.agents import (
     STAGE_KEYS,
     AgentKind,
     SearchConfig,
-    StagePolicyMap,
     default_attack,
     default_travel,
     expert_decide,
@@ -23,7 +22,7 @@ from questsim.agents import (
     parse_stage_choices,
 )
 from questsim.engine import legal_actions
-from questsim.errors import ConfigError
+from questsim.errors import ConfigError, StageError
 from questsim.experiments import ExperimentConfig
 from questsim.state import (
     Attack,
@@ -318,6 +317,22 @@ def test_parse_agent_round_trips():
     # The string prints every setting, so nothing else may be one.
     assert [f.name for f in dataclasses.fields(SearchConfig)] == [
         "playout_budget", "exploration_c", "playout_policy"]
+
+
+@pytest.mark.parametrize("kind,search,message", [
+    ("expert", SearchConfig(10), "agent 'expert' takes no search settings"),
+    ("random", SearchConfig(10), "agent 'random' takes no search settings"),
+    ("mcts", None, "agent 'mcts' needs search settings"),
+    ("flat", None, "agent 'flat' needs search settings"),
+])
+def test_only_search_agents_take_search_settings(kind, search, message):
+    with pytest.raises(ConfigError, match=message):
+        AgentKind(kind, search)
+
+
+def test_expert_decides_only_at_decision_stages(game):
+    with pytest.raises(StageError, match="'refresh' is not a decision stage"):
+        expert_decide(at_stage(game, StageId.REFRESH))
 
 
 def test_flat_agent_rejects_an_exploration_constant_it_cannot_print():

@@ -132,12 +132,12 @@ def test_duplicate_card_id_rejected():
 
 def test_scenario_loads(synth_scenario):
     assert synth_scenario.name == "testlands"
-    assert synth_scenario.heroes == ("hero-star", "hero-crown", "hero-axe")
+    assert [h.id for h in synth_scenario.heroes] == ["hero-star", "hero-crown", "hero-axe"]
     assert synth_scenario.difficulties() == ["test"]
     assert synth_scenario.threat_limit == 50
     deck = expand_deck(synth_scenario.player_deck)
     assert len(deck) == 20
-    assert deck.count("ally-lantern") == 4
+    assert [defn.id for defn in deck].count("ally-lantern") == 4
 
 
 def test_quest_line_must_have_three_quests(synth_db):
@@ -214,7 +214,7 @@ def test_scenario_file_with_cards_reference(tmp_path):
     scen_file.write_text(json.dumps(obj))
     scenario = load_scenario_bundle(scen_file)
     assert scenario.name == "testlands"
-    assert scenario.db["hero-star"].willpower == 4
+    assert scenario.heroes[0].willpower == 4
 
 
 def test_malformed_json_reports_path(tmp_path):
@@ -224,25 +224,7 @@ def test_malformed_json_reports_path(tmp_path):
         load_card_db(bad)
 
 
-# ---- format doc -------------------------------------------------------------
-
-
-def test_format_doc_covers_every_kind_field_and_bound():
-    doc = (Path(__file__).parent.parent / "docs" / "card_format.md").read_text()
-    for kind, fields in cards._REQUIRED.items():
-        row = next(line for line in doc.splitlines()
-                   if line.startswith(f"| `{kind.value}` "))
-        assert row.count("`") == 2 * (len(fields) + 1), row
-        for name in fields:
-            assert f"`{name}`" in row, (kind, name)
-    for name, minimum in cards._MIN_VALUE.items():
-        assert re.search(rf"^\| `{name}` +\| {minimum} \|$", doc, re.M), name
-    for value in ([s.value for s in cards._PLAYER_SPHERES] + list(cards.BUFF_STATS)
-                  + list(cards.PLAYER_EFFECTS) + list(cards.ENCOUNTER_EFFECTS)):
-        assert f"`{value}`" in doc, value
-
-
-# ---- every loader check names what is wrong ----------------------------------
+# ---- every loader check names what is wrong ---------------------------------
 
 
 @pytest.mark.parametrize("obj,message", [
@@ -315,3 +297,53 @@ def test_cards_reference_must_be_a_path(tmp_path):
     with pytest.raises(DataError, match=re.escape(
             f"scenario {scen_file}: 'cards' must be a file path")):
         load_scenario_bundle(scen_file)
+
+
+
+@pytest.mark.parametrize("key,kind", [("quest_line", "quest"), ("heroes", "hero")])
+@pytest.mark.parametrize("bad_id", [["hero-star"], {"id": "hero-star"}, 7],
+                         ids=["list", "object", "number"])
+def test_a_card_id_that_is_not_a_string_is_a_data_error(synth_db, key, kind, bad_id):
+    obj = scenario_obj()
+    obj[key][1] = bad_id
+    with pytest.raises(DataError, match=re.escape(
+            f"scenario 'testlands': unknown {kind} card id {bad_id!r}")):
+        parse_scenario(obj, synth_db)
+
+
+def test_scenarios_over_different_card_files_differ(tmp_path):
+    """Equal ids over different card files are different scenarios: the
+    scenario holds the cards, not their ids."""
+    stronger = card_entries()
+    stronger["cards"][0]["willpower"] += 1
+    for name, cards_obj in (("pool.json", helpers.SYNTH_CARDS), ("strong.json", stronger)):
+        (tmp_path / name).write_text(json.dumps(cards_obj))
+        (tmp_path / f"scen-{name}").write_text(json.dumps(scenario_with(cards=name)))
+    plain = load_scenario_bundle(tmp_path / "scen-pool.json")
+    strong = load_scenario_bundle(tmp_path / "scen-strong.json")
+    assert plain == load_scenario_bundle(tmp_path / "scen-pool.json")
+    assert plain != strong
+    assert (plain.heroes[0].willpower, strong.heroes[0].willpower) == (4, 5)
+
+
+def test_the_shipped_scenario_loads_like_a_given_one(shipped):
+    assert load_scenario_bundle(cards.builtin_scenario_path()) == shipped
+
+
+# ---- format doc -------------------------------------------------------------
+
+
+def test_format_doc_covers_every_kind_field_and_bound():
+    doc = (Path(__file__).parent.parent / "docs" / "card_format.md").read_text()
+    for kind, fields in cards._REQUIRED.items():
+        row = next(line for line in doc.splitlines()
+                   if line.startswith(f"| `{kind.value}` "))
+        assert row.count("`") == 2 * (len(fields) + 1), row
+        for name in fields:
+            assert f"`{name}`" in row, (kind, name)
+    for name, minimum in cards._MIN_VALUE.items():
+        assert re.search(rf"^\| `{name}` +\| {minimum} \|$", doc, re.M), name
+    for value in ([s.value for s in cards._PLAYER_SPHERES] + list(cards.BUFF_STATS)
+                  + list(cards.PLAYER_EFFECTS) + list(cards.ENCOUNTER_EFFECTS)):
+        assert f"`{value}`" in doc, value
+

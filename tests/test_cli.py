@@ -10,6 +10,7 @@ import pytest
 
 from questsim import cli
 from questsim.agents import parse_agent, parse_policy_map
+from questsim.cards import builtin_scenario_path
 from questsim.experiments import render_csv, render_json
 
 AGENTS = "planning=expert,commit=random,defense=expert"
@@ -170,3 +171,29 @@ def test_play_trace_tells_copies_of_one_card_apart(capsys):
     assert enemy and enemy[1] != dealt
     assert re.search(rf"^R{round_no} declare-defenders +defend=\["
                      rf"{re.escape(enemy[1])}<-", out, re.M)
+
+
+def test_sweep_prints_one_row_per_budget(capsys):
+    agents = "planning=mcts:4:0.7:random,commit=random,defense=expert"
+    assert cli.main(["sweep", "--games", "2", "--seed", "4", "--budgets", "1,3",
+                     "--agents", agents]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "# command=sweep" in out and "# budgets=1,3" in out
+    rows = list(csv.DictReader(line for line in out if not line.startswith("#")))
+    assert [row["label"] for row in rows] == ["1", "3"]
+    assert [row["agents"] for row in rows] == [
+        agents.replace(":4:", f":{budget}:") for budget in (1, 3)]
+    assert all(row["n"] == "2" for row in rows)
+
+
+@pytest.mark.parametrize("bad_id", [["eowyn"], {"id": "eowyn"}])
+def test_a_malformed_scenario_file_is_one_error_line(tmp_path, capsys, bad_id):
+    doc = json.loads(builtin_scenario_path().read_text())
+    doc["heroes"][0] = bad_id
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["simulate", "--games", "2", "--scenario", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: scenario 'Passage Through Mirkwood': "
+                            f"unknown hero card id {bad_id!r}\n")

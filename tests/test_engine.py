@@ -1,5 +1,6 @@
 """Rules engine: setup, stage effects, payment, combat and invariants."""
 
+import re
 from random import Random
 
 import pytest
@@ -14,7 +15,7 @@ from questsim.engine import (
     play_game,
     resolve_random_stage,
 )
-from questsim.errors import ConfigError, IllegalActionError, QuestSimError, StageError
+from questsim.errors import ConfigError, DataError, IllegalActionError, QuestSimError, StageError
 from questsim.state import (
     Attack,
     Commit,
@@ -65,6 +66,30 @@ def test_new_game_loses_immediately_if_threat_at_limit(synth_db):
         assert state.outcome is Outcome.LOSS_THREAT
         assert state.threat_level == limit
         check_invariants(state)
+
+
+def test_new_game_needs_a_starting_hand():
+    scenario = helpers.make_scenario(player_deck={"ally-lantern": 4, "gandalf": 1})
+    with pytest.raises(DataError, match="player deck has 5 cards, needs at least 6"):
+        new_game(scenario, "test", Random(0))
+
+
+def test_staging_and_shadows_draw_nothing_once_the_encounter_cards_run_out():
+    scenario = helpers.make_scenario(encounter_decks={"test": {"enemy-wolf": 1}})
+    game = new_game(scenario, "test", Random(0))
+    staged = resolve_random_stage(at_stage(game, StageId.STAGING), Random(0))
+    wolf, = by_id(staged, "enemy-wolf", Zone.STAGING_AREA)
+    assert staged.encounter_deck == [] and staged.in_zone(Zone.ENCOUNTER_DISCARD) == []
+
+    zones = [c.zone for c in staged.cards]
+    again = resolve_random_stage(at_stage(staged, StageId.STAGING), Random(0))
+    assert [c.zone for c in again.cards] == zones
+    assert again.threat_level == staged.threat_level
+
+    staged.move(wolf, Zone.ENGAGEMENT_AREA)
+    shadows = resolve_random_stage(at_stage(staged, StageId.DEAL_SHADOW_CARDS), Random(0))
+    assert shadows.cards[wolf.instance_id].shadow_card is None
+    assert shadows.stage is StageId.DEAL_SHADOW_CARDS.next
 
 
 # ---- ruled stages -----------------------------------------------------------
@@ -515,6 +540,25 @@ def test_attack_rejects_exhausted_attackers(game):
         apply_action(game, Attack(((enemy.instance_id, (2,)),)))
 
 
+def test_attack_rejects_an_enemy_attacked_twice(game):
+    at_stage(game, StageId.DECLARE_ATTACKERS)
+    enemy = put(game, "enemy-wolf", Zone.ENGAGEMENT_AREA).instance_id
+    with pytest.raises(IllegalActionError, match=f"enemy {enemy} attacked twice"):
+        apply_action(game, Attack(((enemy, (0,)), (enemy, (1,)))))
+
+
+def test_stage_steps_refuse_a_finished_game_or_another_kind_of_stage(game):
+    with pytest.raises(StageError, match="'planning' is not a ruled stage"):
+        advance_ruled_stage(at_stage(game, StageId.PLANNING))
+    with pytest.raises(StageError, match="'refresh' is not a random stage"):
+        resolve_random_stage(at_stage(game, StageId.REFRESH), Random(0))
+    game.outcome = Outcome.LOSS_THREAT
+    with pytest.raises(StageError, match="game is over"):
+        advance_ruled_stage(game)
+    with pytest.raises(StageError, match="game is over"):
+        resolve_random_stage(at_stage(game, StageId.STAGING), Random(0))
+
+
 def test_wrong_stage_action_is_rejected(game):
     at_stage(game, StageId.PLANNING)
     with pytest.raises(IllegalActionError, match="applies at stage"):
@@ -672,6 +716,102 @@ def test_check_invariants_detects_corruption(game):
 def test_check_invariants_detects_bad_commit_flag(game):
     game.cards[0].committed = True  # committed but not exhausted
     with pytest.raises(QuestSimError, match="committed"):
+        check_invariants(game)
+
+
+def engaged_wolf(state):
+    return put(state, "enemy-wolf", Zone.ENGAGEMENT_AREA)
+
+
+def shadow_elsewhere(state):
+    engaged_wolf(state).shadow_card = state.encounter_deck[0]
+    return f"shadow card {state.encounter_deck[0]} left the engagement area"
+
+
+def shadow_unmarked(state):
+    wolf = engaged_wolf(state)
+    wolf.shadow_card = engaged_wolf(state).instance_id
+    return (f"shadow card {wolf.shadow_card} not marked as attached to its "
+            f"enemy {wolf.instance_id}")
+
+
+def shadow_unheld(state):
+    wolf = engaged_wolf(state)
+    engaged_wolf(state).attached_to = wolf.instance_id
+    return f"marked as a shadow of {wolf.instance_id} which does not hold it"
+
+
+def attached_to_hand(state):
+    put(state, "item-blade", Zone.PLAY_AREA, attached_to=state.hand()[0].instance_id)
+
+
+def two_shadow_holders(state):
+    for hero in state.heroes()[:2]:
+        hero.shadow_card = state.encounter_deck[0]
+
+
+def two_active_locations(state):
+    for _ in range(2):
+        put(state, "loc-clearing", Zone.ACTIVE_LOCATION)
+
+
+def setattrs(obj, **attrs) -> None:
+    for name, value in attrs.items():
+        setattr(obj, name, value)
+
+
+def move_quests(*indexes, to=Zone.COMPLETED_QUESTS):
+    def corrupt(state):
+        for i in indexes:
+            state.move(state.cards[state.quest_ids[i]], to)
+    return corrupt
+
+
+def deck_card(state):
+    return state.cards[state.player_deck[0]]
+
+
+# One corruption of a fresh game per invariant, each breaking only that
+# one, with the message the audit gives; a corruption whose message names
+# the cards it builds returns the message itself.
+CORRUPTIONS = {
+    "instance-id": (lambda s: setattrs(s.cards[5], instance_id=9),
+                    "card at index 5 has instance_id 9"),
+    "zone-index": (lambda s: s.player_deck.clear(), "zone index lists [] in player_deck"),
+    "shadow-twice": (two_shadow_holders, "one card dealt as shadow to two enemies"),
+    "shadow-holder": (lambda s: setattrs(s.heroes()[0], shadow_card=s.encounter_deck[0]),
+                      "holds a shadow card but is not an engaged enemy"),
+    "shadow-zone": (shadow_elsewhere, None),
+    "shadow-mark": (shadow_unmarked, None),
+    "shadow-held": (shadow_unheld, None),
+    "committed": (lambda s: setattrs(s.heroes()[0], committed=True),
+                  "committed but not an exhausted character in play"),
+    "damage": (lambda s: setattrs(deck_card(s), damage=1), "carries damage outside play"),
+    "destroyed": (lambda s: setattrs(s.heroes()[0], damage=3), "should have been destroyed"),
+    "resources": (lambda s: setattrs(s.hand()[0], resource_pool=1),
+                  "holds resources but is not a hero"),
+    "progress": (lambda s: setattrs(s.current_quest(), progress=1),
+                 "carries quest progress but is not the active location"),
+    "attached": (attached_to_hand, "which left play"),
+    "active": (two_active_locations, "more than one active location"),
+    "won-early": (lambda s: setattrs(s, outcome=Outcome.WIN), "won with quest_index 0"),
+    "quest-index": (move_quests(0, 1, 2), "quest_index 3 out of range"),
+    "quest-zone": (move_quests(1, to=Zone.ENCOUNTER_DISCARD),
+                   "quest card 4 in encounter_discard, expected staging_area"),
+    "rollover": (lambda s: setattrs(s, quest_progress=6), "quest_progress 6 not rolled over"),
+    "negative": (lambda s: setattrs(s, quest_progress=-1), "negative quest_progress"),
+    "threat-range": (lambda s: setattrs(s, threat_level=51), "threat 51 outside [0, limit]"),
+    "threat-limit": (lambda s: setattrs(s, threat_level=50),
+                     "threat at limit but game not lost"),
+}
+
+
+@pytest.mark.parametrize("name", CORRUPTIONS)
+def test_check_invariants_names_each_broken_invariant(game, name):
+    check_invariants(game)
+    corrupt, message = CORRUPTIONS[name]
+    message = corrupt(game) or message
+    with pytest.raises(QuestSimError, match="invariant violation: .*" + re.escape(message)):
         check_invariants(game)
 
 

@@ -112,6 +112,36 @@ def test_sweep_row_equals_a_batch_at_that_budget_alone():
         assert result(stats) == result(run_games(crn_config(budget)))
 
 
+@pytest.mark.parametrize("budgets,agents,message", [
+    ([], CRN_AGENTS.format(1), "budget sweep needs at least one budget"),
+    ([1], "planning=expert,commit=random,defense=random",
+     "budget sweep needs at least one search agent in the map "
+     "'planning=expert,commit=random,defense=random'"),
+])
+def test_a_sweep_with_nothing_to_vary_is_refused(budgets, agents, message):
+    config = ExperimentConfig(games=1, master_seed=0,
+                              policy_map=parse_policy_map(agents))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        budget_sweep(config, budgets)
+
+
+@pytest.mark.parametrize("choices,message", [
+    ({"travel": [parse_agent("expert")]}, "unknown grid stage 'travel'"),
+    ({"commit": []}, "grid stage 'commit' has no choices"),
+])
+def test_a_grid_over_no_choices_is_refused(choices, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        combination_grid(crn_config(1), choices)
+
+
+@pytest.mark.parametrize("field,message", [("games", "games must be >= 1, got 0"),
+                                           ("workers", "workers must be >= 1, got 0")])
+def test_a_batch_needs_a_game_and_a_worker(field, message):
+    settings = {"games": 1, "workers": 1, field: 0}
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ExperimentConfig(master_seed=0, policy_map=EXPERTS, **settings)
+
+
 # ---- the fold of a batch ----------------------------------------------------
 
 EXPERTS = parse_policy_map("planning=expert,commit=expert,defense=expert")
@@ -156,13 +186,33 @@ def in_process_pool(asked: list[int]):
     return InProcessPool
 
 
+def usable_cpus(monkeypatch, cpus: set[int]) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: len(cpus))
+
+
 def test_a_pool_asks_for_no_more_processes_than_games(monkeypatch):
     alone = run_games(expert_config(3))
     asked = []
     monkeypatch.setattr(experiments, "Pool", in_process_pool(asked))
+    usable_cpus(monkeypatch, set(range(8)))
     pooled = run_games(expert_config(3, workers=1000))
-    assert asked and asked[0] <= 3
+    assert asked == [3]
     assert result(pooled) == result(alone)
+
+
+@pytest.mark.parametrize("games,cpus", [(4, {0}), (1, {0, 1})],
+                         ids=["one-cpu", "one-game"])
+def test_one_usable_process_plays_in_this_one(monkeypatch, games, cpus):
+    """Two workers asked for, but one CPU or one game: no pool is built."""
+    alone = run_games(expert_config(games))
+    asked = []
+    monkeypatch.setattr(experiments, "Pool", in_process_pool(asked))
+    usable_cpus(monkeypatch, cpus)
+    pooled = run_games(expert_config(games, workers=2))
+    assert asked == []
+    assert result(pooled) == result(alone)
+    assert list(pooled.mean_decision_time) == DECISION_KEYS
 
 
 @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu-count"])

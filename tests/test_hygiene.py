@@ -1,8 +1,8 @@
 """Source hygiene without a linter: no dead private helpers or constants,
-no unused imports, no unread parameters. A private name that nothing in
-its module reads is a copy that drifted out of use, and a parameter that
-nothing reads is a setting no caller can change; these checks keep both
-from growing back."""
+no unused imports (in the tests too), no unread parameters. A private
+name that nothing in its module reads is a copy that drifted out of use,
+and a parameter that nothing reads is a setting no caller can change;
+these checks keep both from growing back."""
 
 import ast
 from pathlib import Path
@@ -13,6 +13,7 @@ from questsim import cards, state
 
 SRC = Path(__file__).parent.parent / "src" / "questsim"
 MODULES = sorted(SRC.glob("*.py"))
+TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def loaded_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
@@ -53,8 +54,9 @@ def test_private_module_names_are_used(path):
     assert not dead, f"{path.name}: unused private names {dead}"
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"]
+                         + TEST_MODULES,
+                         ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_imports_are_used(path):
     tree = parse(path)
     used = loaded_names(tree)
