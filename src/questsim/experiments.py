@@ -9,11 +9,13 @@ arrival can change. Sweep and grid rows reuse the same per-game seeds.
 A game's encounter cards and its agents' choices still share one random
 stream, so until the two streams are separated, agents that draw
 differently see different encounter cards from the same seed.
+
+Only a batch that starts a pool loads multiprocessing, and only CSV output
+loads csv, so a single-process run or a JSON report imports neither.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -21,7 +23,6 @@ import os
 import time
 from dataclasses import asdict, dataclass, field, replace
 from itertools import product
-from multiprocessing import Pool
 from pathlib import Path
 from random import Random
 
@@ -170,6 +171,8 @@ def run_games(config: ExperimentConfig, label: str = "run") -> RunStats:
     uses no more processes than config.workers, usable CPUs or games. One
     process plays every game in this one; more play spans of game indices
     in a pool, and send back one (wins, rounds, timings) tuple per span.
+    Only a batch that starts a pool loads multiprocessing, before the
+    clock starts.
     Everything except the timing fields is a pure function of the config;
     worker count only affects wall time.
     """
@@ -179,6 +182,8 @@ def run_games(config: ExperimentConfig, label: str = "run") -> RunStats:
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = min(config.workers, cpus, config.games)
+    if workers > 1:
+        from multiprocessing import Pool
     start = time.perf_counter()
     if workers == 1:
         results = [_play_span(games)]
@@ -269,6 +274,8 @@ def render_csv(rows: list[RunStats], header: dict[str, object]) -> str:
     """CSV text: '# key=value' resolved-config comments, column header,
     one row per batch. No timestamps, so equal configs give equal bytes
     (up to the wall_time_s column)."""
+    import csv
+
     out = io.StringIO()
     for key, value in header.items():
         out.write(f"# {key}={value}\n")

@@ -124,8 +124,9 @@ def unplayed(monkeypatch):
         monkeypatch.setattr(cli, name, play)
 
 
+@pytest.mark.usefixtures("unplayed")
 @pytest.mark.parametrize("command", BATCHES)
-def test_unwritable_out_fails_before_the_first_game(command, unplayed, capsys):
+def test_unwritable_out_fails_before_the_first_game(command, capsys):
     out = "/nonexistent/dir/x.csv"
     argv = [command, *BATCHES[command], "--games", "2", "--out", out]
     assert cli.main(argv) == 1
@@ -133,8 +134,8 @@ def test_unwritable_out_fails_before_the_first_game(command, unplayed, capsys):
         f"error: cannot write '{out}': No such file or directory\n"
 
 
-def test_out_check_leaves_existing_and_missing_files_as_they_were(unplayed,
-                                                                 tmp_path):
+@pytest.mark.usefixtures("unplayed")
+def test_out_check_leaves_existing_and_missing_files_as_they_were(tmp_path):
     kept, absent = tmp_path / "kept.csv", tmp_path / "absent.json"
     link, target = tmp_path / "link.csv", tmp_path / "target.csv"
     kept.write_text("earlier results\n")

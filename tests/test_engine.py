@@ -58,7 +58,7 @@ def test_new_game_is_seed_deterministic(synth_scenario):
     assert a.fingerprint() != c.fingerprint()
 
 
-def test_new_game_loses_immediately_if_threat_at_limit(synth_db):
+def test_new_game_loses_immediately_if_threat_at_limit():
     # The synthetic heroes cost 29 threat: at the first limit, above the
     # second, where the threat is clamped to the limit.
     for limit in (29, 20):

@@ -3,8 +3,11 @@ common random numbers across sweep and grid rows, the fold of a batch
 over worker spans and the output document."""
 
 import math
+import multiprocessing
 import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -166,6 +169,37 @@ def test_an_in_process_batch_reads_the_scenario_once(monkeypatch):
     assert reads == [None]
 
 
+# Run in a fresh interpreter without the site module (-S), so that only
+# what questsim imports counts: not the modules this test process or a
+# .pth file has already loaded.
+SINGLE_PROCESS_RUN = """
+import sys
+from random import Random
+import questsim, questsim.cli
+from questsim import (ExperimentConfig, load_scenario_bundle, new_game,
+                      parse_policy_map, play_game, run_games)
+from questsim.search import build_stage_policies
+experts = parse_policy_map("planning=expert,commit=expert,defense=expert")
+rng = Random(1)
+state = new_game(load_scenario_bundle(), "medium", rng)
+play_game(state, build_stage_policies(experts), rng)
+run_games(ExperimentConfig(games=2, master_seed=1, policy_map=experts))
+print(*sorted(set(sys.argv[1:]) & set(sys.modules)))
+"""
+
+
+def test_a_single_process_run_loads_no_pool_and_no_csv_module():
+    """Only a batch that starts a pool imports multiprocessing (and with it
+    pickle, socket and selectors), and only CSV output imports csv."""
+    src = Path(__file__).parent.parent / "src"
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", SINGLE_PROCESS_RUN,
+         "multiprocessing", "pickle", "socket", "selectors", "csv"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True)
+    assert run.stdout.split() == []
+
+
 def in_process_pool(asked: list[int]):
     """A stand-in for multiprocessing.Pool that records the process count
     asked for, runs the initializer and every task in this process, and
@@ -194,7 +228,7 @@ def usable_cpus(monkeypatch, cpus: set[int]) -> None:
 def test_a_pool_asks_for_no_more_processes_than_games(monkeypatch):
     alone = run_games(expert_config(3))
     asked = []
-    monkeypatch.setattr(experiments, "Pool", in_process_pool(asked))
+    monkeypatch.setattr(multiprocessing, "Pool", in_process_pool(asked))
     usable_cpus(monkeypatch, set(range(8)))
     pooled = run_games(expert_config(3, workers=1000))
     assert asked == [3]
@@ -207,7 +241,7 @@ def test_one_usable_process_plays_in_this_one(monkeypatch, games, cpus):
     """Two workers asked for, but one CPU or one game: no pool is built."""
     alone = run_games(expert_config(games))
     asked = []
-    monkeypatch.setattr(experiments, "Pool", in_process_pool(asked))
+    monkeypatch.setattr(multiprocessing, "Pool", in_process_pool(asked))
     usable_cpus(monkeypatch, cpus)
     pooled = run_games(expert_config(games, workers=2))
     assert asked == []
@@ -221,7 +255,7 @@ def test_a_pool_asks_for_no_more_processes_than_usable_cpus(monkeypatch, affinit
     mask, else every CPU. No process is started."""
     alone = run_games(expert_config(20))
     asked = []
-    monkeypatch.setattr(experiments, "Pool", in_process_pool(asked))
+    monkeypatch.setattr(multiprocessing, "Pool", in_process_pool(asked))
     if affinity:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5},
                             raising=False)

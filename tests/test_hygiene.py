@@ -1,5 +1,5 @@
 """Source hygiene without a linter: no dead private helpers or constants,
-no unused imports (in the tests too), no unread parameters. A private
+no unused imports and no unread parameters (in the tests too). A private
 name that nothing in its module reads is a copy that drifted out of use,
 and a parameter that nothing reads is a setting no caller can change;
 these checks keep both from growing back."""
@@ -14,6 +14,10 @@ from questsim import cards, state
 SRC = Path(__file__).parent.parent / "src" / "questsim"
 MODULES = sorted(SRC.glob("*.py"))
 TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
+
+
+def module_id(path: Path) -> str:
+    return path.name if path.parent == SRC else f"tests/{path.name}"
 
 
 def loaded_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
@@ -55,8 +59,7 @@ def test_private_module_names_are_used(path):
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"]
-                         + TEST_MODULES,
-                         ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
+                         + TEST_MODULES, ids=module_id)
 def test_imports_are_used(path):
     tree = parse(path)
     used = loaded_names(tree)
@@ -97,12 +100,18 @@ def functions(tree: ast.Module):
             stack.append((name + "." if named else prefix, child))
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+# In the tests, only the test functions: a parameter of one is a fixture
+# or a parametrized value, and a fixture wanted only for its effect goes in
+# @pytest.mark.usefixtures instead.
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=module_id)
 def test_parameters_are_read(path):
     allowed = UNREAD_PARAMS_ALLOWED.get(path.name, set())
+    in_tests = path.parent != SRC
     unread = []
     seen = set()
     for name, fn in functions(parse(path)):
+        if in_tests and not name.rpartition(".")[2].startswith("test_"):
+            continue
         seen.add(name)
         a = fn.args
         params = a.posonlyargs + a.args + a.kwonlyargs + [
