@@ -4,10 +4,12 @@ default rules for Travel and DeclareAttackers that every agent shares.
 A Policy is how one decision stage is decided: decide(state, legals, rng)
 returns the action, and needs_legals says whether the stage loop
 (engine._run) hands it the enumerated legal actions or None. A policy
-without legals builds its action analytically and still stays inside the
-enumerated legal family (it builds on the engine's family helpers and cap
-predicates instead of enumerating). Each Policy here adapts one of the
-module's rule functions; search.py adds the flat and mcts ones.
+without legals builds its action analytically, from the rules alone: the
+action passes its stage's check, and it is a member of the enumerated
+legal family whenever no family cap fired. The caps (engine.py) bound
+the choices a search sees only; the expert plays its rule whatever they
+are. Each Policy here adapts one of the module's rule functions;
+search.py adds the flat and mcts ones.
 
 AgentKind is one parsed agent string (docs/agents.md), its search settings
 in a SearchConfig for the flat and mcts kinds. STAGE_KEYS names the stages
@@ -23,16 +25,7 @@ from random import Random
 from typing import Callable
 
 from .cards import LOCATION, NEUTRAL, SPIRIT, Sphere
-from .engine import (
-    MAX_COMMIT_ENUM,
-    _planning_bounds,
-    _planning_enumerate,
-    commit_pool,
-    commit_prefixes,
-    defend_overflows,
-    defender_order,
-    fits,
-)
+from .engine import _payable_singles, commit_pool, defender_order, fits
 from .errors import ConfigError, StageError
 from .state import (
     COMMIT_CHARACTERS,
@@ -133,14 +126,13 @@ def _buy_order(card: CardInstance) -> tuple:
 
 def _expert_planning(state: GameState) -> Action:
     """Greedy purchase: the most preferred affordable card (_buy_order),
-    repeated until nothing else is affordable. The hero pools, the cards
-    payable on their own and the cap answer come from one
-    engine._planning_bounds call.
+    repeated until nothing else is affordable. The hero pools and the cards
+    payable on their own come from one engine._payable_singles call.
 
     The buy only grows, so a card that does not fit now never fits later:
     taking, in preference order, each card that still fits picks the same
     cards as re-filtering the affordable cards before every pick."""
-    capped, singles, pools, total_pool = _planning_bounds(state)
+    singles, pools, total_pool = _payable_singles(state)
     singles.sort(key=_buy_order)
     demand: dict[Sphere, int] = {}
     spent = 0
@@ -153,15 +145,7 @@ def _expert_planning(state: GameState) -> Action:
             if d.sphere is not NEUTRAL:
                 demand[d.sphere] = demand.get(d.sphere, 0) + d.cost
 
-    if len(chosen) >= 2:
-        if capped is None:
-            capped = _planning_enumerate(singles, pools, total_pool) is None
-        if capped:
-            # Capped family carries only singletons. Each chosen card fitted
-            # on top of the cards picked before it, so it is payable on its
-            # own: keep the first one in hand (instance-id) order.
-            return PlayCards._canonical((min(chosen),))
-        chosen.sort()
+    chosen.sort()
     return PlayCards._canonical(tuple(chosen))
 
 
@@ -192,15 +176,6 @@ def _expert_commit(state: GameState) -> Action:
         total += c.willpower
         if total > threshold:
             break
-
-    if len(pool) > MAX_COMMIT_ENUM:
-        # Capped family carries only the qualifying prefixes: take the
-        # longest one inside the ideal set, else the shortest. The whole
-        # pool beats the threshold, so there is at least one.
-        prefixes = commit_prefixes(pool, threshold)
-        ideal = set(chosen)
-        inside = [p for p in prefixes if ideal.issuperset(p)]
-        return Commit(inside[-1] if inside else prefixes[0])
     chosen.sort()
     return Commit._canonical(tuple(chosen))
 
@@ -215,23 +190,15 @@ def _expert_defend(state: GameState) -> Action:
     queue = defender_order(state)
     ranked = sorted(engaged, key=lambda e: (-e.attack, e.instance_id))
     ideal = {e.instance_id: c.instance_id for e, c in zip(ranked, queue)}
-
-    if defend_overflows(len(engaged), len(queue)):
-        # Capped family: all-undefended plus single-defender assignments,
-        # enemies outer / characters inner, so keep the first ideal pair.
-        # There is one: with no defender the family never overflows.
-        first = min(ideal)
-        return Defend._canonical(tuple([
-            (e.instance_id, ideal[first] if e.instance_id == first else None)
-            for e in engaged]))
     # engaged_enemies is in id order, the canonical order of assignments.
     return Defend._canonical(tuple([(e.instance_id, ideal.get(e.instance_id))
                                     for e in engaged]))
 
 
 def expert_decide(state: GameState) -> Action:
-    """Deterministic rule agent; its construction stays inside the
-    enumerated legal family, caps included."""
+    """Deterministic rule agent. Its action passes the stage's check and
+    is a member of the legal family whenever no cap fired; the family caps
+    bound the search's choices only, not the expert's."""
     stage = state.stage
     if stage is PLANNING:
         return _expert_planning(state)

@@ -14,8 +14,8 @@ play_game and search tree levels (flat Monte-Carlo's root children
 included) run both, through _apply_inplace (_run does so when its checked
 flag is set). Search playouts trust their random, expert and fixed-rule
 policies and run the effect alone: tests/test_contracts.py shows that those
-policies pick only legal actions and that the effect alone leaves the same
-state as both together.
+policies pick only actions that pass their check, past a family cap too,
+and that the effect alone leaves the same state as both together.
 
 The engine logs nothing: each handler only applies its rules. play_game
 derives its trace lines in the loop's observe callback, by comparing a
@@ -96,9 +96,10 @@ STARTING_HAND_SIZE = 6
 # No round starts after this one: its refresh loses the game to threat.
 ROUND_CAP = 100
 
-# Legal-action family caps. Planning is capped at 64 subsets; when the cap
-# would be exceeded the family falls back to a smaller canonical family so
-# decision stages never explode combinatorially.
+# Legal-action family caps: the search's action abstraction, not rules of
+# the game. Over its cap a family falls back to a smaller canonical one, so
+# a search never branches combinatorially. They bound the search's choices
+# only: the rule agents and apply_action follow the rules, not the caps.
 MAX_PLANNING_ACTIONS = 64
 MAX_COMMIT_ENUM = 7
 MAX_DEFEND_ACTIONS = 512
@@ -314,27 +315,14 @@ def _planning_enumerate(cards: list[CardInstance], pools: dict[Sphere, int],
     return found if len(found) < MAX_PLANNING_ACTIONS else None
 
 
-def _planning_bounds(state: GameState) -> tuple[bool | None, list[CardInstance],
+def _payable_singles(state: GameState) -> tuple[list[CardInstance],
                                                 dict[Sphere, int], int]:
-    """(capped, singles, pools, total): the hand cards payable on their
-    own in hand order, the hero pools, and whether the Planning family
-    overflows the 64-action cap as far as O(hand) bounds decide it (None
-    when only the subset walk over the singles can tell).
-
-    A payable subset holds only cards payable on their own, so with n such
-    cards the family has at most 2^n actions (the empty buy included) and
-    n <= 6 never overflows. When the n cards are payable together, every
-    subset of them is, and the family has exactly 2^n actions."""
-    heroes = state.heroes()
-    pools, total = hero_pools(heroes)
+    """(singles, pools, total): the hand cards payable on their own, in
+    hand order, and the hero pools per sphere and in total. A payable buy
+    holds only such cards."""
+    pools, total = hero_pools(state.heroes())
     singles = [c for c in state.hand() if fits(c.defn, pools, total, {}, 0)]
-    if 1 << len(singles) <= MAX_PLANNING_ACTIONS:
-        capped: bool | None = False
-    elif _payable(heroes, [c.defn for c in singles])[0]:
-        capped = True
-    else:
-        capped = None
-    return capped, singles, pools, total
+    return singles, pools, total
 
 
 def defend_overflows(enemies: int, defenders: int) -> bool:
@@ -352,10 +340,10 @@ def defend_overflows(enemies: int, defenders: int) -> bool:
 def _planning_actions(state: GameState) -> list[Action]:
     """Every payable subset of the hand, capped at 64 actions; over the cap
     the family collapses to payable singletons plus the empty buy. Subsets
-    come out in depth-first hand order with the empty buy last. A family
-    the O(hand) bounds find capped is never walked."""
-    capped, singles, pools, total = _planning_bounds(state)
-    subsets = None if capped else _planning_enumerate(singles, pools, total)
+    come out in depth-first hand order with the empty buy last. The walk
+    stops at its 64th subset, where the family overflows."""
+    singles, pools, total = _payable_singles(state)
+    subsets = _planning_enumerate(singles, pools, total)
     if subsets is None:
         singles.sort(key=lambda c: (-c.defn.cost, c.instance_id))
         return [PlayCards((c.instance_id,)) for c in singles] + [PlayCards(())]

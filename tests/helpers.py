@@ -5,7 +5,14 @@ from functools import cache
 from random import Random
 
 from questsim.cards import parse_card_db, parse_scenario
-from questsim.engine import new_game
+from questsim.engine import (
+    MAX_COMMIT_ENUM,
+    _planning_enumerate,
+    commit_pool,
+    defend_overflows,
+    hero_pools,
+    new_game,
+)
 from questsim.state import CardInstance, GameState, StageId, Zone
 
 # Three heroes, one per sphere; starting threat 9 + 10 + 10 = 29.
@@ -149,3 +156,20 @@ def scanned(state: GameState, decks: tuple[list[int], list[int]]) -> list[list[i
         assert sorted(deck) == index[zone.slot]
         index[zone.slot] = list(deck)
     return index
+
+
+def family_capped(state: GameState) -> bool:
+    """Whether legal_actions collapsed the family of the current expert
+    stage (Planning, Commit or Defend) to its capped form: Planning by the
+    subset walk over the whole hand, the others by their pool sizes. The
+    fixed rules' stages read False: their rule heads the family, capped
+    or not."""
+    if state.stage is StageId.PLANNING:
+        pools, total = hero_pools(state.heroes())
+        return _planning_enumerate(state.hand(), pools, total) is None
+    if state.stage is StageId.COMMIT_CHARACTERS:
+        return len(commit_pool(state)) > MAX_COMMIT_ENUM
+    if state.stage is StageId.DECLARE_DEFENDERS:
+        return defend_overflows(len(state.engaged_enemies()),
+                                len(state.ready_characters()))
+    return False

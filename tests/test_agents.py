@@ -38,11 +38,12 @@ from questsim.state import (
 from questsim.engine import (
     _apply_inplace,
     advance_ruled_stage,
+    apply_action,
     resolve_random_stage,
 )
 
 import helpers
-from helpers import at_stage, by_id, put, stash_hand
+from helpers import at_stage, by_id, family_capped, put, stash_hand
 
 
 # ---- fixed rules ------------------------------------------------------------
@@ -125,19 +126,19 @@ def test_expert_falls_back_to_cheapest(game):
     assert action in legal_actions(game)
 
 
-def test_expert_planning_respects_capped_family(game):
+def test_expert_planning_buys_past_the_cap(game):
+    # The family caps at singletons; the expert still buys all eight.
     planning_state(game, ["ally-lantern"] * 8, (9, 9, 9))
     action = expert_decide(game)
-    assert len(action.cards) == 1
-    assert action in legal_actions(game)
+    assert action == PlayCards(tuple(c.instance_id for c in game.hand()))
+    assert action not in legal_actions(game)
+    apply_action(game, action)
 
 
 @pytest.mark.parametrize("hand, bought", [
     (["item-charm", "ally-lantern", "ally-porter"], 3),
-    (["ally-lantern"] * 8, 1)], ids=["uncapped", "capped"])
+    (["ally-lantern"] * 8, 8)], ids=["uncapped", "capped"])
 def test_expert_planning_reads_heroes_and_hand_once(game, monkeypatch, hand, bought):
-    # A buy of two or more cards asks whether the family is capped; the
-    # answer reuses the pools and payable cards the buy started from.
     planning_state(game, hand, (9, 9, 9))
     calls = []
     for name in ("heroes", "hand"):
@@ -148,7 +149,7 @@ def test_expert_planning_reads_heroes_and_hand_once(game, monkeypatch, hand, bou
     monkeypatch.undo()
     assert sorted(calls) == ["hand", "heroes"]
     assert len(action.cards) == bought
-    assert action in legal_actions(game)
+    apply_action(game, action)
 
 
 # ---- expert commit ----------------------------------------------------------
@@ -185,11 +186,17 @@ def test_expert_commit_stays_legal_past_the_enumeration_cap(game):
         put(game, cid, Zone.PLAY_AREA)
     put(game, "enemy-warg", Zone.STAGING_AREA)
     action = expert_decide(game)
-    assert action in legal_actions(game)
+    apply_action(game, action)
     assert action != Commit(())
 
 
-def capped_commit_state(game, *staged):
+@pytest.mark.parametrize("staged, star", [
+    # Threat 4: Gandalf (4) is not enough, the star (5) is added.
+    (["enemy-troll", "enemy-wolf"], (0,)),
+    # Threat 2: Gandalf alone, though the capped family only offers
+    # willpower-descending prefixes, each led by the star.
+    (["enemy-warg"], ())], ids=["star-after-gandalf", "gandalf-alone"])
+def test_expert_commit_past_the_cap_plays_its_rule(game, staged, star):
     at_stage(game, StageId.COMMIT_CHARACTERS)
     game.cards[0].add_buff("willpower")  # hero-star: willpower 5
     gandalf = put(game, "gandalf", Zone.PLAY_AREA)
@@ -197,26 +204,10 @@ def capped_commit_state(game, *staged):
         put(game, cid, Zone.PLAY_AREA)
     for cid in staged:
         put(game, cid, Zone.STAGING_AREA)
-    return gandalf
-
-
-def test_expert_capped_commit_takes_longest_prefix_inside_ideal(game):
-    # Threat 4: the ideal commit is Gandalf (4, not enough) then the star
-    # (5). Both the star alone and star + Gandalf are qualifying prefixes
-    # inside it; the longer one is kept.
-    gandalf = capped_commit_state(game, "enemy-troll", "enemy-wolf")
     action = expert_decide(game)
-    assert action == Commit((0, gandalf.instance_id))
-    assert action in legal_actions(game)
-
-
-def test_expert_capped_commit_falls_back_to_shortest_prefix(game):
-    # Threat 2: Gandalf alone is ideal but no prefix starts with him, so
-    # the shortest qualifying prefix (the star) is committed.
-    capped_commit_state(game, "enemy-warg")
-    action = expert_decide(game)
-    assert action == Commit((0,))
-    assert action in legal_actions(game)
+    assert action == Commit(star + (gandalf.instance_id,))
+    assert (action in legal_actions(game)) == bool(star)
+    apply_action(game, action)
 
 
 # ---- expert defense ---------------------------------------------------------
@@ -264,20 +255,25 @@ def test_expert_defense_stays_legal_past_the_cap(game):
     at_stage(game, StageId.DECLARE_DEFENDERS)
     for _ in range(4):
         put(game, "enemy-wolf", Zone.ENGAGEMENT_AREA)
-    for cid in ["ally-porter", "ally-banner", "ally-lantern", "ally-shield"]:
-        put(game, cid, Zone.PLAY_AREA)
+    allies = [put(game, cid, Zone.PLAY_AREA)
+              for cid in ["ally-porter", "ally-banner", "ally-lantern",
+                          "ally-shield"]]
     action = expert_decide(game)
-    assert action in legal_actions(game)
+    # The family caps at single defenders; the four allies block all four.
+    assert {d for _, d in action.assignments} == {a.instance_id for a in allies}
+    assert action not in legal_actions(game)
+    apply_action(game, action)
 
 
 # ---- expert legality everywhere ---------------------------------------------
 
 
 def test_expert_choice_is_always_legal_on_random_walks(synth_scenario):
-    """Drive random games and require the expert construction to stay
-    inside the enumerated legal family at every decision point."""
+    """Drive random games and require the expert's action to be a member
+    of the enumerated legal family at every decision point where no cap
+    fired, and to pass its check where one did."""
     rng = Random(99)
-    checks = 0
+    checks = capped = 0
     for seed in range(25):
         state = helpers.new_synth_game(seed=seed, scenario=synth_scenario)
         while state.outcome is None and state.round_no <= 60:
@@ -288,10 +284,16 @@ def test_expert_choice_is_always_legal_on_random_walks(synth_scenario):
                 state = resolve_random_stage(state, rng)
             else:
                 legals = legal_actions(state)
-                assert expert_decide(state) in legals
+                action = expert_decide(state)
+                if family_capped(state):
+                    apply_action(state, action)
+                    capped += 1
+                else:
+                    assert action in legals
                 checks += 1
                 _apply_inplace(state, rng.choice(legals))
     assert checks > 200
+    assert capped > 0
 
 
 # ---- agent descriptions -----------------------------------------------------

@@ -1,13 +1,13 @@
 """Policies that build their action without the legal family must still
-pick a member of it: the fixed rules pick its head, the expert picks some
-member. Checked on organic states of seeded games (audited after every
-stage) and on hand-built states whose families hit the caps. On the same
-states and on wide hand-built hands, the planning cap as the engine
-decides it (from its O(hand) bounds, walking only the singly payable
-cards when they cannot tell) must equal the full subset walk's.
-The expert's one-pass rules must pick what the greedy loops and sorts
-that define them pick (kept here as references), and every action the
-rules build through the canonical constructor must equal, field for
+play legally: the fixed rules pick the family's head, and the expert picks
+a member of it whenever no cap fired. The caps bound the search's choices
+only, so past one the expert plays its rule all the same: its action
+passes its stage's check, and its effect alone leaves the same state as
+check and effect together. Checked on organic states of seeded games
+(audited after every stage) and on hand-built states whose families hit
+the caps. The expert's one-pass rules must pick what the greedy loops and
+sorts that define them pick (kept here as references), and every action
+the rules build through the canonical constructor must equal, field for
 field, the one the public constructor makes. Perturbed legal actions on
 organic states must be rejected with a named error. Every action the
 playout policies pick passes its check, and its effect alone leaves the
@@ -31,16 +31,11 @@ from questsim.agents import (
 from questsim.cards import CHARACTER_KINDS, Sphere, load_scenario_bundle
 from questsim.engine import (
     _DO,
-    MAX_COMMIT_ENUM,
     _apply_inplace,
-    _planning_bounds,
-    _planning_enumerate,
     advance_ruled_stage,
     apply_action,
     check_invariants,
     commit_pool,
-    commit_prefixes,
-    defend_overflows,
     defender_order,
     fits,
     hero_pools,
@@ -63,7 +58,7 @@ from questsim.state import (
 )
 
 import helpers
-from helpers import at_stage, put, stash_hand
+from helpers import at_stage, family_capped, put, stash_hand
 
 SHIPPED = load_scenario_bundle()
 SYNTH = helpers.make_scenario()
@@ -83,31 +78,17 @@ ENEMIES = ("enemy-wolf", "enemy-warg", "enemy-troll")
 LOCATIONS = ("loc-clearing", "loc-ridge")
 
 
-def walk_overflows(state) -> bool:
-    """The planning cap as the full subset walk over the hand decides it."""
-    pools, total = hero_pools(state.heroes())
-    return _planning_enumerate(state.hand(), pools, total) is None
-
-
-def planning_capped(state) -> bool:
-    """The planning cap as legal_actions decides it: from the O(hand)
-    bounds, or by walking the singly payable cards when they cannot tell."""
-    capped, singles, pools, total = _planning_bounds(state)
-    if capped is None:
-        return _planning_enumerate(singles, pools, total) is None
-    return capped
-
-
 def greedy_buy(state) -> PlayCards:
     """The expert's buy as its definition reads: pick Gandalf whenever
     affordable, else the affordable Spirit card of highest willpower, else
     the cheapest affordable card (ties by card id, then instance), and
     re-filter the affordable cards after every pick."""
-    _, singles, pools, total_pool = _planning_bounds(state)
+    pools, total_pool = hero_pools(state.heroes())
     demand: dict[Sphere, int] = {}
     spent = 0
     chosen: list[int] = []
-    afford = singles
+    afford = [c for c in state.hand()
+              if fits(c.defn, pools, total_pool, demand, spent)]
     while afford:
         gandalfs = [c for c in afford if c.defn.id == GANDALF_ID]
         spirit = [c for c in afford if c.defn.sphere is Sphere.SPIRIT]
@@ -126,17 +107,13 @@ def greedy_buy(state) -> PlayCards:
                                         + pick.defn.cost)
         afford = [c for c in afford if c is not pick
                   and fits(c.defn, pools, total_pool, demand, spent)]
-    if len(chosen) >= 2 and (_planning_enumerate(singles, pools, total_pool)
-                             is None):
-        return PlayCards((min(chosen),))
     return PlayCards(tuple(chosen))
 
 
 def sorted_commit(state) -> Commit:
     """The expert's commit as its definition reads: Gandalf, then Spirit
     characters sorted by descending willpower, until the staging threat is
-    beaten; over the cap, the longest qualifying prefix inside that set,
-    else the shortest."""
+    beaten."""
     threshold = state.staging_threat()
     pool = commit_pool(state)
     preferred = ([c for c in pool if c.defn.id == GANDALF_ID]
@@ -152,26 +129,17 @@ def sorted_commit(state) -> Commit:
             break
     if total <= threshold:
         return Commit(())
-    if len(pool) > MAX_COMMIT_ENUM:
-        prefixes = commit_prefixes(pool, threshold)
-        inside = [p for p in prefixes if set(chosen).issuperset(p)]
-        return Commit(inside[-1] if inside else prefixes[0])
     return Commit(tuple(chosen))
 
 
 def sorted_defense(state) -> Defend:
     """The expert's defense as its definition reads: enemies sorted by
-    descending attack take the defenders in defender_order, one each;
-    over the cap, only the ideal pair of the lowest enemy id."""
+    descending attack take the defenders in defender_order, one each."""
     enemies = sorted(state.engaged_enemies(),
                      key=lambda e: (-e.attack, e.instance_id))
     queue = defender_order(state)
     ideal = {e.instance_id: queue[i].instance_id if i < len(queue) else None
              for i, e in enumerate(enemies)}
-    if defend_overflows(len(enemies), len(queue)):
-        first = min(e for e, d in ideal.items() if d is not None)
-        return Defend(tuple((e, ideal[e] if e == first else None)
-                            for e in ideal))
     return Defend(tuple(ideal.items()))
 
 
@@ -191,18 +159,33 @@ def assert_canonical(action) -> None:
     assert rebuilt == action and getattr(rebuilt, name) == field
 
 
+def check_and_effect_agree(state, action) -> None:
+    """Apply the action to two clones of the state: through _apply_inplace
+    (check and effect), which raises if the check fails, and through the
+    effect alone, advanced as _finish advances it. The two must agree."""
+    checked, trusted = state.clone(), state.clone()
+    _apply_inplace(checked, action)
+    _DO[type(action)][2](trusted, action)
+    trusted.stage = trusted.stage.next
+    assert trusted.fingerprint() == checked.fingerprint()
+    assert trusted.zone_ids == checked.zone_ids
+
+
 def check_contracts(state) -> list:
     """Assert the contract for the current decision stage: the expert and
-    fixed rules pick what their references pick, in canonical form and
-    inside the legal family, and the fixed rules pick its head. Return
-    the legal family."""
+    fixed rules pick what their references pick, in canonical form, and
+    the fixed rules pick the family's head. The expert's action is a
+    member of the legal family when no cap fired; past a cap it passes its
+    check, and its effect alone matches check and effect. Return the
+    legal family."""
     legals = legal_actions(state)
-    if state.stage is StageId.PLANNING:
-        assert planning_capped(state) == walk_overflows(state)
     action = expert_decide(state)
     assert action == REFERENCE[state.stage](state)
     assert_canonical(action)
-    assert action in legals
+    if family_capped(state):
+        check_and_effect_agree(state, action)
+    else:
+        assert action in legals
     if state.stage is StageId.TRAVEL:
         assert action == default_travel(state) == legals[0]
     elif state.stage is StageId.DECLARE_ATTACKERS:
@@ -311,10 +294,8 @@ def test_perturbed_actions_are_rejected_by_name(seed, difficulty):
 
 
 class Audited:
-    """A playout policy whose every action is also applied to two clones of
-    the state: through _apply_inplace (check and effect), which raises if
-    the check fails, and through the effect alone, advanced as _finish
-    advances it. The two clones must agree."""
+    """A playout policy whose every action is also checked by
+    check_and_effect_agree."""
 
     def __init__(self, inner, seen: set):
         self.inner = inner
@@ -323,12 +304,7 @@ class Audited:
 
     def decide(self, state, legals, rng):
         action = self.inner.decide(state, legals, rng)
-        checked, trusted = state.clone(), state.clone()
-        _apply_inplace(checked, action)
-        _DO[type(action)][2](trusted, action)
-        trusted.stage = trusted.stage.next
-        assert trusted.fingerprint() == checked.fingerprint()
-        assert trusted.zone_ids == checked.zone_ids
+        check_and_effect_agree(state, action)
         self.seen.add(state.stage)
         return action
 
@@ -364,21 +340,8 @@ def test_expert_planning_stays_legal_when_capped(hand, pools):
         put(game, cid, Zone.HAND)
     for hero, pool in zip(game.heroes(), pools):
         hero.resource_pool = pool
-    assume(planning_capped(game))
+    assume(family_capped(game))
     check_contracts(game)
-
-
-@CONTRACT
-@given(hand=st.lists(st.sampled_from(HAND_CARDS), min_size=7, max_size=10),
-       pools=st.tuples(*[st.integers(0, 9)] * 3))
-def test_planning_cap_bounds_agree_with_the_walk(hand, pools):
-    game = at_stage(synth_game(), StageId.PLANNING)
-    stash_hand(game)
-    for cid in hand:
-        put(game, cid, Zone.HAND)
-    for hero, pool in zip(game.heroes(), pools):
-        hero.resource_pool = pool
-    assert planning_capped(game) == walk_overflows(game)
 
 
 @CONTRACT
@@ -390,7 +353,7 @@ def test_expert_commit_stays_legal_when_capped(allies, staged):
         put(game, cid, Zone.PLAY_AREA)
     for cid in staged:
         put(game, cid, Zone.STAGING_AREA)
-    assume(len(commit_pool(game)) > MAX_COMMIT_ENUM)
+    assume(family_capped(game))
     check_contracts(game)
 
 
@@ -404,8 +367,7 @@ def test_expert_defense_stays_legal_when_capped(enemies, allies, exhausted):
         put(game, cid, Zone.ENGAGEMENT_AREA)
     for i, cid in enumerate(allies):
         put(game, cid, Zone.PLAY_AREA, exhausted=i in exhausted)
-    assume(defend_overflows(len(game.engaged_enemies()),
-                            len(game.ready_characters())))
+    assume(family_capped(game))
     check_contracts(game)
 
 

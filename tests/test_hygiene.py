@@ -329,9 +329,9 @@ def test_split_check_sees_writes_and_raises():
 STAGE_TABLES = {"_RULED", "_RANDOM", "_DO"}
 
 
-def stage_table_reads(tree: ast.AST) -> list[str]:
+def name_reads(tree: ast.AST, watched: set[str]) -> list[str]:
     """'line name' for each import, plain read or attribute read of one
-    of STAGE_TABLES."""
+    of the watched names."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -342,14 +342,14 @@ def stage_table_reads(tree: ast.AST) -> list[str]:
             names = [node.attr]
         else:
             continue
-        found += [f"{node.lineno} {name}" for name in names if name in STAGE_TABLES]
+        found += [f"{node.lineno} {name}" for name in names if name in watched]
     return found
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "engine.py"],
                          ids=lambda p: p.name)
 def test_only_the_engine_reads_the_stage_tables(path):
-    reads = stage_table_reads(parse(path))
+    reads = name_reads(parse(path), STAGE_TABLES)
     assert not reads, f"{path.name}: stage tables read at {reads}"
 
 
@@ -360,9 +360,33 @@ def test_stage_table_check_sees_each_kind_of_read():
                      "    _RULED[state.stage](state)\n"
                      "    questsim.engine._RANDOM[state.stage](state, rng)\n"
                      "    _RULED = {}\n")
-    assert stage_table_reads(tree) == ["1 _DO", "4 _RULED", "5 _RANDOM"]
-    reads = {read.split()[1] for read in stage_table_reads(parse(SRC / "engine.py"))}
+    assert name_reads(tree, STAGE_TABLES) == ["1 _DO", "4 _RULED", "5 _RANDOM"]
+    reads = {read.split()[1]
+             for read in name_reads(parse(SRC / "engine.py"), STAGE_TABLES)}
     assert reads == STAGE_TABLES
+
+
+# The legal-family caps are the search's action abstraction, kept in
+# legal_actions; the rule agents follow the rules of the game, not the
+# caps. A second module that knew a cap or a cap helper would be a second
+# place to change when a cap changes.
+FAMILY_CAPS = {"MAX_PLANNING_ACTIONS", "MAX_COMMIT_ENUM", "MAX_DEFEND_ACTIONS",
+               "MAX_ATTACK_ACTIONS", "_planning_enumerate", "commit_prefixes",
+               "defend_overflows"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "engine.py"],
+                         ids=lambda p: p.name)
+def test_only_the_engine_knows_the_family_caps(path):
+    reads = name_reads(parse(path), FAMILY_CAPS)
+    assert not reads, f"{path.name}: family caps read at {reads}"
+
+
+def test_family_cap_check_sees_every_cap_in_the_engine():
+    # name_reads itself is checked by test_stage_table_check_sees_each_kind_of_read.
+    reads = {read.split()[1]
+             for read in name_reads(parse(SRC / "engine.py"), FAMILY_CAPS)}
+    assert reads == FAMILY_CAPS
 
 
 # The hot modules read enum members through the module-level names bound

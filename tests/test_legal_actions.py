@@ -6,13 +6,11 @@ import time
 
 import pytest
 
-from questsim import engine
 from questsim.cards import CardKind, Sphere
 from questsim.engine import (
     MAX_COMMIT_ENUM,
     MAX_DEFEND_ACTIONS,
     MAX_PLANNING_ACTIONS,
-    _planning_bounds,
     apply_action,
     defend_overflows,
     legal_actions,
@@ -99,7 +97,6 @@ def test_planning_includes_empty_even_when_nothing_affordable(game):
 
 def test_planning_cap_collapses_to_singletons(game):
     planning_state(game, ["ally-lantern"] * 8, (9, 9, 9))
-    assert _planning_bounds(game)[0] is True
     legals = legal_actions(game)
     assert len(legals) == 9  # 8 singletons plus the empty buy
     assert all(len(a.cards) <= 1 for a in legals)
@@ -108,33 +105,13 @@ def test_planning_cap_collapses_to_singletons(game):
 
 def test_planning_small_family_not_capped(game):
     planning_state(game, ["ally-lantern", "ally-porter"], (2, 0, 0))
-    assert _planning_bounds(game)[0] is False
     assert len(legal_actions(game)) <= MAX_PLANNING_ACTIONS
 
 
-def test_planning_cap_bounds_answer_without_the_walk(game, monkeypatch):
-    def walk(*args):
-        raise AssertionError("the cap bounds walked the subsets")
-
-    monkeypatch.setattr(engine, "_planning_enumerate", walk)
-    # Six cards payable on their own (plus an unpayable Gandalf): at most
-    # 2^6 = 64 actions, never capped, though not all six fit together.
-    planning_state(game, ["ally-lantern"] * 3 + ["ally-porter"] * 3
-                   + ["gandalf"], (2, 1, 0))
-    assert _planning_bounds(game)[0] is False
-    # Seven cards payable together: exactly 2^7 = 128 actions, capped.
-    planning_state(game, ["ally-lantern"] * 7, (7, 0, 0))
-    assert _planning_bounds(game)[0] is True
-
-
-def test_capped_planning_family_is_built_without_the_walk(game, monkeypatch):
-    def walk(*args):
-        raise AssertionError("legal_actions walked a capped family")
-
-    monkeypatch.setattr(engine, "_planning_enumerate", walk)
+def test_capped_planning_family_lists_singles_by_descending_cost(game):
     # Seven cards payable together (5 spirit, 2 leadership, 1 neutral from
-    # the leadership spare) and an unpayable tactics Blade: capped by the
-    # O(hand) bounds alone.
+    # the leadership spare) and an unpayable tactics Blade: 127 payable
+    # subsets, capped.
     planning_state(game, ["item-blade"] + ["ally-lantern"] * 5
                    + ["ally-banner", "ally-porter"], (5, 3, 0))
     _, *lanterns, banner, porter = [c.instance_id for c in game.hand()]
@@ -144,11 +121,10 @@ def test_capped_planning_family_is_built_without_the_walk(game, monkeypatch):
 
 
 def test_planning_walk_stops_at_the_cap(game):
-    # 30 neutral one-cost cards and 6 resources: the O(hand) bounds cannot
-    # decide, and about 768k subsets are payable. The walk must stop once
-    # the family overflows, not list them all.
+    # 30 neutral one-cost cards and 6 resources: about 768k subsets are
+    # payable. The walk must stop once the family overflows, not list them
+    # all.
     planning_state(game, ["ally-porter"] * 30, (2, 2, 2))
-    assert _planning_bounds(game)[0] is None
     start = time.perf_counter()
     legals = legal_actions(game)
     assert time.perf_counter() - start < 0.5
