@@ -14,14 +14,11 @@ from .agents import (
     random_decide,
 )
 from .cards import (
-    CardDb,
     CardDef,
     CardKind,
     Scenario,
     Sphere,
-    builtin_cards_path,
     builtin_scenario_path,
-    load_card_db,
     load_scenario_bundle,
     parse_card_db,
     parse_scenario,

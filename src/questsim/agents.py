@@ -1,15 +1,16 @@
-"""Decision policies: uniform random, the expert rule agent, and the fixed
-default rules for Travel and DeclareAttackers that every agent shares.
+"""Decision policies: uniform random and the expert rule agent, whose
+Travel and DeclareAttackers rules (default_travel, default_attack) are the
+fixed rules every agent plays at the stages it is not given.
 
 A Policy is how one decision stage is decided: decide(state, legals, rng)
 returns the action, and needs_legals says whether the stage loop
-(engine._run) hands it the enumerated legal actions or None. A policy
-without legals builds its action analytically, from the rules alone: the
-action passes its stage's check, and it is a member of the enumerated
-legal family whenever no family cap fired. The caps (engine.py) bound
-the choices a search sees only; the expert plays its rule whatever they
-are. Each Policy here adapts one of the module's rule functions;
-search.py adds the flat and mcts ones.
+(engine._run) hands it the enumerated legal actions or None. The expert
+builds its action analytically, from the rules alone: the action passes
+its stage's check, and it is a member of the enumerated legal family
+whenever no family cap fired. The caps (engine.py) bound the choices a
+search sees only; the expert plays its rule whatever they are. The two
+Policies here, RANDOM_POLICY and EXPERT_POLICY, adapt random_decide and
+expert_decide; search.py adds the flat and mcts ones.
 
 AgentKind is one parsed agent string (docs/agents.md), its search settings
 in a SearchConfig for the flat and mcts kinds. STAGE_KEYS names the stages
@@ -69,10 +70,10 @@ def random_decide(state: GameState, legals: list[Action], rng: Random) -> Action
 
 # ---- fixed default rules ----------------------------------------------------
 #
-# The fixed and expert rules run at every decision of an expert playout, so
-# each makes one pass over the cards it reads and builds its action in
-# canonical order through the actions' _canonical constructor (state.py).
-# The empty actions are shared constants.
+# The expert's rules, these two included, run at every decision of an
+# expert playout, so each makes one pass over the cards it reads and builds
+# its action in canonical order through the actions' _canonical
+# constructor (state.py). The empty actions are shared constants.
 
 _NO_COMMIT = Commit(())
 _STAY = TravelTo(None)
@@ -228,25 +229,15 @@ def _decide_expert(state: GameState, legals: None, rng: Random) -> Action:
     return expert_decide(state)
 
 
-def _decide_travel(state: GameState, legals: None, rng: Random) -> Action:
-    return default_travel(state)
-
-
-def _decide_attack(state: GameState, legals: None, rng: Random) -> Action:
-    return default_attack(state)
-
-
 RANDOM_POLICY = Policy(_decide_random, needs_legals=True)
 EXPERT_POLICY = Policy(_decide_expert, needs_legals=False)
-# The fixed rules keep policies of their own: routing them through
-# expert_decide would add a call at every Travel and DeclareAttackers of
-# every playout.
-TRAVEL_POLICY = Policy(_decide_travel, needs_legals=False)
-ATTACK_POLICY = Policy(_decide_attack, needs_legals=False)
 
 
 # ---- agent descriptions -----------------------------------------------------
 
+
+# The agents a playout can play at every configurable stage, by kind name.
+PLAYOUT_KINDS = ("random", "expert")
 
 # SearchConfig's default exploration constant, and the only one a flat
 # agent may carry: a flat agent string has no C field to print it in.
@@ -270,7 +261,7 @@ class SearchConfig:
         if not 0.0 <= self.exploration_c <= 1.0:
             raise ConfigError(f"exploration constant must lie in [0, 1], "
                               f"got {self.exploration_c}")
-        if self.playout_policy not in ("random", "expert"):
+        if self.playout_policy not in PLAYOUT_KINDS:
             raise ConfigError(f"playout policy must be 'random' or 'expert', "
                               f"got {self.playout_policy!r}")
 
@@ -322,7 +313,6 @@ class AgentKind:
 
 
 RANDOM_AGENT = AgentKind("random")
-EXPERT_AGENT = AgentKind("expert")
 
 
 def parse_agent(token: str) -> AgentKind:
@@ -360,8 +350,8 @@ REQUIRED_STAGES = ("planning", "commit", "defense")
 @dataclass(frozen=True)
 class StagePolicyMap:
     """Agent assignment for the three configurable decision stages; Travel
-    always uses the fixed rule and DeclareAttackers uses the fixed rule
-    unless overridden with an mcts agent. Its str() is the --agents
+    always plays the expert's rule, and DeclareAttackers does too unless
+    overridden with an mcts agent. Its str() is the --agents
     syntax, which parse_policy_map reads back."""
 
     planning: AgentKind

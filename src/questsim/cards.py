@@ -1,10 +1,14 @@
-"""Card database and scenario loading.
+"""Card and scenario loading.
 
 Card data is external and data-driven: both the card pool and the scenario
 live in JSON files (see docs/card_format.md for the schema and a commented
 example of every card kind). Loading is strict -- each card kind has a fixed
 set of required stats, and a missing or extraneous stat is a load error that
 names the offending card and field. Nothing is defaulted silently.
+
+load_scenario_bundle reads a scenario and its card file (a dict of CardDefs
+by id, parse_card_db) and resolves every card id once: a Scenario holds
+CardDefs, and each deck holds one per copy.
 
 Loaded objects are immutable and safe to share across worker processes.
 """
@@ -172,27 +176,8 @@ def _parse_card(entry: dict) -> CardDef:
     return CardDef(**values)  # type: ignore[arg-type]
 
 
-class CardDb:
-    """Immutable card database keyed by card id."""
-
-    def __init__(self, defs: dict[str, CardDef]):
-        self._defs = dict(defs)
-
-    def __getitem__(self, card_id: str) -> CardDef:
-        try:
-            return self._defs[card_id]
-        except KeyError:
-            raise DataError(f"unknown card id '{card_id}'") from None
-
-    def __contains__(self, card_id: str) -> bool:
-        return card_id in self._defs
-
-    def __len__(self) -> int:
-        return len(self._defs)
-
-
-def parse_card_db(obj: dict) -> CardDb:
-    """Build a validated CardDb from a parsed JSON object."""
+def parse_card_db(obj: dict) -> dict[str, CardDef]:
+    """The validated card definitions of a parsed card file, by card id."""
     if not isinstance(obj, dict) or "cards" not in obj:
         raise DataError("card file must be an object with a 'cards' list")
     entries = obj["cards"]
@@ -204,7 +189,7 @@ def parse_card_db(obj: dict) -> CardDb:
         if card.id in defs:
             raise _card_error(card.id, "duplicate card id")
         defs[card.id] = card
-    return CardDb(defs)
+    return defs
 
 
 def _read_json(path: Path, what: str) -> object:
@@ -216,52 +201,40 @@ def _read_json(path: Path, what: str) -> object:
         raise DataError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def load_card_db(path: str | Path) -> CardDb:
-    """Load and validate a card database file."""
-    return parse_card_db(_read_json(Path(path), "card"))
-
-
 @dataclass(frozen=True)
 class Scenario:
     """A playable scenario: quest line, heroes, decks and the loss threshold.
 
     Card ids are resolved once, when the scenario is loaded: every field
-    that names cards holds their CardDefs. Deck multisets are (CardDef,
-    count) pairs sorted by card id; use expand_deck() to get the flat list
-    the engine shuffles.
+    that names cards holds their CardDefs. A deck holds one CardDef per
+    copy, sorted by card id; the engine adds them in this order and then
+    shuffles.
     """
 
     name: str
     quest_line: tuple[CardDef, CardDef, CardDef]
     heroes: tuple[CardDef, CardDef, CardDef]
-    player_deck: tuple[tuple[CardDef, int], ...]
-    encounter_decks: tuple[tuple[str, tuple[tuple[CardDef, int], ...]], ...]
+    player_deck: tuple[CardDef, ...]
+    encounter_decks: tuple[tuple[str, tuple[CardDef, ...]], ...]
     threat_limit: int
 
     def difficulties(self) -> list[str]:
         return [name for name, _ in self.encounter_decks]
 
-    def encounter_deck(self, difficulty: str) -> tuple[tuple[CardDef, int], ...]:
+    def encounter_deck(self, difficulty: str) -> tuple[CardDef, ...]:
         for name, deck in self.encounter_decks:
             if name == difficulty:
                 return deck
         raise DataError(f"scenario '{self.name}' has no difficulty '{difficulty}'")
 
 
-def expand_deck(multiset: tuple[tuple[CardDef, int], ...]) -> list[CardDef]:
-    """Flatten a deck multiset into its card definitions (sorted by id,
-    repeated), which the loader resolved once."""
-    out: list[CardDef] = []
-    for defn, count in multiset:
-        out.extend([defn] * count)
-    return out
-
-
-def _parse_multiset(raw: object, where: str, db: CardDb,
-                    allowed: frozenset) -> tuple[tuple[CardDef, int], ...]:
+def _parse_deck(raw: object, where: str, db: dict[str, CardDef],
+                allowed: frozenset) -> tuple[CardDef, ...]:
+    """The deck a card-id -> count object lists: count copies of each
+    card's definition, sorted by card id."""
     if not isinstance(raw, dict) or not raw:
         raise DataError(f"{where} must be a non-empty object of card-id -> count")
-    items: list[tuple[CardDef, int]] = []
+    deck: list[CardDef] = []
     for cid, count in sorted(raw.items()):
         if cid not in db:
             raise DataError(f"{where} references unknown card id '{cid}'")
@@ -270,12 +243,12 @@ def _parse_multiset(raw: object, where: str, db: CardDb,
         defn = db[cid]
         if defn.kind not in allowed:
             raise DataError(f"{where}: card '{cid}' has kind {defn.kind.value}, not allowed here")
-        items.append((defn, count))
-    return tuple(items)
+        deck.extend([defn] * count)
+    return tuple(deck)
 
 
 def _three_cards(obj: dict, key: str, kind: CardKind, name: str,
-                 db: CardDb) -> tuple[CardDef, CardDef, CardDef]:
+                 db: dict[str, CardDef]) -> tuple[CardDef, CardDef, CardDef]:
     """The three cards of this kind that obj[key] lists by id."""
     ids = obj.get(key)
     if not isinstance(ids, list) or len(ids) != 3:
@@ -288,7 +261,7 @@ def _three_cards(obj: dict, key: str, kind: CardKind, name: str,
     return db[ids[0]], db[ids[1]], db[ids[2]]
 
 
-def parse_scenario(obj: dict, db: CardDb) -> Scenario:
+def parse_scenario(obj: dict, db: dict[str, CardDef]) -> Scenario:
     """Build a validated Scenario from a parsed JSON object, resolving the
     card ids it names against db."""
     if not isinstance(obj, dict):
@@ -302,15 +275,15 @@ def parse_scenario(obj: dict, db: CardDb) -> Scenario:
     if len(set(heroes)) != 3:
         raise DataError(f"scenario '{name}': heroes must be three distinct cards")
 
-    player_deck = _parse_multiset(obj.get("player_deck"), f"scenario '{name}' player_deck",
-                                  db, PLAYER_KINDS)
+    player_deck = _parse_deck(obj.get("player_deck"), f"scenario '{name}' player_deck",
+                              db, PLAYER_KINDS)
 
     decks_raw = obj.get("encounter_decks")
     if not isinstance(decks_raw, dict) or not decks_raw:
         raise DataError(f"scenario '{name}': encounter_decks must map difficulty -> deck")
     decks = tuple(
-        (diff, _parse_multiset(decks_raw[diff], f"scenario '{name}' encounter deck '{diff}'",
-                               db, ENCOUNTER_KINDS))
+        (diff, _parse_deck(decks_raw[diff], f"scenario '{name}' encounter deck '{diff}'",
+                           db, ENCOUNTER_KINDS))
         for diff in sorted(decks_raw)
     )
 
@@ -329,27 +302,23 @@ def parse_scenario(obj: dict, db: CardDb) -> Scenario:
 
 
 def load_scenario_bundle(path: str | Path | None = None) -> Scenario:
-    """Load a scenario together with its card database.
+    """Load a scenario together with the card file it names.
 
     The scenario file's optional "cards" key names the card file, resolved
-    relative to the scenario file; without the key the shipped card file is
-    used. Path None reads the shipped scenario file, which has no such key.
+    relative to the scenario file; without the key the shipped card file,
+    data/cards.json, is used. Path None reads the shipped scenario file,
+    which has no such key.
     """
     path = builtin_scenario_path() if path is None else Path(path)
     obj = _read_json(path, "scenario")
     cards_ref = obj.get("cards") if isinstance(obj, dict) else None
     if cards_ref is not None and not isinstance(cards_ref, str):
         raise DataError(f"scenario {path}: 'cards' must be a file path")
-    cards = builtin_cards_path() if cards_ref is None else path.parent / cards_ref
-    return parse_scenario(obj, load_card_db(cards))
+    cards = _DATA_DIR / "cards.json" if cards_ref is None else path.parent / cards_ref
+    return parse_scenario(obj, parse_card_db(_read_json(cards, "card")))
 
 
 _DATA_DIR = Path(__file__).parent / "data"
-
-
-def builtin_cards_path() -> Path:
-    """Path of the card set shipped with the package."""
-    return _DATA_DIR / "cards.json"
 
 
 def builtin_scenario_path() -> Path:

@@ -12,10 +12,10 @@ IllegalActionError naming the broken rule and writes nothing, and an
 effect, which applies a legal action and raises nothing (_DO). apply_action,
 play_game and search tree levels (flat Monte-Carlo's root children
 included) run both, through _apply_inplace (_run does so when its checked
-flag is set). Search playouts trust their random, expert and fixed-rule
-policies and run the effect alone: tests/test_contracts.py shows that those
-policies pick only actions that pass their check, past a family cap too,
-and that the effect alone leaves the same state as both together.
+flag is set). Search playouts trust their random and expert policies and
+run the effect alone: tests/test_contracts.py shows that those policies
+pick only actions that pass their check, past a family cap too, and that
+the effect alone leaves the same state as both together.
 
 The engine logs nothing: each handler only applies its rules. play_game
 derives its trace lines in the loop's observe callback, by comparing a
@@ -46,7 +46,6 @@ from .cards import (
     CardDef,
     Scenario,
     Sphere,
-    expand_deck,
 )
 from .errors import ConfigError, DataError, IllegalActionError, QuestSimError, StageError
 from .state import (
@@ -118,16 +117,16 @@ def new_game(scenario: Scenario, difficulty: str, rng: Random) -> GameState:
     encounter deck); the player deck is shuffled before the encounter deck.
     The scenario holds card definitions, resolved when it was loaded.
     """
-    deck_multiset = scenario.encounter_deck(difficulty)
+    encounter_deck = scenario.encounter_deck(difficulty)
     state = GameState(scenario, difficulty)
     for defn in scenario.heroes:
         state.add(defn, PLAY_AREA)
     state.quest_ids = tuple(state.add(defn, STAGING_AREA).instance_id
                             for defn in scenario.quest_line)
 
-    for defn in expand_deck(scenario.player_deck):
+    for defn in scenario.player_deck:
         state.add(defn, PLAYER_DECK)
-    for defn in expand_deck(deck_multiset):
+    for defn in encounter_deck:
         state.add(defn, ENCOUNTER_DECK)
     player = state.zone_ids[PLAYER_DECK.slot]
     if len(player) < STARTING_HAND_SIZE:

@@ -5,7 +5,9 @@ legal actions short-circuit with zero) and call their optional on_playout
 argument once per playout. Hidden information is respected by
 determinization: every playout starts from a snapshot whose face-down decks
 and dealt shadow cards are reshuffled with the playout rng, so search never
-exploits the true deck order.
+exploits the true deck order. A playout plays one of agents.PLAYOUT_KINDS
+at every configurable stage and the expert at Travel and DeclareAttackers;
+playout() checks the name it is given, SearchConfig the deciders' names.
 
 The MCTS tree is open-loop over decision stages: random stages between tree
 levels are re-sampled each iteration instead of branching into chance nodes,
@@ -20,13 +22,10 @@ from random import Random
 from typing import Callable, Sequence
 
 from .agents import (
-    ATTACK_POLICY,
-    EXPERT_AGENT,
     EXPERT_POLICY,
-    RANDOM_AGENT,
+    PLAYOUT_KINDS,
     RANDOM_POLICY,
     STAGE_KEYS,
-    TRAVEL_POLICY,
     AgentKind,
     Policy,
     SearchConfig,
@@ -71,13 +70,6 @@ def ucb_score(wins: int, visits: int, parent_visits: int, c: float) -> float:
 # ---- determinization and playouts -------------------------------------------
 
 
-def playout_policies(name: str) -> dict[StageId, Policy]:
-    """Per-stage policy map for a playout policy name (random or expert)."""
-    if name not in _PLAYOUTS:
-        raise ConfigError(f"unknown playout policy {name!r}")
-    return _PLAYOUTS[name]
-
-
 def determinize(state: GameState, rng: Random) -> GameState:
     """Reshuffle the hidden zones in place: both face-down decks, with dealt
     shadow cards returned to the encounter deck, reshuffled and re-dealt to
@@ -119,12 +111,13 @@ def playout(state: GameState, policy: str, rng: Random) -> Outcome:
     is never modified; an already terminal state returns its outcome with
     zero stages played.
     """
-    policies = playout_policies(policy)
+    if policy not in _PLAYOUTS:
+        raise ConfigError(f"unknown playout policy {policy!r}")
     if state.outcome is not None:
         return state.outcome
     copy = state.clone()
     determinize(copy, rng)
-    return _finish(copy, policies, rng)
+    return _finish(copy, _PLAYOUTS[policy], rng)
 
 
 # ---- flat Monte-Carlo -------------------------------------------------------
@@ -144,7 +137,7 @@ def flat_mc_decide(state: GameState, legals: list[Action],
     successor, and the most-winning action returned (ties to the first)."""
     if len(legals) == 1:
         return legals[0]
-    policies = playout_policies(config.playout_policy)
+    policies = _PLAYOUTS[config.playout_policy]
     base, extra = divmod(config.playout_budget, len(legals))
     wins = [0] * len(legals)
     for i, action in enumerate(legals):
@@ -182,7 +175,7 @@ def mcts_decide(state: GameState, legals: list[Action],
     """
     if len(legals) == 1:
         return legals[0]
-    policies = playout_policies(config.playout_policy)
+    policies = _PLAYOUTS[config.playout_policy]
     root = SearchNode()
     for _ in range(config.playout_budget):
         trial = state.clone()
@@ -241,15 +234,16 @@ def build_policy(kind: AgentKind, *,
 
 
 def build_stage_policies(pmap: StagePolicyMap) -> dict[StageId, Policy]:
-    """Per-stage policies for a StagePolicyMap, with the fixed rules on
-    Travel and (unless overridden) DeclareAttackers."""
-    policies = {TRAVEL: TRAVEL_POLICY, DECLARE_ATTACKERS: ATTACK_POLICY}
+    """Per-stage policies for a StagePolicyMap, with the expert on Travel
+    and (unless overridden) DeclareAttackers."""
+    policies = {TRAVEL: EXPERT_POLICY, DECLARE_ATTACKERS: EXPERT_POLICY}
     for stage, kind in pmap.agents().items():
         policies[STAGE_KEYS[stage]] = build_policy(kind)
     return policies
 
 
-# Playouts play one agent on every configurable stage, with the fixed rules
-# on Travel and DeclareAttackers.
-_PLAYOUTS = {kind.kind: build_stage_policies(StagePolicyMap(kind, kind, kind))
-             for kind in (RANDOM_AGENT, EXPERT_AGENT)}
+# Per-stage policies of each playout kind: that agent on every configurable
+# stage, with the expert on Travel and DeclareAttackers. SearchConfig has
+# checked a search agent's playout name against the same PLAYOUT_KINDS.
+_PLAYOUTS = {name: build_stage_policies(StagePolicyMap(*[AgentKind(name)] * 3))
+             for name in PLAYOUT_KINDS}

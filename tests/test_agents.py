@@ -7,6 +7,7 @@ from random import Random
 
 import pytest
 
+from questsim import agents
 from questsim.agents import (
     AGENT_KINDS,
     EXPERT_POLICY,
@@ -21,9 +22,10 @@ from questsim.agents import (
     parse_policy_map,
     parse_stage_choices,
 )
-from questsim.engine import legal_actions
+from questsim.engine import legal_actions, play_game
 from questsim.errors import ConfigError, StageError
 from questsim.experiments import ExperimentConfig
+from questsim.search import build_stage_policies
 from questsim.state import (
     Attack,
     Commit,
@@ -424,6 +426,37 @@ def test_expert_policy_object_ignores_legals(game):
     action = EXPERT_POLICY.decide(game, None, Random(0))
     assert action == expert_decide(game)
     assert action in legal_actions(game)
+
+
+RULES = ("expert_decide", "default_travel", "default_attack", "random_decide")
+
+
+@pytest.mark.parametrize("agent", ["expert", "random"])
+def test_every_rule_decision_calls_its_rule_by_module_name(synth_scenario,
+                                                           monkeypatch, agent):
+    """The policies reach each rule through its module-level name when they
+    run, so a wrapper later put on that name sees every call. Every agent
+    plays Travel and DeclareAttackers through expert_decide."""
+    calls = dict.fromkeys(RULES, 0)
+    for name in RULES:
+        def counted(*args, inner=getattr(agents, name), name=name):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(agents, name, counted)
+    lines: list[str] = []
+    policies = build_stage_policies(parse_policy_map(
+        f"planning={agent},commit={agent},defense={agent}"))
+    play_game(helpers.new_synth_game(seed=3, scenario=synth_scenario),
+              policies, Random(3), trace=lines.append)
+    stages = [line.split()[1] for line in lines]
+    travel = stages.count("travel")
+    attack = stages.count("declare-attackers")
+    chosen = sum(map(stages.count, ("planning", "commit", "declare-defenders")))
+    assert travel and attack and chosen
+    expected = {"expert_decide": travel + attack, "default_travel": travel,
+                "default_attack": attack, "random_decide": 0}
+    expected[f"{agent}_decide"] += chosen
+    assert calls == expected
 
 
 # ---- agents doc -------------------------------------------------------------

@@ -4,6 +4,7 @@ import copy
 import json
 import re
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -11,13 +12,13 @@ from questsim import cards
 from questsim.cards import (
     CardKind,
     Sphere,
-    expand_deck,
-    load_card_db,
     load_scenario_bundle,
     parse_card_db,
     parse_scenario,
 )
+from questsim.engine import new_game
 from questsim.errors import DataError
+from questsim.state import Zone
 
 import helpers
 
@@ -41,11 +42,6 @@ def test_db_loads_and_resolves(synth_db):
     assert (hero.threat_cost, hero.willpower, hero.hit_points) == (9, 4, 3)
     assert "hero-star" in synth_db
     assert "no-such-card" not in synth_db
-
-
-def test_unknown_id_lookup_raises(synth_db):
-    with pytest.raises(DataError, match="no-such-card"):
-        synth_db["no-such-card"]
 
 
 def test_missing_required_field_names_card_and_field():
@@ -135,7 +131,7 @@ def test_scenario_loads(synth_scenario):
     assert [h.id for h in synth_scenario.heroes] == ["hero-star", "hero-crown", "hero-axe"]
     assert synth_scenario.difficulties() == ["test"]
     assert synth_scenario.threat_limit == 50
-    deck = expand_deck(synth_scenario.player_deck)
+    deck = synth_scenario.player_deck
     assert len(deck) == 20
     assert [defn.id for defn in deck].count("ally-lantern") == 4
 
@@ -200,19 +196,43 @@ def test_threat_limit_must_be_positive(synth_db):
 def test_shipped_bundle_loads(shipped):
     assert len(shipped.heroes) == 3
     assert set(shipped.difficulties()) == {"hard", "medium"}
-    assert len(expand_deck(shipped.player_deck)) >= 20
+    assert len(shipped.player_deck) >= 20
     for diff in shipped.difficulties():
-        assert len(expand_deck(shipped.encounter_deck(diff))) >= 20
+        assert len(shipped.encounter_deck(diff)) >= 20
+
+
+@pytest.mark.parametrize("difficulty", ["medium", "hard"])
+def test_deck_cards_take_instance_ids_in_deck_order(shipped, difficulty):
+    """A loaded deck holds one CardDef per copy, sorted by card id, and
+    new_game numbers the deck cards in that order, player deck first."""
+    raw = json.loads(cards.builtin_scenario_path().read_text())
+    player, encounter = shipped.player_deck, shipped.encounter_deck(difficulty)
+    for deck, counts in ((player, raw["player_deck"]),
+                         (encounter, raw["encounter_decks"][difficulty])):
+        ids = [defn.id for defn in deck]
+        assert ids == sorted(ids)
+        assert {cid: ids.count(cid) for cid in ids} == counts
+    game = new_game(shipped, difficulty, Random(0))
+    first = len(shipped.heroes) + len(shipped.quest_line)
+    assert [c.defn for c in game.cards[first:]] == [*player, *encounter]
+    drawn = game.player_deck + [c.instance_id for c in game.in_zone(Zone.HAND)]
+    assert sorted(drawn) == list(range(first, first + len(player)))
+
+
+def scenario_naming(tmp_path: Path, cards_ref: str) -> Path:
+    """The synthetic scenario, written to tmp_path with its "cards" key
+    naming cards_ref."""
+    obj = scenario_obj()
+    obj["cards"] = cards_ref
+    scen_file = tmp_path / "scen.json"
+    scen_file.write_text(json.dumps(obj))
+    return scen_file
 
 
 def test_scenario_file_with_cards_reference(tmp_path):
     cards_file = tmp_path / "pool.json"
     cards_file.write_text(json.dumps(helpers.SYNTH_CARDS))
-    obj = scenario_obj()
-    obj["cards"] = "pool.json"
-    scen_file = tmp_path / "scen.json"
-    scen_file.write_text(json.dumps(obj))
-    scenario = load_scenario_bundle(scen_file)
+    scenario = load_scenario_bundle(scenario_naming(tmp_path, "pool.json"))
     assert scenario.name == "testlands"
     assert scenario.heroes[0].willpower == 4
 
@@ -221,7 +241,7 @@ def test_malformed_json_reports_path(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(DataError, match="bad.json"):
-        load_card_db(bad)
+        load_scenario_bundle(scenario_naming(tmp_path, "bad.json"))
 
 
 # ---- every loader check names what is wrong ---------------------------------
@@ -247,7 +267,7 @@ def test_malformed_card_file_names_the_fault(obj, message):
 def test_unreadable_card_file_names_the_path(tmp_path):
     missing = tmp_path / "absent.json"
     with pytest.raises(DataError, match=re.escape(f"cannot read card file {missing}")):
-        load_card_db(missing)
+        load_scenario_bundle(scenario_naming(tmp_path, "absent.json"))
 
 
 def scenario_with(**changes):

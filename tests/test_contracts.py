@@ -45,7 +45,7 @@ from questsim.engine import (
     travel_actions,
 )
 from questsim.errors import IllegalActionError, StageError
-from questsim.search import _finish, determinize, playout_policies
+from questsim.search import _PLAYOUTS, _finish, determinize
 from questsim.state import (
     Attack,
     Commit,
@@ -318,7 +318,7 @@ def test_playout_actions_pass_their_check_and_match_the_effect(seed, difficulty,
     rng = Random(seed)
     seen: set = set()
     audited = {stage: Audited(inner, seen)
-               for stage, inner in playout_policies(policy).items()}
+               for stage, inner in _PLAYOUTS[policy].items()}
     state = determinize(new_game(SHIPPED, difficulty, rng), rng)
     _finish(state, audited, rng)
     check_invariants(state)

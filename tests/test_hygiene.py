@@ -77,11 +77,10 @@ def test_imports_are_used(path):
 
 # Functions whose signature a caller fixes, so they may leave parameters
 # unread: the Policy protocol decide(state, legals, rng), which the
-# adapters of the rules that build their own action and random_decide
+# expert's adapter (the expert builds its own action) and random_decide
 # share. Each one named here must leave a parameter unread.
 UNREAD_PARAMS_ALLOWED = {
-    "agents.py": {"random_decide", "_decide_expert", "_decide_travel",
-                  "_decide_attack"},
+    "agents.py": {"random_decide", "_decide_expert"},
 }
 
 

@@ -402,7 +402,7 @@ def finished_game(synth_scenario):
     return state
 
 
-def test_playout_policies_reject_unknown_names(synth_scenario):
+def test_playout_rejects_unknown_policy_names(synth_scenario):
     """A finished game plays no stage but still has its name checked."""
     for state in (helpers.new_synth_game(seed=13, scenario=synth_scenario),
                   finished_game(synth_scenario)):
