@@ -27,6 +27,7 @@ from .experiments import (
     check_writable,
     combination_grid,
     render_csv,
+    Z_DEFAULT,
     run_games,
     write_output,
 )
@@ -59,9 +60,9 @@ def _add_batch(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="-", metavar="FILE",
                         help="output file; '-' for CSV on stdout, a .json "
                              "suffix selects JSON (default: -)")
-    parser.add_argument("--z", type=float, default=1.96,
+    parser.add_argument("--z", type=float, default=Z_DEFAULT,
                         help="z value for the confidence interval "
-                             "(default: 1.96)")
+                             f"(default: {Z_DEFAULT})")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -105,31 +106,6 @@ def _parse_budgets(text: str) -> list[int]:
     return budgets
 
 
-def _config_from(args: argparse.Namespace) -> ExperimentConfig:
-    """The batch configuration; an --out that cannot be written fails here,
-    before any game is played."""
-    config = ExperimentConfig(
-        games=args.games,
-        master_seed=args.seed,
-        policy_map=parse_policy_map(args.agents),
-        difficulty=args.difficulty,
-        scenario_path=args.scenario,
-        workers=args.workers,
-        z=args.z,
-    )
-    if args.out != "-":
-        check_writable(args.out)
-    return config
-
-
-def _emit(out: str, rows, header: dict) -> None:
-    if out == "-":
-        sys.stdout.write(render_csv(rows, header))
-        return
-    text = write_output(out, rows, header)
-    print(f"wrote {len(text.splitlines())} lines to {out}", file=sys.stderr)
-
-
 def _cmd_play(args: argparse.Namespace) -> int:
     scenario = load_scenario_bundle(args.scenario)
     pmap = parse_policy_map(args.agents)
@@ -143,41 +119,44 @@ def _cmd_play(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    stats = run_games(config, label=str(config.policy_map))
-    header = {"command": "simulate", **config.resolved()}
-    _emit(args.out, [stats], header)
+def _cmd_batch(args: argparse.Namespace) -> int:
+    """Play the command's batches and emit one row per batch under the
+    resolved-config header. An --out that cannot be written fails before
+    any game is played."""
+    config = ExperimentConfig(
+        games=args.games,
+        master_seed=args.seed,
+        policy_map=parse_policy_map(args.agents),
+        difficulty=args.difficulty,
+        scenario_path=args.scenario,
+        workers=args.workers,
+        z=args.z,
+    )
+    if args.out != "-":
+        check_writable(args.out)
+    header: dict[str, object] = {"command": args.command}
+    if args.command == "sweep":
+        budgets = _parse_budgets(args.budgets)
+        header["budgets"] = ",".join(map(str, budgets))
+        rows = budget_sweep(config, budgets)
+    elif args.command == "grid":
+        header["choices"] = args.choices
+        rows = combination_grid(config, parse_stage_choices(args.choices))
+    else:
+        rows = [run_games(config, label=str(config.policy_map))]
+    header.update(config.resolved())
+    if args.out == "-":
+        sys.stdout.write(render_csv(rows, header))
+        return 0
+    text = write_output(args.out, rows, header)
+    print(f"wrote {len(text.splitlines())} lines to {args.out}", file=sys.stderr)
     return 0
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    budgets = _parse_budgets(args.budgets)
-    rows = budget_sweep(config, budgets)
-    header = {"command": "sweep", "budgets": ",".join(map(str, budgets)),
-              **config.resolved()}
-    _emit(args.out, rows, header)
-    return 0
-
-
-def _cmd_grid(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    choices = parse_stage_choices(args.choices)
-    rows = combination_grid(config, choices)
-    header = {"command": "grid", "choices": args.choices, **config.resolved()}
-    _emit(args.out, rows, header)
-    return 0
-
-
-_COMMANDS = {"play": _cmd_play, "simulate": _cmd_simulate,
-             "sweep": _cmd_sweep, "grid": _cmd_grid}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return (_cmd_play if args.command == "play" else _cmd_batch)(args)
     except QuestSimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -29,7 +29,6 @@ an RNG, so replaying the same seeds and decisions reproduces a game exactly.
 
 from __future__ import annotations
 
-import math
 from itertools import combinations, islice, product
 from random import Random
 from typing import Callable
@@ -324,18 +323,6 @@ def _payable_singles(state: GameState) -> tuple[list[CardInstance],
     return singles, pools, total
 
 
-def defend_overflows(enemies: int, defenders: int) -> bool:
-    """Whether assigning at most one distinct defender per enemy has more
-    than MAX_DEFEND_ACTIONS ways. Each enemy takes one of the defenders or
-    none, so there are at most (defenders + 1) ** enemies ways; the exact
-    count is summed only above that bound."""
-    if (defenders + 1) ** enemies <= MAX_DEFEND_ACTIONS:
-        return False
-    count = sum(math.comb(enemies, j) * math.perm(defenders, j)
-                for j in range(min(enemies, defenders) + 1))
-    return count > MAX_DEFEND_ACTIONS
-
-
 def _planning_actions(state: GameState) -> list[Action]:
     """Every payable subset of the hand, capped at 64 actions; over the cap
     the family collapses to payable singletons plus the empty buy. Subsets
@@ -422,15 +409,6 @@ def _defend_actions(state: GameState) -> list[Action]:
     chars = [c.instance_id for c in defender_order(state)]
     k = len(enemies)
 
-    if defend_overflows(k, len(chars)):
-        actions = []
-        for e in enemies:
-            for c in chars:
-                actions.append(Defend(tuple((e2, c if e2 == e else None)
-                                            for e2 in enemies)))
-        actions.append(Defend(tuple((e, None) for e in enemies)))
-        return actions
-
     def assignments(i: int, used: tuple[int, ...], assign: tuple):
         """(blocked, assignment) for each way to extend assign over
         enemies[i:], each enemy's pick in defending preference, then none."""
@@ -443,10 +421,16 @@ def _defend_actions(state: GameState) -> list[Action]:
                                        assign + ((enemies[i], c),))
         yield from assignments(i + 1, used, assign + ((enemies[i], None),))
 
+    # The walk stops one past the cap, where the family overflows.
+    found = list(islice(assignments(0, (), ()), MAX_DEFEND_ACTIONS + 1))
+    if len(found) > MAX_DEFEND_ACTIONS:
+        actions = [Defend(tuple((e2, c if e2 == e else None) for e2 in enemies))
+                   for e in enemies for c in chars]
+        return actions + [Defend(tuple((e, None) for e in enemies))]
     # Fullest first. The sort is stable and all undefended comes last among
     # the assignments blocking none, so it is the last action.
-    built = sorted(assignments(0, (), ()), key=lambda t: -t[0])
-    return [Defend(assign) for _, assign in built]
+    found.sort(key=lambda t: -t[0])
+    return [Defend(assign) for _, assign in found]
 
 
 def _attack_actions(state: GameState) -> list[Action]:

@@ -115,9 +115,6 @@ class RunStats:
     # determinism comparisons.
     mean_decision_time: dict[str, float] = field(default_factory=dict)
 
-    def to_obj(self) -> dict:
-        return asdict(self)
-
 
 # Per-process batch state, set up by _init_worker: in each pool worker,
 # and in the parent before any game.
@@ -260,14 +257,11 @@ def combination_grid(base: ExperimentConfig,
 # ---- output -----------------------------------------------------------------
 
 
-CSV_COLUMNS = ("label", "agents", "n", "wins", "winrate", "ci_halfwidth",
-               "mean_rounds", "wall_time_s")
-
-
-def _format_row(stats: RunStats) -> list[str]:
-    return [stats.label, stats.agents, str(stats.n), str(stats.wins),
-            f"{stats.winrate:.6f}", f"{stats.ci_halfwidth:.6f}",
-            f"{stats.mean_rounds:.6f}", f"{stats.wall_time_s:.3f}"]
+# Each CSV column, in order, and the format spec of its RunStats field.
+_CSV_FORMATS = {"label": "", "agents": "", "n": "", "wins": "",
+                "winrate": ".6f", "ci_halfwidth": ".6f", "mean_rounds": ".6f",
+                "wall_time_s": ".3f"}
+CSV_COLUMNS = tuple(_CSV_FORMATS)
 
 
 def render_csv(rows: list[RunStats], header: dict[str, object]) -> str:
@@ -282,7 +276,8 @@ def render_csv(rows: list[RunStats], header: dict[str, object]) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for stats in rows:
-        writer.writerow(_format_row(stats))
+        writer.writerow([format(getattr(stats, column), spec)
+                         for column, spec in _CSV_FORMATS.items()])
     return out.getvalue()
 
 
@@ -293,7 +288,7 @@ def render_json(rows: list[RunStats], header: dict[str, object]) -> str:
     so equal configs give equal documents once those two are dropped."""
     doc = {"config": {k: str(v) if isinstance(v, Path) else v
                       for k, v in header.items()},
-           "rows": [stats.to_obj() for stats in rows]}
+           "rows": [asdict(stats) for stats in rows]}
     return json.dumps(doc, indent=2) + "\n"
 
 

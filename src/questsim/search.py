@@ -31,7 +31,7 @@ from .agents import (
     SearchConfig,
     StagePolicyMap,
 )
-from .engine import _apply_inplace, _run, legal_actions
+from .engine import _apply_inplace, _run, apply_action, legal_actions
 from .errors import ConfigError
 from .state import (
     DECLARE_ATTACKERS,
@@ -144,8 +144,7 @@ def flat_mc_decide(state: GameState, legals: list[Action],
         share = base + (1 if i < extra else 0)
         if share == 0:
             continue
-        child = state.clone()
-        _apply_inplace(child, action)
+        child = apply_action(state, action)
         for _ in range(share):
             trial = child.clone()
             determinize(trial, rng)

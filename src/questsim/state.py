@@ -330,10 +330,6 @@ class GameState:
     def current_quest(self) -> CardInstance:
         return self.cards[self.quest_ids[self.quest_index]]
 
-    @property
-    def threat_limit(self) -> int:
-        return self.scenario.threat_limit
-
     def fingerprint(self) -> tuple:
         """Hashable deep identity of the state, for determinism checks."""
         return (

@@ -1,15 +1,16 @@
 """Shared test fixtures: a small synthetic card pool with hand-checkable
 numbers, plus surgery helpers for building precise game states."""
 
+import math
 from functools import cache
 from random import Random
 
 from questsim.cards import parse_card_db, parse_scenario
 from questsim.engine import (
     MAX_COMMIT_ENUM,
+    MAX_DEFEND_ACTIONS,
     _planning_enumerate,
     commit_pool,
-    defend_overflows,
     hero_pools,
     new_game,
 )
@@ -170,6 +171,14 @@ def family_capped(state: GameState) -> bool:
     if state.stage is StageId.COMMIT_CHARACTERS:
         return len(commit_pool(state)) > MAX_COMMIT_ENUM
     if state.stage is StageId.DECLARE_DEFENDERS:
-        return defend_overflows(len(state.engaged_enemies()),
-                                len(state.ready_characters()))
+        return defend_count(len(state.engaged_enemies()),
+                            len(state.ready_characters())) > MAX_DEFEND_ACTIONS
     return False
+
+
+def defend_count(enemies: int, defenders: int) -> int:
+    """Ways to give each enemy at most one of the defenders, each defender
+    used once: j blocked enemies, chosen C(enemies, j) ways, take an
+    ordered j of the defenders."""
+    return sum(math.comb(enemies, j) * math.perm(defenders, j)
+               for j in range(min(enemies, defenders) + 1))

@@ -5,6 +5,7 @@ import csv
 import json
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -132,6 +133,37 @@ def test_unwritable_out_fails_before_the_first_game(command, capsys):
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == \
         f"error: cannot write '{out}': No such file or directory\n"
+
+
+@pytest.mark.usefixtures("unplayed")
+@pytest.mark.parametrize("command, flag", [("sweep", "--budgets"),
+                                           ("grid", "--choices")])
+def test_out_is_checked_before_budgets_or_choices_are_read(command, flag,
+                                                           capsys):
+    out = "/nonexistent/dir/x.csv"
+    assert cli.main([command, flag, "bogus", "--out", out]) == 1
+    assert capsys.readouterr().err == \
+        f"error: cannot write '{out}': No such file or directory\n"
+
+
+def documented_header_keys() -> list[str]:
+    """The header keys in the order docs/output.md gives them."""
+    doc = (Path(__file__).parent.parent / "docs" / "output.md").read_text()
+    return re.findall(r"`([^`]+)`", doc.split("Its keys are")[1].split(".")[0])
+
+
+@pytest.mark.parametrize("command", BATCHES)
+def test_each_batch_header_has_the_documented_keys_in_order(command, tmp_path):
+    dest = tmp_path / "x.json"
+    argv = [command, *BATCHES[command], "--games", "2", "--out", str(dest)]
+    assert cli.main(argv) == 0
+    config = json.loads(dest.read_text())["config"]
+    first, budgets, choices, *resolved = documented_header_keys()
+    given = {"simulate": [], "sweep": [budgets], "grid": [choices]}[command]
+    assert list(config) == [first, *given, *resolved]
+    assert config[first] == command
+    for key in given:  # the value of --budgets or --choices, as given
+        assert config[key] == BATCHES[command][1]
 
 
 @pytest.mark.usefixtures("unplayed")

@@ -211,12 +211,12 @@ def test_engagement_is_a_fixpoint(game):
 
 
 def test_threat_loss_is_clamped_at_limit(game):
-    game.threat_level = game.threat_limit - 2
+    game.threat_level = game.scenario.threat_limit - 2
     at_stage(game, StageId.QUEST_RESOLUTION)
     put(game, "enemy-troll", Zone.STAGING_AREA)  # +3 threat on failure
     nxt = advance_ruled_stage(game)
     assert nxt.outcome is Outcome.LOSS_THREAT
-    assert nxt.threat_level == nxt.threat_limit
+    assert nxt.threat_level == nxt.scenario.threat_limit
 
 
 def test_refresh_readies_and_raises_threat(game):
@@ -240,7 +240,7 @@ def test_refresh_readies_and_raises_threat(game):
 
 def test_threat_loss_at_refresh_ends_the_game_in_its_round(game):
     at_stage(game, StageId.REFRESH)
-    game.threat_level = game.threat_limit - 1
+    game.threat_level = game.scenario.threat_limit - 1
     nxt = advance_ruled_stage(game)
     assert nxt.outcome is Outcome.LOSS_THREAT
     assert (nxt.round_no, nxt.stage) == (game.round_no, StageId.REFRESH)
@@ -415,6 +415,18 @@ def test_unaffordable_buy_is_rejected(game):
     banner = by_id(game, "ally-banner", Zone.HAND)[0]
     with pytest.raises(IllegalActionError, match="leadership"):
         apply_action(game, PlayCards((banner.instance_id,)))
+
+
+def test_a_buy_each_sphere_affords_can_still_cost_too_much_in_total(game):
+    # The spirit hero pays the spirit ally; the neutral ally needs a second
+    # resource that no hero has.
+    planning_state(game, ["ally-lantern", "ally-porter"], (1, 0, 0))
+    ids = tuple(by_id(game, cid, Zone.HAND)[0].instance_id
+                for cid in ("ally-lantern", "ally-porter"))
+    with pytest.raises(IllegalActionError) as failure:
+        apply_action(game, PlayCards(ids))
+    assert str(failure.value) == ("cannot pay for ['ally-lantern', 'ally-porter']: "
+                                  "costs 2 in total, heroes have 1")
 
 
 def test_item_attaches_to_matching_sphere_hero(game):
@@ -635,7 +647,7 @@ def test_the_refresh_of_the_last_round_loses_to_threat(synth_scenario):
               Random(11), trace=lines.append, check=True)
     assert state.outcome is Outcome.LOSS_THREAT
     assert (state.round_no, state.stage) == (ROUND_CAP, StageId.REFRESH)
-    assert state.threat_level < state.threat_limit
+    assert state.threat_level < state.scenario.threat_limit
     assert len(lines) == 13 and lines[-1].startswith(f"R{ROUND_CAP} refresh ")
 
 

@@ -24,8 +24,11 @@ from questsim.experiments import (
     budget_sweep,
     combination_grid,
     derive_seed,
+    render_csv,
+    render_json,
     run_games,
     winrate_ci,
+    write_output,
 )
 from questsim.state import DECISION, STAGE_ORDER, StageId
 
@@ -312,3 +315,84 @@ def test_output_doc_lists_every_column_field_and_stage_key():
     assert doc_table(doc, "CSV columns") == list(CSV_COLUMNS)
     assert doc_table(doc, "JSON fields") == [f.name for f in fields(RunStats)]
     assert doc_table(doc, "Per-stage keys") == DECISION_KEYS
+
+
+SWEEP_AGENTS = "planning=flat:{}:random,commit=random,defense=random"
+SWEEP_HEADER = {"command": "sweep", "budgets": "1,2", "scenario": "builtin",
+                "difficulty": "medium", "agents": SWEEP_AGENTS.format(1),
+                "games": 3, "master_seed": 5, "workers": 1, "z": 1.96}
+SWEEP_ROWS = [
+    RunStats("1", SWEEP_AGENTS.format(1), 3, 1, 1 / 3, 0.5334452, 12.3456789,
+             1.23456, {"planning": 2.5e-05, "declare-defenders": 0.001}),
+    RunStats("2", SWEEP_AGENTS.format(2), 3, 3, 1.0, 0.0, 7.0, 0.0004, {}),
+]
+
+
+def test_csv_bytes_are_the_header_the_columns_and_rounded_rows():
+    assert render_csv(SWEEP_ROWS, SWEEP_HEADER) == """\
+# command=sweep
+# budgets=1,2
+# scenario=builtin
+# difficulty=medium
+# agents=planning=flat:1:random,commit=random,defense=random
+# games=3
+# master_seed=5
+# workers=1
+# z=1.96
+label,agents,n,wins,winrate,ci_halfwidth,mean_rounds,wall_time_s
+1,"planning=flat:1:random,commit=random,defense=random",3,1,0.333333,0.533445,12.345679,1.235
+2,"planning=flat:2:random,commit=random,defense=random",3,3,1.000000,0.000000,7.000000,0.000
+"""
+
+
+def test_json_bytes_are_the_config_and_full_precision_rows():
+    assert render_json(SWEEP_ROWS, SWEEP_HEADER) == """\
+{
+  "config": {
+    "command": "sweep",
+    "budgets": "1,2",
+    "scenario": "builtin",
+    "difficulty": "medium",
+    "agents": "planning=flat:1:random,commit=random,defense=random",
+    "games": 3,
+    "master_seed": 5,
+    "workers": 1,
+    "z": 1.96
+  },
+  "rows": [
+    {
+      "label": "1",
+      "agents": "planning=flat:1:random,commit=random,defense=random",
+      "n": 3,
+      "wins": 1,
+      "winrate": 0.3333333333333333,
+      "ci_halfwidth": 0.5334452,
+      "mean_rounds": 12.3456789,
+      "wall_time_s": 1.23456,
+      "mean_decision_time": {
+        "planning": 2.5e-05,
+        "declare-defenders": 0.001
+      }
+    },
+    {
+      "label": "2",
+      "agents": "planning=flat:2:random,commit=random,defense=random",
+      "n": 3,
+      "wins": 3,
+      "winrate": 1.0,
+      "ci_halfwidth": 0.0,
+      "mean_rounds": 7.0,
+      "wall_time_s": 0.0004,
+      "mean_decision_time": {}
+    }
+  ]
+}
+"""
+
+
+def test_an_unwritable_output_path_is_a_config_error(tmp_path):
+    dest = tmp_path / "missing" / "x.csv"
+    with pytest.raises(ConfigError) as failure:
+        write_output(dest, SWEEP_ROWS, SWEEP_HEADER)
+    assert str(failure.value) == f"cannot write '{dest}': No such file or directory"
+    assert not dest.parent.exists()

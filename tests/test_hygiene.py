@@ -370,8 +370,7 @@ def test_stage_table_check_sees_each_kind_of_read():
 # caps. A second module that knew a cap or a cap helper would be a second
 # place to change when a cap changes.
 FAMILY_CAPS = {"MAX_PLANNING_ACTIONS", "MAX_COMMIT_ENUM", "MAX_DEFEND_ACTIONS",
-               "MAX_ATTACK_ACTIONS", "_planning_enumerate", "commit_prefixes",
-               "defend_overflows"}
+               "MAX_ATTACK_ACTIONS", "_planning_enumerate", "commit_prefixes"}
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "engine.py"],

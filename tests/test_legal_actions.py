@@ -12,7 +12,6 @@ from questsim.engine import (
     MAX_DEFEND_ACTIONS,
     MAX_PLANNING_ACTIONS,
     apply_action,
-    defend_overflows,
     legal_actions,
 )
 from questsim.errors import StageError
@@ -325,7 +324,7 @@ def test_defend_cap_collapses_to_single_defender(game):
                  extra_allies=["ally-porter", "ally-banner", "ally-lantern",
                                "ally-shield"])
     put(game, "enemy-wolf", Zone.ENGAGEMENT_AREA)  # 4th enemy, 7 ready
-    assert defend_overflows(len(game.engaged_enemies()), len(game.ready_characters()))
+    assert helpers.family_capped(game)
     legals = legal_actions(game)
     assert len(legals) == 4 * 7 + 1
     for action in legals[:-1]:
@@ -334,29 +333,46 @@ def test_defend_cap_collapses_to_single_defender(game):
                                       for e in game.engaged_enemies()))
 
 
-def test_defend_overflows_matches_a_brute_count():
-    def exceeds(k, n):
-        """Count assignments one by one, stopping past the cap."""
-        count = 0
+def brute_defend_count(k, n):
+    """Assignments of at most one of n distinct defenders to each of k
+    enemies, counted one by one up to one past the defend cap."""
+    count = 0
 
-        def rec(i, used):
-            nonlocal count
-            if count > MAX_DEFEND_ACTIONS:
-                return
-            if i == k:
-                count += 1
-                return
-            rec(i + 1, used)
-            for d in range(n):
-                if not used >> d & 1:
-                    rec(i + 1, used | 1 << d)
+    def rec(i, used):
+        nonlocal count
+        if count > MAX_DEFEND_ACTIONS:
+            return
+        if i == k:
+            count += 1
+            return
+        rec(i + 1, used)
+        for d in range(n):
+            if not used >> d & 1:
+                rec(i + 1, used | 1 << d)
 
-        rec(0, 0)
-        return count > MAX_DEFEND_ACTIONS
+    rec(0, 0)
+    return count
 
+
+def test_defend_family_is_every_assignment_up_to_the_cap():
+    # 4 enemies and 4 defenders: (4+1)^4 = 625 raw picks, 209 assignments.
+    assert brute_defend_count(4, 4) == helpers.defend_count(4, 4) == 209
+    enemy_ids = ["enemy-wolf", "enemy-warg", "enemy-troll"]
+    ally_ids = ["ally-porter", "ally-banner", "ally-lantern", "ally-shield"]
     for k in range(7):
         for n in range(11):
-            assert defend_overflows(k, n) == exceeds(k, n), (k, n)
+            game = helpers.new_synth_game(seed=1)
+            at_stage(game, StageId.DECLARE_DEFENDERS)
+            for hero in game.heroes():
+                hero.exhausted = True
+            for i in range(k):
+                put(game, enemy_ids[i % 3], Zone.ENGAGEMENT_AREA)
+            for i in range(n):
+                put(game, ally_ids[i % 4], Zone.PLAY_AREA)
+            count = brute_defend_count(k, n)
+            capped = count > MAX_DEFEND_ACTIONS
+            assert len(legal_actions(game)) == (k * n + 1 if capped else count), (k, n)
+            assert helpers.family_capped(game) == capped, (k, n)
 
 
 def test_all_defend_actions_apply_cleanly(game):

@@ -106,7 +106,7 @@ def forced_commit_state(synth_scenario):
     state.quest_progress = 9  # the 10-point finale is one push away
     for iid in state.quest_ids[:2]:
         state.move(state.cards[iid], Zone.COMPLETED_QUESTS)
-    state.threat_level = state.threat_limit - 1
+    state.threat_level = state.scenario.threat_limit - 1
     state.cards[1].exhausted = True
     state.cards[2].exhausted = True
     # Strip threat-raising surges so the winning branch cannot be ambushed.
