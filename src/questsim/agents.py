@@ -26,7 +26,7 @@ from random import Random
 from typing import Callable
 
 from .cards import LOCATION, NEUTRAL, SPIRIT, Sphere
-from .engine import _payable_singles, commit_pool, defender_order, fits
+from .engine import commit_pool, defender_order, fits, hero_pools
 from .errors import ConfigError, StageError
 from .state import (
     COMMIT_CHARACTERS,
@@ -127,18 +127,16 @@ def _buy_order(card: CardInstance) -> tuple:
 
 def _expert_planning(state: GameState) -> Action:
     """Greedy purchase: the most preferred affordable card (_buy_order),
-    repeated until nothing else is affordable. The hero pools and the cards
-    payable on their own come from one engine._payable_singles call.
+    repeated until nothing else is affordable.
 
     The buy only grows, so a card that does not fit now never fits later:
-    taking, in preference order, each card that still fits picks the same
-    cards as re-filtering the affordable cards before every pick."""
-    singles, pools, total_pool = _payable_singles(state)
-    singles.sort(key=_buy_order)
+    taking, in preference order, each hand card that still fits picks the
+    same cards as re-filtering the affordable cards before every pick."""
+    pools, total_pool = hero_pools(state.heroes())
     demand: dict[Sphere, int] = {}
     spent = 0
     chosen: list[int] = []
-    for c in singles:
+    for c in sorted(state.hand(), key=_buy_order):
         d = c.defn
         if fits(d, pools, total_pool, demand, spent):
             chosen.append(c.instance_id)

@@ -171,19 +171,13 @@ def _destroy(state: GameState, card: CardInstance) -> None:
         # Attached items go to the discard pile with their bearer.
         for item in state.in_zone(PLAY_AREA):
             if item.attached_to == card.instance_id:
-                item.reset_in_game_state()
                 state.move(item, PLAYER_DISCARD)
-        was_hero = card.defn.kind is HERO
-        card.reset_in_game_state()
         state.move(card, PLAYER_DISCARD)
-        if was_hero and not state.heroes():
+        if card.defn.kind is HERO and not state.heroes():
             state.outcome = LOSS_HEROES_DEAD
     else:
         if card.shadow_card is not None:
-            shadow = state.cards[card.shadow_card]
-            shadow.reset_in_game_state()
-            state.move(shadow, ENCOUNTER_DISCARD)
-        card.reset_in_game_state()
+            state.move(state.cards[card.shadow_card], ENCOUNTER_DISCARD)
         state.move(card, ENCOUNTER_DISCARD)
 
 
@@ -206,7 +200,6 @@ def _add_progress(state: GameState, points: int) -> None:
             location.progress += points
             return
         points -= need
-        location.reset_in_game_state()
         state.move(location, ENCOUNTER_DISCARD)
     state.quest_progress += points
     while state.quest_progress >= state.current_quest().defn.quest_points:
@@ -219,17 +212,15 @@ def _add_progress(state: GameState, points: int) -> None:
 
 def _draw_encounter(state: GameState, rng: Random) -> int | None:
     """Id of the top encounter card, which the caller moves out of the deck.
-    An empty deck first takes in the discard pile (cards are reset) and is
-    shuffled. None when both are empty."""
+    An empty deck first takes in the discard pile, whose cards carry no
+    in-game state, and is shuffled. None when both are empty."""
     deck = state.zone_ids[ENCOUNTER_DECK.slot]
     if not deck:
         pile = state.zone_ids[ENCOUNTER_DISCARD.slot]
         if not pile:
             return None
         for iid in pile[:]:
-            card = state.cards[iid]
-            card.reset_in_game_state()
-            state.move(card, ENCOUNTER_DECK)
+            state.move(state.cards[iid], ENCOUNTER_DECK)
         rng.shuffle(deck)
     return deck[-1]
 
@@ -313,22 +304,13 @@ def _planning_enumerate(cards: list[CardInstance], pools: dict[Sphere, int],
     return found if len(found) < MAX_PLANNING_ACTIONS else None
 
 
-def _payable_singles(state: GameState) -> tuple[list[CardInstance],
-                                                dict[Sphere, int], int]:
-    """(singles, pools, total): the hand cards payable on their own, in
-    hand order, and the hero pools per sphere and in total. A payable buy
-    holds only such cards."""
-    pools, total = hero_pools(state.heroes())
-    singles = [c for c in state.hand() if fits(c.defn, pools, total, {}, 0)]
-    return singles, pools, total
-
-
 def _planning_actions(state: GameState) -> list[Action]:
     """Every payable subset of the hand, capped at 64 actions; over the cap
     the family collapses to payable singletons plus the empty buy. Subsets
     come out in depth-first hand order with the empty buy last. The walk
     stops at its 64th subset, where the family overflows."""
-    singles, pools, total = _payable_singles(state)
+    pools, total = hero_pools(state.heroes())
+    singles = [c for c in state.hand() if fits(c.defn, pools, total, {}, 0)]
     subsets = _planning_enumerate(singles, pools, total)
     if subsets is None:
         singles.sort(key=lambda c: (-c.defn.cost, c.instance_id))
@@ -596,7 +578,7 @@ def _defend(state: GameState, action: Defend) -> None:
     for _, did in action.assignments:
         if did is not None:
             state.cards[did].exhausted = True
-    state.defense_map = dict(action.assignments)
+    state.defenses = action.assignments
 
 
 def _check_attack(state: GameState, action: Attack) -> None:
@@ -623,7 +605,7 @@ def _attack(state: GameState, action: Attack) -> None:
     for _, group in action.assignments:
         for aid in group:
             state.cards[aid].exhausted = True
-    state.attack_map = dict(action.assignments)
+    state.attacks = action.assignments
 
 
 # Action type -> (the decision stage it applies at, its check, its effect).
@@ -695,52 +677,41 @@ def _stage_engagement(state: GameState) -> None:
 
 
 def _stage_enemy_attacks(state: GameState) -> None:
-    for eid in sorted(state.defense_map):
+    # Declared enemies are still engaged; a defender may have died.
+    for eid, did in state.defenses:
         enemy = state.cards[eid]
-        if enemy.zone is not ENGAGEMENT_AREA:
-            continue
         attack = enemy.attack
         if enemy.shadow_card is not None:
             attack += state.cards[enemy.shadow_card].defn.shadow_attack_bonus
-        did = state.defense_map[eid]
         if did is not None and state.cards[did].zone is PLAY_AREA:
             defender = state.cards[did]
             _deal_damage(state, defender, attack - defender.defense)
         else:
             # Undefended attacks hit the first surviving hero at full force.
-            heroes = state.heroes()
-            if not heroes:
-                break
-            _deal_damage(state, heroes[0], attack)
+            _deal_damage(state, state.heroes()[0], attack)
         if state.outcome is not None:
             break
-    state.defense_map = {}
+    state.defenses = ()
 
 
 def _stage_player_attacks(state: GameState) -> None:
-    for eid in sorted(state.attack_map):
+    # Declared enemies are still engaged, declared attackers in play.
+    for eid, group in state.attacks:
         enemy = state.cards[eid]
-        if enemy.zone is not ENGAGEMENT_AREA:
-            continue
-        total = sum(state.cards[aid].attack for aid in state.attack_map[eid]
-                    if state.cards[aid].zone is PLAY_AREA)
+        total = sum(state.cards[aid].attack for aid in group)
         _deal_damage(state, enemy, total - enemy.defense)
-    state.attack_map = {}
+    state.attacks = ()
 
 
 def _stage_refresh(state: GameState) -> None:
     # Only characters in play exhaust or commit; only engaged enemies hold
     # shadows, and leaving either zone clears these marks.
     for c in state.in_zone(PLAY_AREA):
-        if c.exhausted:
-            c.exhausted = False
-        if c.committed:
-            c.committed = False
+        c.exhausted = False
+        c.committed = False
     for c in state.in_zone(ENGAGEMENT_AREA):
         if c.shadow_card is not None:
-            shadow = state.cards[c.shadow_card]
-            shadow.reset_in_game_state()
-            state.move(shadow, ENCOUNTER_DISCARD)
+            state.move(state.cards[c.shadow_card], ENCOUNTER_DISCARD)
             c.shadow_card = None
     _raise_threat(state, 1)
     # The next round starts here, unless the threat rise ended the game or
@@ -965,9 +936,11 @@ def check_invariants(state: GameState) -> None:
         if c.committed and (c.zone is not PLAY_AREA or not c.exhausted
                             or c.defn.kind not in CHARACTER_KINDS):
             fail(f"{c!r} committed but not an exhausted character in play")
-        if c.damage and c.zone in (PLAYER_DECK, ENCOUNTER_DECK,
-                                   PLAYER_DISCARD, ENCOUNTER_DISCARD):
-            fail(f"{c!r} carries damage outside play")
+        if c.zone.clears:
+            fresh = CardInstance(c.instance_id, c.defn, c.zone)
+            for field in CardInstance.__slots__:
+                if getattr(c, field) != getattr(fresh, field):
+                    fail(f"{c!r} carries in-game state in a deck or a discard pile: {field}")
         if c.zone in (PLAY_AREA, ENGAGEMENT_AREA, STAGING_AREA) \
                 and c.defn.hit_points and c.damage >= c.hit_points:
             fail(f"{c!r} should have been destroyed")

@@ -78,9 +78,7 @@ def determinize(state: GameState, rng: Random) -> GameState:
     owners = [c for c in state.in_zone(ENGAGEMENT_AREA)
               if c.shadow_card is not None]
     for owner in owners:
-        shadow = state.cards[owner.shadow_card]
-        state.move(shadow, ENCOUNTER_DECK)
-        shadow.attached_to = None
+        state.move(state.cards[owner.shadow_card], ENCOUNTER_DECK)
         owner.shadow_card = None
     deck = state.zone_ids[ENCOUNTER_DECK.slot]
     rng.shuffle(deck)

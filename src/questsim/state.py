@@ -94,12 +94,14 @@ del stage, successor
 
 class Zone(Enum):
     """Each member's .slot names its list in GameState.zone_ids (a plain int:
-    keying a dict by the member would run Enum.__hash__ in Python), and
+    keying a dict by the member would run Enum.__hash__ in Python),
     .put(ids, iid) adds a card's id to that list: on top of a deck (the
-    end of its list), in id order anywhere else."""
+    end of its list), in id order anywhere else; and .clears is set for the
+    decks and the discard piles, where a card carries no in-game state."""
 
     slot: int
     put: Callable[[list[int], int], None]
+    clears: bool
 
     PLAYER_DECK = "player_deck"
     HAND = "hand"
@@ -116,11 +118,14 @@ class Zone(Enum):
 for slot, zone in enumerate(Zone):
     zone.slot = slot
     zone.put = insort
+    zone.clears = False
 del slot, zone
 
 (PLAYER_DECK, HAND, PLAY_AREA, STAGING_AREA, ENCOUNTER_DECK, ENGAGEMENT_AREA,
  ACTIVE_LOCATION, PLAYER_DISCARD, ENCOUNTER_DISCARD, COMPLETED_QUESTS) = Zone
 PLAYER_DECK.put = ENCOUNTER_DECK.put = list.append
+PLAYER_DECK.clears = ENCOUNTER_DECK.clears = True
+PLAYER_DISCARD.clears = ENCOUNTER_DISCARD.clears = True
 
 
 class Outcome(Enum):
@@ -189,7 +194,8 @@ class CardInstance:
         setattr(self, stat, getattr(self, stat) + 1)
 
     def reset_in_game_state(self) -> None:
-        """Clear transient state, e.g. when a card is shuffled back into a deck."""
+        """Give the card the in-game state of a fresh one: at creation, and
+        when GameState.move puts it in a deck or a discard pile."""
         self.damage = 0
         self.progress = 0
         self.exhausted = False
@@ -210,8 +216,9 @@ class GameState:
     """Full snapshot of one game.
 
     cards is indexed by instance_id and never grows or shrinks after setup.
-    defense_map / attack_map carry combat declarations from the declaration
-    stage to the matching resolution stage within a round.
+    defenses / attacks carry the assignments of this round's Defend and
+    Attack actions (() when none) from the declaration stage to the
+    matching resolution stage, which walks them in enemy-id order.
 
     zone_ids is the zone index: zone_ids[zone.slot] lists the ids of the
     cards in that zone, so zone queries need not scan all cards. A deck's
@@ -221,12 +228,14 @@ class GameState:
     or a deck's cards, and both keep the index in step; the one other
     write is an in-place shuffle of a deck. clone() copies the index, and
     check_invariants audits it. quest_index (the number of finished
-    quests) is the length of the completed-quests list.
+    quests) is the length of the completed-quests list. move() alone
+    resets a card's in-game state, as it puts the card in a deck or a
+    discard pile (Zone.clears).
     """
 
     __slots__ = ("round_no", "stage", "threat_level", "quest_progress", "cards",
-                 "scenario", "difficulty", "outcome", "quest_ids", "defense_map",
-                 "attack_map", "zone_ids")
+                 "scenario", "difficulty", "outcome", "quest_ids", "defenses",
+                 "attacks", "zone_ids")
 
     def __init__(self, scenario: Scenario, difficulty: str):
         self.round_no = 1
@@ -238,8 +247,8 @@ class GameState:
         self.difficulty = difficulty
         self.outcome: Outcome | None = None
         self.quest_ids: tuple[int, int, int] = (0, 0, 0)
-        self.defense_map: dict[int, int] = {}
-        self.attack_map: dict[int, tuple[int, ...]] = {}
+        self.defenses: tuple[tuple[int, int | None], ...] = ()
+        self.attacks: tuple[tuple[int, tuple[int, ...]], ...] = ()
         self.zone_ids: list[list[int]] = [[] for _ in Zone]
 
     def clone(self) -> "GameState":
@@ -253,8 +262,8 @@ class GameState:
         s.difficulty = self.difficulty
         s.outcome = self.outcome
         s.quest_ids = self.quest_ids
-        s.defense_map = dict(self.defense_map)
-        s.attack_map = dict(self.attack_map)
+        s.defenses = self.defenses
+        s.attacks = self.attacks
         s.zone_ids = [ids[:] for ids in self.zone_ids]
         return s
 
@@ -270,10 +279,13 @@ class GameState:
 
     def move(self, card: CardInstance, zone: Zone) -> None:
         """Put card in zone: on top of a deck, so that it is drawn next, or
-        in id order in any other zone. Drawing is moving the top card out."""
+        in id order in any other zone. Drawing is moving the top card out.
+        A card put in a deck or a discard pile loses its in-game state."""
         self.zone_ids[card.zone.slot].remove(card.instance_id)
         zone.put(self.zone_ids[zone.slot], card.instance_id)
         card.zone = zone
+        if zone.clears:
+            card.reset_in_game_state()
 
     # ---- zone and role queries (in instance-id order; decks in draw order) ----
 
@@ -336,8 +348,7 @@ class GameState:
             self.round_no, self.stage, self.threat_level, self.quest_index,
             self.quest_progress, self.outcome, self.difficulty,
             tuple(self.player_deck), tuple(self.encounter_deck),
-            tuple(sorted(self.defense_map.items())),
-            tuple(sorted(self.attack_map.items())),
+            self.defenses, self.attacks,
             tuple((c.defn.id, c.zone, c.damage, c.progress, c.exhausted,
                    c.resource_pool, c.committed, c.shadow_card, c.attached_to, c.buffs)
                   for c in self.cards),

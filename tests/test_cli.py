@@ -166,6 +166,17 @@ def test_each_batch_header_has_the_documented_keys_in_order(command, tmp_path):
         assert config[key] == BATCHES[command][1]
 
 
+@pytest.mark.parametrize("command, flag, typed, header", [
+    ("sweep", "--budgets", "1, 3", "budgets=1,3"),
+    ("grid", "--choices", "planning=random, expert", "choices=planning=random, expert"),
+], ids=["sweep-parsed", "grid-typed"])
+def test_the_header_gives_budgets_as_parsed_and_choices_as_typed(
+        command, flag, typed, header, capsys):
+    argv = [command, flag, typed, "--games", "1", *BATCHES[command][2:]]
+    assert cli.main(argv) == 0
+    assert f"# {header}" in capsys.readouterr().out.splitlines()
+
+
 @pytest.mark.usefixtures("unplayed")
 def test_out_check_leaves_existing_and_missing_files_as_they_were(tmp_path):
     kept, absent = tmp_path / "kept.csv", tmp_path / "absent.json"

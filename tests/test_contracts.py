@@ -12,7 +12,9 @@ field, the one the public constructor makes. Perturbed legal actions on
 organic states must be rejected with a named error. Every action the
 playout policies pick passes its check, and its effect alone leaves the
 same state as check and effect together, which is what lets playouts skip
-the check."""
+the check. What the combat resolution stages take from their declarations
+without re-testing it (enemies still engaged, attackers still in play, a
+hero to hit) holds on organic states."""
 
 from dataclasses import fields
 from random import Random
@@ -50,6 +52,7 @@ from questsim.state import (
     Attack,
     Commit,
     Defend,
+    Outcome,
     PlayCards,
     StageId,
     StageKind,
@@ -215,6 +218,43 @@ def test_contracts_hold_on_organic_states(seed, difficulty, agent):
             _apply_inplace(state, action)
         check_invariants(state)
     assert set(EXPERT_STAGES) <= seen
+
+
+@CONTRACT
+@given(seed=st.integers(0, 2**32 - 1),
+       difficulty=st.sampled_from(["medium", "hard"]),
+       agent=st.sampled_from(["random", "expert"]))
+def test_combat_declarations_still_hold_at_their_resolution(seed, difficulty,
+                                                           agent):
+    """The resolution stages trust the declarations: at enemy-attacks every
+    declared enemy is still engaged and a hero is in play; at
+    player-attacks every declared enemy is still engaged and every declared
+    attacker is still in play. Within enemy-attacks a hero leaves play only
+    by being destroyed, which ends the game when it was the last one, so
+    every attack there finds a hero."""
+    rng = Random(seed)
+    state = new_game(SHIPPED, difficulty, rng)
+    declared = {}
+    while state.outcome is None and state.round_no <= 40:
+        stage = state.stage
+        if stage.kind is StageKind.DECISION:
+            action = (rng.choice(legal_actions(state)) if agent == "random"
+                      else expert_decide(state))
+            declared[stage.next] = getattr(action, "assignments", ())
+            state = apply_action(state, action)
+            continue
+        if stage is StageId.RESOLVE_ENEMY_ATTACKS:
+            engaged = {e.instance_id for e in state.engaged_enemies()}
+            assert all(enemy in engaged for enemy, _ in declared[stage])
+            assert state.heroes() or not declared[stage]
+        elif stage is StageId.RESOLVE_PLAYER_ATTACKS:
+            engaged = {e.instance_id for e in state.engaged_enemies()}
+            for enemy, group in declared[stage]:
+                assert enemy in engaged
+                assert all(state.cards[a].zone is Zone.PLAY_AREA for a in group)
+        state = (advance_ruled_stage(state) if stage.kind is StageKind.RULED
+                 else resolve_random_stage(state, rng))
+        assert state.heroes() or state.outcome is Outcome.LOSS_HEROES_DEAD
 
 
 def perturbed(state, action) -> list:

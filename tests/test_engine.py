@@ -1,5 +1,7 @@
 """Rules engine: setup, stage effects, payment, combat and invariants."""
 
+import hashlib
+import json
 import re
 from random import Random
 
@@ -16,6 +18,7 @@ from questsim.engine import (
     resolve_random_stage,
 )
 from questsim.errors import ConfigError, DataError, IllegalActionError, QuestSimError, StageError
+from questsim.experiments import derive_seed
 from questsim.state import (
     Attack,
     Commit,
@@ -30,6 +33,7 @@ from questsim.search import build_stage_policies
 from questsim.agents import Policy, parse_policy_map
 
 import helpers
+import test_golden
 from helpers import at_stage, by_id, put, stash_hand
 
 
@@ -681,6 +685,50 @@ def test_trace_leaves_outcome_and_rng_alone(shipped, agents):
         assert ends[0] == ends[1]
 
 
+# sha256 over the canonical fingerprint text after every stage of the
+# golden games (tests/test_golden.py's GAME_CONFIGS and master seed): a
+# refactor that keeps outcomes but changes an intermediate state fails here.
+STAGE_DIGESTS = {
+    ("expert", "medium"):
+        "c4960057af7b6b738e618ecb0fe07ca43ed8b3c9857460f91e417f7c734419fc",
+    ("expert", "hard"):
+        "5dd8cb3ba453927f7c631a676a729fac455cdf4198c37a048ce1e5d3463555d6",
+    ("random", "medium"):
+        "1c76657def5489e51aeefa8ddfece8ec5814f3b24916faf60d2fd44dbe60e54c",
+    ("random", "hard"):
+        "bf61bf07eae91c62072a21a120a4a090c5a1e4cf3efc8754843a7a1f3ea33a15",
+    ("mix", "medium"):
+        "24bf97ae8135b076594f9d445aa03035d55354adf30e80b0567f6cc74233493e",
+    ("mix", "hard"):
+        "5e5c38c050f867498d19abb5b237aafaed33f955453752929b24522a01e4dc9c",
+}
+
+
+def stage_digest(shipped, agents: str, difficulty: str, games: int) -> str:
+    policies = build_stage_policies(parse_policy_map(agents))
+    digest = hashlib.sha256()
+    for i in range(games):
+        rng = Random(derive_seed(test_golden.MASTER_SEED, i))
+        state = new_game(shipped, difficulty, rng)
+
+        # play_game plays in place, so after each stage (one trace line)
+        # state is the state that stage left. Enum members are written by
+        # value, so every Python version writes the same text.
+        def record(_line):
+            digest.update(json.dumps(state.fingerprint(),
+                                     default=lambda e: e.value).encode())
+
+        play_game(state, policies, rng, trace=record)
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("config,difficulty", sorted(STAGE_DIGESTS))
+def test_every_intermediate_state_is_pinned(shipped, config, difficulty):
+    agents, games = test_golden.GAME_CONFIGS[config]
+    assert stage_digest(shipped, agents, difficulty, games) == \
+        STAGE_DIGESTS[config, difficulty]
+
+
 def trace_events(line: str) -> list[str]:
     return line.split(" | ")[0].split(None, 2)[2].split("; ")
 
@@ -783,6 +831,9 @@ def deck_card(state):
     return state.cards[state.player_deck[0]]
 
 
+CLEARED = "carries in-game state in a deck or a discard pile"
+
+
 # One corruption of a fresh game per invariant, each breaking only that
 # one, with the message the audit gives; a corruption whose message names
 # the cards it builds returns the message itself.
@@ -798,7 +849,11 @@ CORRUPTIONS = {
     "shadow-held": (shadow_unheld, None),
     "committed": (lambda s: setattrs(s.heroes()[0], committed=True),
                   "committed but not an exhausted character in play"),
-    "damage": (lambda s: setattrs(deck_card(s), damage=1), "carries damage outside play"),
+    "damage": (lambda s: setattrs(deck_card(s), damage=1), f"{CLEARED}: damage"),
+    "exhausted": (lambda s: setattrs(put(s, "ally-shield", Zone.PLAYER_DISCARD),
+                                     exhausted=True), f"{CLEARED}: exhausted"),
+    "buffed": (lambda s: put(s, "item-blade", Zone.PLAYER_DISCARD).add_buff("attack"),
+               f"{CLEARED}: attack"),
     "destroyed": (lambda s: setattrs(s.heroes()[0], damage=3), "should have been destroyed"),
     "resources": (lambda s: setattrs(s.hand()[0], resource_pool=1),
                   "holds resources but is not a hero"),

@@ -12,6 +12,7 @@ from questsim.engine import new_game, play_game
 from questsim.search import build_stage_policies
 from questsim.state import (
     Attack,
+    CardInstance,
     Commit,
     Defend,
     PlayCards,
@@ -117,9 +118,30 @@ def test_buffs_apply_on_top_of_printed_stats(game):
     assert hero.willpower == base + 2
     assert hero.buffs == (2, 1, 0, 0)
     assert hero.defn.willpower == base  # printed stats never change
-    hero.reset_in_game_state()
+    game.move(hero, Zone.PLAYER_DISCARD)
     assert hero.willpower == base
     assert hero.buffs is None
+
+
+CLEARING_ZONES = (Zone.PLAYER_DECK, Zone.ENCOUNTER_DECK, Zone.PLAYER_DISCARD,
+                  Zone.ENCOUNTER_DISCARD)
+
+
+@pytest.mark.parametrize("zone", Zone, ids=lambda z: z.value)
+def test_move_clears_in_game_state_only_into_decks_and_discard_piles(game, zone):
+    # A card in play that carries every kind of in-game state.
+    card = helpers.put(game, "ally-shield", Zone.PLAY_AREA, damage=1, progress=1,
+                       exhausted=True, resource_pool=1, committed=True,
+                       shadow_card=0, attached_to=0)
+    card.add_buff("defense")
+    kept = {f: getattr(card, f) for f in CardInstance.__slots__}
+    game.move(card, zone)
+    after = {f: getattr(card, f) for f in CardInstance.__slots__}
+    if zone in CLEARING_ZONES:
+        fresh = CardInstance(card.instance_id, card.defn, zone)
+        assert after == {f: getattr(fresh, f) for f in CardInstance.__slots__}
+    else:
+        assert after == {**kept, "zone": zone}
 
 
 def test_clone_is_deep_for_cards_and_decks(game):
