@@ -260,13 +260,14 @@ class SearchConfig:
             raise ConfigError(f"exploration constant must lie in [0, 1], "
                               f"got {self.exploration_c}")
         if self.playout_policy not in PLAYOUT_KINDS:
-            raise ConfigError(f"playout policy must be 'random' or 'expert', "
+            kinds = " or ".join(map(repr, PLAYOUT_KINDS))
+            raise ConfigError(f"playout policy must be {kinds}, "
                               f"got {self.playout_policy!r}")
 
 
 # Agent kinds in strength order; an agent's numeric label is its place here.
-AGENT_KINDS = ("random", "expert", "flat", "mcts")
 _SEARCH_KINDS = ("flat", "mcts")
+AGENT_KINDS = PLAYOUT_KINDS + _SEARCH_KINDS
 
 
 @dataclass(frozen=True)

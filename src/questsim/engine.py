@@ -4,18 +4,20 @@ The public stage functions (apply_action, advance_ruled_stage,
 resolve_random_stage) are functional: they clone the state, mutate the clone
 and return it. Everything else plays stages in place through one private
 loop, _run: play_game, search playouts and the descent between MCTS tree
-levels. The loop calls the handlers in _RULED, _RANDOM and _DO directly and
-stops at the end of the game or at a decision stage its policies leave out.
+levels. The loop calls the handlers of the one stage table, _STAGES,
+directly and stops at the end of the game or at a decision stage its
+policies leave out. A stage's kind is read only from StageId.kind.
 
 Where actions are checked: each action type has a check, which raises an
 IllegalActionError naming the broken rule and writes nothing, and an
-effect, which applies a legal action and raises nothing (_DO). apply_action,
-play_game and search tree levels (flat Monte-Carlo's root children
-included) run both, through _apply_inplace (_run does so when its checked
-flag is set). Search playouts trust their random and expert policies and
-run the effect alone: tests/test_contracts.py shows that those policies
-pick only actions that pass their check, past a family cap too, and that
-the effect alone leaves the same state as both together.
+effect, which applies a legal action and raises nothing (both in the
+_STAGES row of the action's stage). apply_action, play_game and search
+tree levels (flat Monte-Carlo's root children included) run both, through
+_apply_inplace (_run does so when its checked flag is set). Search
+playouts trust their random and expert policies and run the effect
+alone: tests/test_contracts.py shows that those policies pick only
+actions that pass their check, past a family cap too, and that the effect
+alone leaves the same state as both together.
 
 The engine logs nothing: each handler only applies its rules. play_game
 derives its trace lines in the loop's observe callback, by comparing a
@@ -29,7 +31,7 @@ an RNG, so replaying the same seeds and decisions reproduces a game exactly.
 
 from __future__ import annotations
 
-from itertools import combinations, islice, product
+from itertools import accumulate, combinations, islice, product
 from random import Random
 from typing import Callable
 
@@ -52,6 +54,7 @@ from .state import (
     COMMIT_CHARACTERS,
     COMPLETED_QUESTS,
     DEAL_SHADOW_CARDS,
+    DECISION,
     DECLARE_ATTACKERS,
     DECLARE_DEFENDERS,
     ENCOUNTER_DECK,
@@ -85,6 +88,7 @@ from .state import (
     GameState,
     PlayCards,
     StageId,
+    StageKind,
     TravelTo,
     Zone,
     describe_action,
@@ -323,31 +327,21 @@ def commit_pool(state: GameState) -> list[CardInstance]:
     return [c for c in state.ready_characters() if not c.committed and c.willpower > 0]
 
 
-def commit_prefixes(pool: list[CardInstance], threshold: int) -> list[tuple[int, ...]]:
-    """Willpower-descending prefixes of the pool (ties by id) whose
-    willpower strictly beats the threshold, shortest first: the commits
-    offered once the pool exceeds MAX_COMMIT_ENUM."""
-    prefixes = []
-    ids: list[int] = []
-    total = 0
-    for c in sorted(pool, key=lambda c: (-c.willpower, c.instance_id)):
-        ids.append(c.instance_id)
-        total += c.willpower
-        if total > threshold:
-            prefixes.append(tuple(ids))
-    return prefixes
-
-
 def _commit_actions(state: GameState) -> list[Action]:
     """Every subset of the commit pool whose willpower strictly beats the
     staging threat, plus the empty commit. Ordered by ascending willpower
     (tightest qualifying commit first) with the empty commit last; past 7
-    candidates only the willpower-descending prefixes are offered."""
+    candidates only the qualifying willpower-descending prefixes (ties by
+    id) are offered, shortest first."""
     threshold = state.staging_threat()
     pool = commit_pool(state)
 
     if len(pool) > MAX_COMMIT_ENUM:
-        return [Commit(ids) for ids in commit_prefixes(pool, threshold)] + [Commit(())]
+        pool.sort(key=lambda c: (-c.willpower, c.instance_id))
+        wills = accumulate(c.willpower for c in pool)
+        prefixes = [Commit(tuple(c.instance_id for c in pool[:i]))
+                    for i, will in enumerate(wills, 1) if will > threshold]
+        return prefixes + [Commit(())]
 
     qualifying = []
     for r in range(1, len(pool) + 1):
@@ -438,15 +432,6 @@ def _attack_actions(state: GameState) -> list[Action]:
     return actions
 
 
-_LEGAL: dict[StageId, Callable[[GameState], list[Action]]] = {
-    PLANNING: _planning_actions,
-    COMMIT_CHARACTERS: _commit_actions,
-    TRAVEL: travel_actions,
-    DECLARE_DEFENDERS: _defend_actions,
-    DECLARE_ATTACKERS: _attack_actions,
-}
-
-
 def legal_actions(state: GameState) -> list[Action]:
     """Canonically ordered legal actions for the current decision stage.
 
@@ -459,16 +444,15 @@ def legal_actions(state: GameState) -> list[Action]:
     """
     if state.outcome is not None:
         raise StageError("game is over, no legal actions")
-    gen = _LEGAL.get(state.stage)
-    if gen is None:
+    if state.stage.kind is not DECISION:
         raise StageError(f"'{state.stage.value}' is not a decision stage")
-    return gen(state)
+    return _STAGES[state.stage][1](state)
 
 
 # ---- action application -----------------------------------------------------
 #
-# Each action type has a check and an effect; the module docstring says
-# which callers run which.
+# Each action type has a check and an effect, paired in its stage's
+# _STAGES row; the module docstring says which callers run which.
 
 
 def _check_play(state: GameState, action: PlayCards) -> None:
@@ -608,27 +592,17 @@ def _attack(state: GameState, action: Attack) -> None:
     state.attacks = action.assignments
 
 
-# Action type -> (the decision stage it applies at, its check, its effect).
-_DO: dict[type, tuple[StageId, Callable, Callable]] = {
-    PlayCards: (PLANNING, _check_play, _play),
-    Commit: (COMMIT_CHARACTERS, _check_commit, _commit),
-    TravelTo: (TRAVEL, _check_travel, _travel),
-    Defend: (DECLARE_DEFENDERS, _check_defend, _defend),
-    Attack: (DECLARE_ATTACKERS, _check_attack, _attack),
-}
-
-
 def _apply_inplace(state: GameState, action: Action) -> None:
     if state.outcome is not None:
         raise StageError("game is over")
-    entry = _DO.get(type(action))
-    if entry is None:
+    expected = _ACTION_STAGES.get(type(action))
+    if expected is None:
         raise IllegalActionError(f"not an action: {action!r}")
-    expected, check, effect = entry
     if state.stage is not expected:
         raise IllegalActionError(f"{type(action).__name__} applies at stage "
                                  f"'{expected.value}', game is at "
                                  f"'{state.stage.value}'")
+    _, _, check, effect = _STAGES[expected]
     check(state, action)
     effect(state, action)
     if state.outcome is None:
@@ -723,36 +697,6 @@ def _stage_refresh(state: GameState) -> None:
             state.outcome = LOSS_THREAT
 
 
-_RULED: dict[StageId, Callable[[GameState], None]] = {
-    GAIN_RESOURCES_AND_DRAW: _stage_gain,
-    QUEST_RESOLUTION: _stage_quest_resolution,
-    ENGAGEMENT_CHECKS: _stage_engagement,
-    RESOLVE_ENEMY_ATTACKS: _stage_enemy_attacks,
-    RESOLVE_PLAYER_ATTACKS: _stage_player_attacks,
-    REFRESH: _stage_refresh,
-}
-
-
-def _step(state: GameState, handlers: dict, kind: str, *args) -> GameState:
-    """A clone of state with its current stage, which must be of this kind,
-    played by its handler."""
-    if state.outcome is not None:
-        raise StageError("game is over")
-    handler = handlers.get(state.stage)
-    if handler is None:
-        raise StageError(f"'{state.stage.value}' is not a {kind} stage")
-    successor = state.clone()
-    handler(successor, *args)
-    if successor.outcome is None:
-        successor.stage = successor.stage.next
-    return successor
-
-
-def advance_ruled_stage(state: GameState) -> GameState:
-    """Execute the current ruled stage, returning the successor state."""
-    return _step(state, _RULED, "ruled")
-
-
 # ---- random stages ----------------------------------------------------------
 
 
@@ -785,10 +729,49 @@ def _stage_shadows(state: GameState, rng: Random) -> None:
         enemy.shadow_card = iid
 
 
-_RANDOM: dict[StageId, Callable[[GameState, Random], None]] = {
+# ---- the stage table --------------------------------------------------------
+
+
+# Each stage's rules, in round order: a ruled stage's handler(state), a
+# random stage's handler(state, rng), and a decision stage's (action type,
+# legal family, check, effect).
+_STAGES: dict[StageId, Callable | tuple[type, Callable, Callable, Callable]] = {
+    GAIN_RESOURCES_AND_DRAW: _stage_gain,
+    PLANNING: (PlayCards, _planning_actions, _check_play, _play),
+    COMMIT_CHARACTERS: (Commit, _commit_actions, _check_commit, _commit),
     STAGING: _stage_staging,
+    QUEST_RESOLUTION: _stage_quest_resolution,
+    TRAVEL: (TravelTo, travel_actions, _check_travel, _travel),
+    ENGAGEMENT_CHECKS: _stage_engagement,
     DEAL_SHADOW_CARDS: _stage_shadows,
+    DECLARE_DEFENDERS: (Defend, _defend_actions, _check_defend, _defend),
+    RESOLVE_ENEMY_ATTACKS: _stage_enemy_attacks,
+    DECLARE_ATTACKERS: (Attack, _attack_actions, _check_attack, _attack),
+    RESOLVE_PLAYER_ATTACKS: _stage_player_attacks,
+    REFRESH: _stage_refresh,
 }
+# Action type -> the decision stage it applies at.
+_ACTION_STAGES = {rules[0]: stage for stage, rules in _STAGES.items()
+                  if stage.kind is DECISION}
+
+
+def _step(state: GameState, kind: StageKind, *args) -> GameState:
+    """A clone of state with its current stage, which must be of this kind,
+    played by its handler."""
+    if state.outcome is not None:
+        raise StageError("game is over")
+    if state.stage.kind is not kind:
+        raise StageError(f"'{state.stage.value}' is not a {kind.value} stage")
+    successor = state.clone()
+    _STAGES[state.stage](successor, *args)
+    if successor.outcome is None:
+        successor.stage = successor.stage.next
+    return successor
+
+
+def advance_ruled_stage(state: GameState) -> GameState:
+    """Execute the current ruled stage, returning the successor state."""
+    return _step(state, RULED)
 
 
 def resolve_random_stage(state: GameState, rng: Random) -> GameState:
@@ -796,7 +779,7 @@ def resolve_random_stage(state: GameState, rng: Random) -> GameState:
 
     Consumes the caller's rng (the input state itself is untouched).
     """
-    return _step(state, _RANDOM, "random", rng)
+    return _step(state, RANDOM, rng)
 
 
 # ---- driver -----------------------------------------------------------------
@@ -840,11 +823,12 @@ def _run(state: GameState, policies: dict, rng: Random, checked: bool,
     while state.outcome is None:
         stage = state.stage
         kind = stage.kind
+        rules = _STAGES[stage]
         action = None
         if kind is RULED:
-            _RULED[stage](state)
+            rules(state)
         elif kind is RANDOM:
-            _RANDOM[stage](state, rng)
+            rules(state, rng)
         else:
             try:
                 policy = policies[stage]
@@ -855,7 +839,7 @@ def _run(state: GameState, policies: dict, rng: Random, checked: bool,
             if checked:
                 _apply_inplace(state, action)  # advances the stage, as below
             else:
-                _DO[type(action)][2](state, action)
+                rules[3](state, action)
         if state.outcome is None:
             state.stage = stage.next
         if observe is not None:

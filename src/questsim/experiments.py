@@ -54,15 +54,21 @@ def derive_seed(master_seed: int, game_index: int) -> int:
     return x ^ (x >> 31)
 
 
-def winrate_ci(wins: int, n: int, z: float = Z_DEFAULT) -> tuple[float, float]:
-    """Binomial winrate and normal-approximation CI halfwidth
-    z*sqrt(p*(1-p)/n); exactly 0 at the endpoints wins in {0, n}."""
+def winrate_ci(wins: int, n: int, z: float = Z_DEFAULT) -> tuple[float, float, float]:
+    """(p, ci_low, ci_high): the binomial winrate p and its Wilson score
+    interval, the p' with (p - p')**2 <= z*z*p'*(1-p')/n. The bounds lie in
+    [0, 1] and hold p; ci_low is exactly 0 at wins 0, ci_high exactly 1 at
+    wins n."""
     if n < 1:
         raise ValueError(f"need at least one game, got n={n}")
     if not 0 <= wins <= n:
         raise ValueError(f"wins={wins} outside [0, {n}]")
     p = wins / n
-    return p, z * math.sqrt(p * (1.0 - p) / n)
+    zz = z * z / n
+    centre = (p + zz / 2) / (1 + zz)
+    half = z / (1 + zz) * math.sqrt(p * (1.0 - p) / n + zz / (4 * n))
+    return (p, 0.0 if wins == 0 else centre - half,
+            1.0 if wins == n else centre + half)
 
 
 @dataclass(frozen=True)
@@ -107,7 +113,8 @@ class RunStats:
     n: int
     wins: int
     winrate: float
-    ci_halfwidth: float
+    ci_low: float
+    ci_high: float
     mean_rounds: float
     wall_time_s: float
     # Mean seconds per decide() call at each decision stage, keyed by the
@@ -201,14 +208,14 @@ def run_games(config: ExperimentConfig, label: str = "run") -> RunStats:
             cell = timings.setdefault(stage, [0.0, 0])
             cell[0] += secs
             cell[1] += calls
-    winrate, halfwidth = winrate_ci(wins, config.games, config.z)
+    winrate, ci_low, ci_high = winrate_ci(wins, config.games, config.z)
     return RunStats(
         label=label,
         agents=str(config.policy_map),
         n=config.games,
         wins=wins,
         winrate=winrate,
-        ci_halfwidth=halfwidth,
+        ci_low=ci_low, ci_high=ci_high,
         mean_rounds=rounds / config.games,
         wall_time_s=wall,
         mean_decision_time={stage.value: timings[stage][0] / timings[stage][1]
@@ -259,8 +266,8 @@ def combination_grid(base: ExperimentConfig,
 
 # Each CSV column, in order, and the format spec of its RunStats field.
 _CSV_FORMATS = {"label": "", "agents": "", "n": "", "wins": "",
-                "winrate": ".6f", "ci_halfwidth": ".6f", "mean_rounds": ".6f",
-                "wall_time_s": ".3f"}
+                "winrate": ".6f", "ci_low": ".6f", "ci_high": ".6f",
+                "mean_rounds": ".6f", "wall_time_s": ".3f"}
 CSV_COLUMNS = tuple(_CSV_FORMATS)
 
 

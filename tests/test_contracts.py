@@ -32,7 +32,7 @@ from questsim.agents import (
 )
 from questsim.cards import CHARACTER_KINDS, Sphere, load_scenario_bundle
 from questsim.engine import (
-    _DO,
+    _STAGES,
     _apply_inplace,
     advance_ruled_stage,
     apply_action,
@@ -165,10 +165,11 @@ def assert_canonical(action) -> None:
 def check_and_effect_agree(state, action) -> None:
     """Apply the action to two clones of the state: through _apply_inplace
     (check and effect), which raises if the check fails, and through the
-    effect alone, advanced as _finish advances it. The two must agree."""
+    stage's effect alone, advanced as _finish advances it. The two must
+    agree."""
     checked, trusted = state.clone(), state.clone()
     _apply_inplace(checked, action)
-    _DO[type(action)][2](trusted, action)
+    _STAGES[state.stage][3](trusted, action)
     trusted.stage = trusted.stage.next
     assert trusted.fingerprint() == checked.fingerprint()
     assert trusted.zone_ids == checked.zone_ids

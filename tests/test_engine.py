@@ -3,11 +3,14 @@
 import hashlib
 import json
 import re
+from inspect import signature
 from random import Random
+from typing import get_args
 
 import pytest
 
 from questsim.engine import (
+    _STAGES,
     ROUND_CAP,
     STARTING_HAND_SIZE,
     advance_ruled_stage,
@@ -20,12 +23,14 @@ from questsim.engine import (
 from questsim.errors import ConfigError, DataError, IllegalActionError, QuestSimError, StageError
 from questsim.experiments import derive_seed
 from questsim.state import (
+    Action,
     Attack,
     Commit,
     Defend,
     Outcome,
     PlayCards,
     StageId,
+    StageKind,
     TravelTo,
     Zone,
 )
@@ -592,6 +597,24 @@ def test_apply_action_leaves_input_unchanged(game):
     before = game.fingerprint()
     apply_action(game, PlayCards(()))
     assert game.fingerprint() == before
+
+
+def test_one_table_holds_each_stages_rules_in_round_order():
+    # A ruled stage maps to handler(state), a random one to
+    # handler(state, rng), a decision stage to (action type, legal family,
+    # check, effect); each action type has one decision stage.
+    assert list(_STAGES) == list(StageId)
+    action_types = []
+    for stage, rules in _STAGES.items():
+        if stage.kind is StageKind.DECISION:
+            action_type, family, check, effect = rules
+            assert callable(family) and callable(check) and callable(effect), stage
+            action_types.append(action_type)
+        else:
+            arity = 1 if stage.kind is StageKind.RULED else 2
+            assert callable(rules) and len(signature(rules).parameters) == arity, stage
+    assert len(set(action_types)) == len(action_types)
+    assert set(action_types) == set(get_args(Action))
 
 
 # ---- full games and invariants ----------------------------------------------

@@ -58,14 +58,53 @@ def test_derive_seed_known_value():
 
 @pytest.mark.parametrize("n", [1, 7, 100])
 def test_winrate_ci_is_exact_at_the_endpoints(n):
-    assert winrate_ci(0, n) == (0.0, 0.0)
-    assert winrate_ci(n, n) == (1.0, 0.0)
+    p, low, high = winrate_ci(0, n)
+    assert (p, low) == (0.0, 0.0) and 0.0 < high < 1.0
+    p, low, high = winrate_ci(n, n)
+    assert (p, high) == (1.0, 1.0) and 0.0 < low < 1.0
 
 
-def test_winrate_ci_halfwidth_formula():
-    p, half = winrate_ci(30, 100, z=2.0)
+def test_winrate_ci_is_the_wilson_score_interval():
+    # The bounds are the roots p' of (p - p')**2 = z*z*p'*(1-p')/n.
+    p, low, high = winrate_ci(30, 100, z=2.0)
     assert p == 0.3
-    assert half == pytest.approx(2.0 * math.sqrt(0.3 * 0.7 / 100))
+    for bound in (low, high):
+        assert (p - bound) ** 2 == pytest.approx(4.0 * bound * (1 - bound) / 100)
+    assert low < p < high
+
+
+@pytest.mark.parametrize("wins,n", [(1, 2), (1, 40), (7, 10), (1, 10**9),
+                                    (10**9 - 1, 10**9)])
+def test_winrate_ci_lies_in_the_unit_interval_and_holds_the_winrate(wins, n):
+    p, low, high = winrate_ci(wins, n)
+    assert 0.0 < low < p < high < 1.0
+
+
+def test_shipped_default_batch_interval():
+    # questsim simulate --games 40 --seed 1 wins 1 game of 40.
+    assert [f"{x:.6f}" for x in winrate_ci(1, 40)] == ["0.025000", "0.004427",
+                                                       "0.128817"]
+
+
+def binomial_coverage(n: int, p: float) -> float:
+    """Exact probability that winrate_ci's interval holds p when the wins
+    of n games are Binomial(n, p): the pmf summed over the covering counts."""
+    total = 0.0
+    for wins in range(n + 1):
+        _, low, high = winrate_ci(wins, n)
+        if low <= p <= high:
+            total += math.comb(n, wins) * p**wins * (1 - p) ** (n - wins)
+    return total
+
+
+@pytest.mark.parametrize("n", [10, 40, 100])
+def test_winrate_ci_covers_at_least_90_percent_exactly(n):
+    # The nominal level is 95%; the binomial's lattice pulls the Wilson
+    # interval below it near p = 0.01 and p = 0.8 (minima 0.904, 0.928 and
+    # 0.921 for these n), where the Wald interval falls to 0.096, 0.331
+    # and 0.633.
+    worst = min(binomial_coverage(n, i / 100) for i in range(1, 100))
+    assert worst >= 0.90
 
 
 @pytest.mark.parametrize("wins,n", [(0, 0), (1, 0), (-1, 5), (6, 5)])
@@ -322,9 +361,9 @@ SWEEP_HEADER = {"command": "sweep", "budgets": "1,2", "scenario": "builtin",
                 "difficulty": "medium", "agents": SWEEP_AGENTS.format(1),
                 "games": 3, "master_seed": 5, "workers": 1, "z": 1.96}
 SWEEP_ROWS = [
-    RunStats("1", SWEEP_AGENTS.format(1), 3, 1, 1 / 3, 0.5334452, 12.3456789,
-             1.23456, {"planning": 2.5e-05, "declare-defenders": 0.001}),
-    RunStats("2", SWEEP_AGENTS.format(2), 3, 3, 1.0, 0.0, 7.0, 0.0004, {}),
+    RunStats("1", SWEEP_AGENTS.format(1), 3, 1, 1 / 3, 0.0614903, 0.7923450,
+             12.3456789, 1.23456, {"planning": 2.5e-05, "declare-defenders": 0.001}),
+    RunStats("2", SWEEP_AGENTS.format(2), 3, 3, 1.0, 0.4384939, 1.0, 7.0, 0.0004, {}),
 ]
 
 
@@ -339,9 +378,9 @@ def test_csv_bytes_are_the_header_the_columns_and_rounded_rows():
 # master_seed=5
 # workers=1
 # z=1.96
-label,agents,n,wins,winrate,ci_halfwidth,mean_rounds,wall_time_s
-1,"planning=flat:1:random,commit=random,defense=random",3,1,0.333333,0.533445,12.345679,1.235
-2,"planning=flat:2:random,commit=random,defense=random",3,3,1.000000,0.000000,7.000000,0.000
+label,agents,n,wins,winrate,ci_low,ci_high,mean_rounds,wall_time_s
+1,"planning=flat:1:random,commit=random,defense=random",3,1,0.333333,0.061490,0.792345,12.345679,1.235
+2,"planning=flat:2:random,commit=random,defense=random",3,3,1.000000,0.438494,1.000000,7.000000,0.000
 """
 
 
@@ -366,7 +405,8 @@ def test_json_bytes_are_the_config_and_full_precision_rows():
       "n": 3,
       "wins": 1,
       "winrate": 0.3333333333333333,
-      "ci_halfwidth": 0.5334452,
+      "ci_low": 0.0614903,
+      "ci_high": 0.792345,
       "mean_rounds": 12.3456789,
       "wall_time_s": 1.23456,
       "mean_decision_time": {
@@ -380,7 +420,8 @@ def test_json_bytes_are_the_config_and_full_precision_rows():
       "n": 3,
       "wins": 3,
       "winrate": 1.0,
-      "ci_halfwidth": 0.0,
+      "ci_low": 0.4384939,
+      "ci_high": 1.0,
       "mean_rounds": 7.0,
       "wall_time_s": 0.0004,
       "mean_decision_time": {}

@@ -257,17 +257,18 @@ def test_index_write_check_sees_aliases_and_each_kind_of_write():
         "GameState.__init__", "GameState.clone", "GameState.add", "GameState.move"}
 
 
-# engine._DO gives each action type a check and an effect. The check
-# raises the named error and writes nothing; the effect writes and raises
-# nothing, because playouts run it alone. The engine functions that either
-# calls, transitively, are held to the same rule.
+# Each decision row of engine._STAGES gives its action type a check and an
+# effect. The check raises the named error and writes nothing; the effect
+# writes and raises nothing, because playouts run it alone. The engine
+# functions that either calls, transitively, are held to the same rule.
 def do_table(tree: ast.Module) -> list[tuple[str, str]]:
-    """(check, effect) function names of each engine._DO entry."""
+    """(check, effect) function names of each decision row of
+    engine._STAGES: (action type, legal family, check, effect)."""
     for node in tree.body:
-        if "_DO" in defined_names(node):
-            return [(entry.elts[1].id, entry.elts[2].id)
-                    for entry in node.value.values]
-    raise AssertionError("engine.py defines no _DO table")
+        if "_STAGES" in defined_names(node):
+            return [(entry.elts[2].id, entry.elts[3].id)
+                    for entry in node.value.values if isinstance(entry, ast.Tuple)]
+    raise AssertionError("engine.py defines no _STAGES table")
 
 
 def reached(tree: ast.Module, name: str) -> list[ast.FunctionDef]:
@@ -322,10 +323,10 @@ def test_split_check_sees_writes_and_raises():
 
 
 # engine._run is the one loop that plays stages by their kind, calling the
-# handler tables _RULED and _RANDOM and the effects in _DO; every other
-# module plays stages through it or the public stage functions. A second
-# reader of these tables would be a second stage loop.
-STAGE_TABLES = {"_RULED", "_RANDOM", "_DO"}
+# handlers and effects in the stage table _STAGES; every other module plays
+# stages through it or the public stage functions. A second reader of the
+# table would be a second stage loop.
+STAGE_TABLES = {"_STAGES"}
 
 
 def name_reads(tree: ast.AST, watched: set[str]) -> list[str]:
@@ -353,13 +354,13 @@ def test_only_the_engine_reads_the_stage_tables(path):
 
 
 def test_stage_table_check_sees_each_kind_of_read():
-    tree = ast.parse("from .engine import _DO as effects\n"
+    tree = ast.parse("from .engine import _STAGES as rules\n"
                      "import questsim.engine\n"
                      "def f(state, rng):\n"
-                     "    _RULED[state.stage](state)\n"
-                     "    questsim.engine._RANDOM[state.stage](state, rng)\n"
-                     "    _RULED = {}\n")
-    assert name_reads(tree, STAGE_TABLES) == ["1 _DO", "4 _RULED", "5 _RANDOM"]
+                     "    _STAGES[state.stage](state)\n"
+                     "    questsim.engine._STAGES[state.stage](state, rng)\n"
+                     "    _STAGES = {}\n")
+    assert name_reads(tree, STAGE_TABLES) == ["1 _STAGES", "4 _STAGES", "5 _STAGES"]
     reads = {read.split()[1]
              for read in name_reads(parse(SRC / "engine.py"), STAGE_TABLES)}
     assert reads == STAGE_TABLES
@@ -370,7 +371,7 @@ def test_stage_table_check_sees_each_kind_of_read():
 # caps. A second module that knew a cap or a cap helper would be a second
 # place to change when a cap changes.
 FAMILY_CAPS = {"MAX_PLANNING_ACTIONS", "MAX_COMMIT_ENUM", "MAX_DEFEND_ACTIONS",
-               "MAX_ATTACK_ACTIONS", "_planning_enumerate", "commit_prefixes"}
+               "MAX_ATTACK_ACTIONS", "_planning_enumerate"}
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "engine.py"],
