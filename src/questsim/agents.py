@@ -25,8 +25,8 @@ from operator import attrgetter
 from random import Random
 from typing import Callable
 
-from .cards import LOCATION, NEUTRAL, SPIRIT, Sphere
-from .engine import commit_pool, defender_order, fits, hero_pools
+from .cards import LOCATION, SPIRIT
+from .engine import commit_pool, defender_order, hero_pools, take
 from .errors import ConfigError, StageError
 from .state import (
     COMMIT_CHARACTERS,
@@ -129,20 +129,16 @@ def _expert_planning(state: GameState) -> Action:
     """Greedy purchase: the most preferred affordable card (_buy_order),
     repeated until nothing else is affordable.
 
-    The buy only grows, so a card that does not fit now never fits later:
-    taking, in preference order, each hand card that still fits picks the
-    same cards as re-filtering the affordable cards before every pick."""
-    pools, total_pool = hero_pools(state.heroes())
-    demand: dict[Sphere, int] = {}
-    spent = 0
+    The buy only grows, so a card the heroes cannot pay for now they never
+    can later: taking, in preference order, each hand card still payable
+    picks the same cards as re-filtering the affordable cards every time."""
+    left = hero_pools(state.heroes())
     chosen: list[int] = []
     for c in sorted(state.hand(), key=_buy_order):
-        d = c.defn
-        if fits(d, pools, total_pool, demand, spent):
+        rest = take(c.defn, left)
+        if rest is not None:
             chosen.append(c.instance_id)
-            spent += d.cost
-            if d.sphere is not NEUTRAL:
-                demand[d.sphere] = demand.get(d.sphere, 0) + d.cost
+            left = rest
 
     chosen.sort()
     return PlayCards._canonical(tuple(chosen))

@@ -63,6 +63,9 @@ SPIRIT, LEADERSHIP, TACTICS, LORE, NEUTRAL, NONE = Sphere
 # Stat buffed by an item attachment (+1 when the item enters play).
 BUFF_STATS = ("willpower", "attack", "defense", "hit_points")
 
+# Cards in the opening hand; a scenario's player deck holds at least this many.
+STARTING_HAND_SIZE = 6
+
 # Instant effects carried by event cards.
 PLAYER_EFFECTS = ("reduce_threat",)
 ENCOUNTER_EFFECTS = ("raise_threat", "damage_committed")
@@ -277,6 +280,9 @@ def parse_scenario(obj: dict, db: dict[str, CardDef]) -> Scenario:
 
     player_deck = _parse_deck(obj.get("player_deck"), f"scenario '{name}' player_deck",
                               db, PLAYER_KINDS)
+    if len(player_deck) < STARTING_HAND_SIZE:
+        raise DataError(f"scenario '{name}': player deck has {len(player_deck)} cards, "
+                        f"needs at least {STARTING_HAND_SIZE}")
 
     decks_raw = obj.get("encounter_decks")
     if not isinstance(decks_raw, dict) or not decks_raw:

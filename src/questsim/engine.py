@@ -44,11 +44,12 @@ from .cards import (
     ITEM,
     LOCATION,
     NEUTRAL,
+    STARTING_HAND_SIZE,
     CardDef,
     Scenario,
     Sphere,
 )
-from .errors import ConfigError, DataError, IllegalActionError, QuestSimError, StageError
+from .errors import ConfigError, IllegalActionError, QuestSimError, StageError
 from .state import (
     ACTIVE_LOCATION,
     COMMIT_CHARACTERS,
@@ -94,7 +95,6 @@ from .state import (
     describe_action,
 )
 
-STARTING_HAND_SIZE = 6
 # No round starts after this one: its refresh loses the game to threat.
 ROUND_CAP = 100
 
@@ -132,9 +132,6 @@ def new_game(scenario: Scenario, difficulty: str, rng: Random) -> GameState:
     for defn in encounter_deck:
         state.add(defn, ENCOUNTER_DECK)
     player = state.zone_ids[PLAYER_DECK.slot]
-    if len(player) < STARTING_HAND_SIZE:
-        raise DataError(f"player deck has {len(player)} cards, "
-                        f"needs at least {STARTING_HAND_SIZE}")
     rng.shuffle(player)
     rng.shuffle(state.zone_ids[ENCOUNTER_DECK.slot])
 
@@ -157,9 +154,9 @@ def _instance(state: GameState, iid: object) -> CardInstance:
 def _ready_character(state: GameState, iid: object) -> CardInstance:
     c = _instance(state, iid)
     if c.zone is not PLAY_AREA or c.defn.kind not in CHARACTER_KINDS:
-        raise IllegalActionError(f"{c.defn.id}#{iid} is not a character in play")
+        raise IllegalActionError(f"{c} is not a character in play")
     if c.exhausted:
-        raise IllegalActionError(f"{c.defn.id}#{iid} is exhausted")
+        raise IllegalActionError(f"{c} is exhausted")
     return c
 
 
@@ -229,7 +226,10 @@ def _draw_encounter(state: GameState, rng: Random) -> int | None:
     return deck[-1]
 
 
-def hero_pools(heroes: list[CardInstance]) -> tuple[dict[Sphere, int], int]:
+Pools = tuple[dict[Sphere, int], int]
+
+
+def hero_pools(heroes: list[CardInstance]) -> Pools:
     """Resources per hero sphere, and in total, across these heroes."""
     pools: dict[Sphere, int] = {}
     total = 0
@@ -239,44 +239,46 @@ def hero_pools(heroes: list[CardInstance]) -> tuple[dict[Sphere, int], int]:
     return pools, total
 
 
-def fits(defn: CardDef, pools: dict[Sphere, int], total: int,
-         demand: dict[Sphere, int], spent: int) -> bool:
-    """Whether defn stays payable on top of a buy that already spends
-    `spent` in total and `demand` per sphere. Sphere cards draw only on
-    same-sphere heroes, neutral cards on anyone, so a set is payable iff
-    every per-sphere demand fits its sphere pool and the grand total fits
-    the grand pool: checking each card as it is added is exact."""
-    if spent + defn.cost > total:
-        return False
-    return (defn.sphere is NEUTRAL
-            or demand.get(defn.sphere, 0) + defn.cost <= pools.get(defn.sphere, 0))
+def take(defn: CardDef, left: Pools) -> Pools | None:
+    """What the heroes still hold once defn is paid for out of `left` (as
+    hero_pools gives it), or None when it cannot be. Sphere cards draw only
+    on same-sphere heroes, neutral cards on anyone, so a set is payable iff
+    each sphere's costs fit its pool and all costs the total (_unpayable):
+    taking the cards one at a time, in any order, is exact."""
+    pools, total = left
+    cost = defn.cost
+    if cost > total:
+        return None
+    if defn.sphere is NEUTRAL:
+        return pools, total - cost
+    have = pools.get(defn.sphere, 0)
+    if cost > have:
+        return None
+    return {**pools, defn.sphere: have - cost}, total - cost
 
 
-def _payable(heroes: list[CardInstance], defs) -> tuple[bool, str]:
-    """Exact affordability of a buy, with the reason when it fails."""
+def _unpayable(heroes: list[CardInstance], defs) -> str | None:
+    """Why the heroes cannot pay for this buy (take's rule for a set), or None."""
     pools, total_pool = hero_pools(heroes)
     demand: dict[Sphere, int] = {}
-    total = 0
-    ok = True
     for d in defs:
-        ok = ok and fits(d, pools, total_pool, demand, total)
-        total += d.cost
         if d.sphere is not NEUTRAL:
             demand[d.sphere] = demand.get(d.sphere, 0) + d.cost
-    if ok:
-        return True, ""
     for sphere in sorted(demand, key=lambda s: s.value):
         if demand[sphere] > pools.get(sphere, 0):
-            return False, (f"needs {demand[sphere]} {sphere.value} resources, "
-                           f"heroes have {pools.get(sphere, 0)}")
-    return False, f"costs {total} in total, heroes have {total_pool}"
+            return (f"needs {demand[sphere]} {sphere.value} resources, "
+                    f"heroes have {pools.get(sphere, 0)}")
+    total = sum([d.cost for d in defs])
+    if total > total_pool:
+        return f"costs {total} in total, heroes have {total_pool}"
+    return None
 
 
 def _spend(heroes: list[CardInstance], amount: int) -> None:
     for hero in heroes:
-        take = min(hero.resource_pool, amount)
-        hero.resource_pool -= take
-        amount -= take
+        paid = min(hero.resource_pool, amount)
+        hero.resource_pool -= paid
+        amount -= paid
         if amount == 0:
             return
 
@@ -284,27 +286,24 @@ def _spend(heroes: list[CardInstance], amount: int) -> None:
 # ---- legal action families --------------------------------------------------
 
 
-def _planning_enumerate(cards: list[CardInstance], pools: dict[Sphere, int],
-                        total_pool: int) -> list[tuple[int, ...]] | None:
-    """Payable subsets of these hand cards (empty buy excluded) in
-    depth-first hand order, or None once the family overflows the 64-action
-    cap (the walk stops there). Subsets led by earlier hand cards come
-    first, supersets before their remainders; see legal_actions for why the
-    order matters."""
-    def subsets(start: int, chosen: tuple[int, ...], demand: dict[Sphere, int],
-                spent: int):
+def _planning_enumerate(cards: list[CardInstance],
+                        left: Pools) -> list[tuple[int, ...]] | None:
+    """Subsets of these hand cards (empty buy excluded) payable out of
+    `left`, as hero_pools gives it, in depth-first hand order, or None once
+    the family overflows the 64-action cap (the walk stops there). Subsets
+    led by earlier hand cards come first, supersets before their
+    remainders; see legal_actions for why the order matters."""
+    def subsets(start: int, chosen: tuple[int, ...], left: Pools):
         # An unpayable subset has no payable superset: its branch is pruned.
         for i in range(start, len(cards)):
-            d = cards[i].defn
-            if fits(d, pools, total_pool, demand, spent):
+            rest = take(cards[i].defn, left)
+            if rest is not None:
                 ids = chosen + (cards[i].instance_id,)
                 yield ids
-                more = demand if d.sphere is NEUTRAL else {
-                    **demand, d.sphere: demand.get(d.sphere, 0) + d.cost}
-                yield from subsets(i + 1, ids, more, spent + d.cost)
+                yield from subsets(i + 1, ids, rest)
 
     # The empty buy makes one more action than there are subsets.
-    found = list(islice(subsets(0, (), {}, 0), MAX_PLANNING_ACTIONS))
+    found = list(islice(subsets(0, (), left), MAX_PLANNING_ACTIONS))
     return found if len(found) < MAX_PLANNING_ACTIONS else None
 
 
@@ -313,9 +312,9 @@ def _planning_actions(state: GameState) -> list[Action]:
     the family collapses to payable singletons plus the empty buy. Subsets
     come out in depth-first hand order with the empty buy last. The walk
     stops at its 64th subset, where the family overflows."""
-    pools, total = hero_pools(state.heroes())
-    singles = [c for c in state.hand() if fits(c.defn, pools, total, {}, 0)]
-    subsets = _planning_enumerate(singles, pools, total)
+    left = hero_pools(state.heroes())
+    singles = [c for c in state.hand() if take(c.defn, left) is not None]
+    subsets = _planning_enumerate(singles, left)
     if subsets is None:
         singles.sort(key=lambda c: (-c.defn.cost, c.instance_id))
         return [PlayCards((c.instance_id,)) for c in singles] + [PlayCards(())]
@@ -464,10 +463,10 @@ def _check_play(state: GameState, action: PlayCards) -> None:
     for iid in action.cards:
         inst = _instance(state, iid)
         if inst.zone is not HAND:
-            raise IllegalActionError(f"{inst.defn.id}#{iid} is not in hand")
+            raise IllegalActionError(f"{inst} is not in hand")
         defs.append(inst.defn)
-    ok, why = _payable(state.heroes(), defs)
-    if not ok:
+    why = _unpayable(state.heroes(), defs)
+    if why is not None:
         raise IllegalActionError(f"cannot pay for {[d.id for d in defs]}: {why}")
 
 
@@ -510,7 +509,7 @@ def _check_commit(state: GameState, action: Commit) -> None:
     for iid in action.characters:
         c = _ready_character(state, iid)
         if c.willpower <= 0:
-            raise IllegalActionError(f"{c.defn.id}#{iid} has zero willpower")
+            raise IllegalActionError(f"{c} has zero willpower")
         total += c.willpower
     if action.characters:
         threshold = state.staging_threat()
@@ -531,8 +530,7 @@ def _check_travel(state: GameState, action: TravelTo) -> None:
         return
     loc = _instance(state, action.location)
     if loc.defn.kind is not LOCATION or loc.zone is not STAGING_AREA:
-        raise IllegalActionError(f"{loc.defn.id}#{loc.instance_id} is not a "
-                                 f"staging-area location")
+        raise IllegalActionError(f"{loc} is not a staging-area location")
     if state.active_location() is not None:
         raise IllegalActionError("a location is already active")
 
@@ -554,7 +552,7 @@ def _check_defend(state: GameState, action: Defend) -> None:
             continue
         defender = _ready_character(state, did)
         if did in used:
-            raise IllegalActionError(f"{defender.defn.id}#{did} cannot defend twice")
+            raise IllegalActionError(f"{defender} cannot defend twice")
         used.add(did)
 
 
@@ -579,8 +577,7 @@ def _check_attack(state: GameState, action: Attack) -> None:
         for aid in group:
             attacker = _ready_character(state, aid)
             if aid in used:
-                raise IllegalActionError(f"{attacker.defn.id}#{aid} cannot "
-                                         f"attack twice")
+                raise IllegalActionError(f"{attacker} cannot attack twice")
             used.add(aid)
         attacked.add(eid)
 
@@ -793,11 +790,9 @@ def _trace_line(before: GameState, after: GameState, action: Action | None) -> s
     events = [] if action is None else [describe_action(action, before)]
     for old, new in zip(before.cards, after.cards):
         if old.zone is not new.zone:
-            events.append(f"{new.defn.id}#{new.instance_id} "
-                          f"{old.zone.value}->{new.zone.value}")
+            events.append(f"{new} {old.zone.value}->{new.zone.value}")
         if new.damage > old.damage:
-            events.append(f"{new.defn.id}#{new.instance_id} "
-                          f"takes {new.damage - old.damage}")
+            events.append(f"{new} takes {new.damage - old.damage}")
     line = (f"R{before.round_no:02d} {before.stage.value:<18} "
             f"{'; '.join(events) or '-'} | "
             f"threat={after.threat_level} "

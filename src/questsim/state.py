@@ -208,8 +208,12 @@ class CardInstance:
         self.defense = self.defn.defense
         self.hit_points = self.defn.hit_points
 
+    def __str__(self) -> str:
+        """<id>#<instance>: the card's name in messages and traces."""
+        return f"{self.defn.id}#{self.instance_id}"
+
     def __repr__(self) -> str:
-        return f"<{self.defn.id}#{self.instance_id} {self.zone.value}>"
+        return f"<{self} {self.zone.value}>"
 
 
 class GameState:
@@ -455,7 +459,7 @@ def describe_action(action: Action, state: GameState) -> str:
     """Compact human-readable action text for trace logs, naming each card
     as <id>#<instance> so that two copies of one card stay apart."""
     def name(iid: int) -> str:
-        return f"{state.cards[iid].defn.id}#{iid}"
+        return str(state.cards[iid])
 
     if isinstance(action, PlayCards):
         return "play=[" + ",".join(name(i) for i in action.cards) + "]"

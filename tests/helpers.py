@@ -166,8 +166,7 @@ def family_capped(state: GameState) -> bool:
     fixed rules' stages read False: their rule heads the family, capped
     or not."""
     if state.stage is StageId.PLANNING:
-        pools, total = hero_pools(state.heroes())
-        return _planning_enumerate(state.hand(), pools, total) is None
+        return _planning_enumerate(state.hand(), hero_pools(state.heroes())) is None
     if state.stage is StageId.COMMIT_CHARACTERS:
         return len(commit_pool(state)) > MAX_COMMIT_ENUM
     if state.stage is StageId.DECLARE_DEFENDERS:

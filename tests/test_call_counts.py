@@ -8,7 +8,8 @@ all-expert games (expert-batch). sys.setprofile counts each "call" event into a 
 of src/questsim whose name does not start with "<", which leaves out
 comprehensions, generator expressions and lambdas; loading the scenario
 and building the policies are not counted. Functions are keyed by file
-name and co_name, which every supported Python has.
+name and co_name, which every supported Python has, and every pin reads
+the same on CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0.
 
 Each count must stay at or below its pin. The rule: a change that lowers a
 count lowers its pin here, and a change that raises one raises the pin
@@ -36,10 +37,10 @@ WORKLOADS = json.loads((Path(__file__).parent.parent / "benchmarks" / "spec.json
 
 # workload -> {"file name co_name" or "total": pin}.
 PINS = {
-    "mcts-expert": {"total": 116_887, "state.py clone": 190,
+    "mcts-expert": {"total": 116_698, "state.py clone": 190,
                     "engine.py legal_actions": 132,
                     "search.py determinize": 190, "state.py move": 9_945},
-    "expert-batch": {"total": 49_631, "state.py clone": 0,
+    "expert-batch": {"total": 49_185, "state.py clone": 0,
                      "engine.py legal_actions": 0,
                      "search.py determinize": 0, "state.py move": 3_188},
 }

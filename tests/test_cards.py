@@ -190,6 +190,14 @@ def test_threat_limit_must_be_positive(synth_db):
         parse_scenario(obj, synth_db)
 
 
+def test_player_deck_must_hold_a_starting_hand(synth_db):
+    obj = scenario_obj()
+    obj["player_deck"] = {"ally-lantern": 4, "gandalf": 1}
+    with pytest.raises(DataError, match="scenario 'testlands': player deck has 5 "
+                                        "cards, needs at least 6"):
+        parse_scenario(obj, synth_db)
+
+
 # ---- shipped data -----------------------------------------------------------
 
 

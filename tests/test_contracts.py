@@ -17,6 +17,7 @@ without re-testing it (enemies still engaged, attackers still in play, a
 hero to hit) holds on organic states."""
 
 from dataclasses import fields
+from itertools import combinations
 from random import Random
 
 from hypothesis import HealthCheck, assume, given, settings
@@ -30,20 +31,21 @@ from questsim.agents import (
     default_travel,
     expert_decide,
 )
-from questsim.cards import CHARACTER_KINDS, Sphere, load_scenario_bundle
+from questsim.cards import CHARACTER_KINDS, CardDef, CardKind, Sphere, load_scenario_bundle
 from questsim.engine import (
     _STAGES,
     _apply_inplace,
+    _unpayable,
     advance_ruled_stage,
     apply_action,
     check_invariants,
     commit_pool,
     defender_order,
-    fits,
     hero_pools,
     legal_actions,
     new_game,
     resolve_random_stage,
+    take,
     travel_actions,
 )
 from questsim.errors import IllegalActionError, StageError
@@ -79,6 +81,11 @@ ALLIES = ("ally-lantern", "ally-banner", "ally-shield", "ally-porter",
           "gandalf")
 ENEMIES = ("enemy-wolf", "enemy-warg", "enemy-troll")
 LOCATIONS = ("loc-clearing", "loc-ridge")
+# Card spheres for the cost rule: a sphere no synthetic hero has (lore),
+# and neutral twice as often as each other, since only neutral cards can
+# leave the total short while every sphere fits.
+BUY_SPHERES = (Sphere.SPIRIT, Sphere.LEADERSHIP, Sphere.TACTICS, Sphere.LORE,
+               Sphere.NEUTRAL, Sphere.NEUTRAL)
 
 
 def greedy_buy(state) -> PlayCards:
@@ -86,12 +93,9 @@ def greedy_buy(state) -> PlayCards:
     affordable, else the affordable Spirit card of highest willpower, else
     the cheapest affordable card (ties by card id, then instance), and
     re-filter the affordable cards after every pick."""
-    pools, total_pool = hero_pools(state.heroes())
-    demand: dict[Sphere, int] = {}
-    spent = 0
+    left = hero_pools(state.heroes())
     chosen: list[int] = []
-    afford = [c for c in state.hand()
-              if fits(c.defn, pools, total_pool, demand, spent)]
+    afford = [c for c in state.hand() if take(c.defn, left) is not None]
     while afford:
         gandalfs = [c for c in afford if c.defn.id == GANDALF_ID]
         spirit = [c for c in afford if c.defn.sphere is Sphere.SPIRIT]
@@ -104,12 +108,9 @@ def greedy_buy(state) -> PlayCards:
             pick = min(afford, key=lambda c: (c.defn.cost, c.defn.id,
                                               c.instance_id))
         chosen.append(pick.instance_id)
-        spent += pick.defn.cost
-        if pick.defn.sphere is not Sphere.NEUTRAL:
-            demand[pick.defn.sphere] = (demand.get(pick.defn.sphere, 0)
-                                        + pick.defn.cost)
+        left = take(pick.defn, left)
         afford = [c for c in afford if c is not pick
-                  and fits(c.defn, pools, total_pool, demand, spent)]
+                  and take(c.defn, left) is not None]
     return PlayCards(tuple(chosen))
 
 
@@ -383,6 +384,35 @@ def test_expert_planning_stays_legal_when_capped(hand, pools):
         hero.resource_pool = pool
     assume(family_capped(game))
     check_contracts(game)
+
+
+@CONTRACT
+@given(pools=st.tuples(*[st.integers(0, 3)] * 3),
+       buy=st.lists(st.tuples(st.sampled_from(BUY_SPHERES), st.integers(0, 4)),
+                    max_size=7),
+       data=st.data())
+def test_take_is_exact_in_any_order(pools, buy, data):
+    """Taking a buy's cards one at a time gives the same verdict, and when
+    the buy is payable the same resources left, in any order; for each
+    subset of the buy the verdict is the set rule that _unpayable states."""
+    heroes = synth_game().heroes()
+    for hero, pool in zip(heroes, pools):
+        hero.resource_pool = pool
+    defs = [CardDef(f"card-{i}", "Card", CardKind.ALLY, sphere=sphere, cost=cost)
+            for i, (sphere, cost) in enumerate(buy)]
+
+    def left_after(cards):
+        left = hero_pools(heroes)
+        for d in cards:
+            left = take(d, left)
+            if left is None:
+                break
+        return left
+
+    for k in range(len(defs) + 1):
+        for subset in combinations(defs, k):
+            assert (left_after(subset) is None) == (_unpayable(heroes, subset) is not None)
+    assert left_after(data.draw(st.permutations(defs))) == left_after(defs)
 
 
 @CONTRACT

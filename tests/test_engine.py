@@ -20,7 +20,7 @@ from questsim.engine import (
     play_game,
     resolve_random_stage,
 )
-from questsim.errors import ConfigError, DataError, IllegalActionError, QuestSimError, StageError
+from questsim.errors import ConfigError, IllegalActionError, QuestSimError, StageError
 from questsim.experiments import derive_seed
 from questsim.state import (
     Action,
@@ -75,12 +75,6 @@ def test_new_game_loses_immediately_if_threat_at_limit():
         assert state.outcome is Outcome.LOSS_THREAT
         assert state.threat_level == limit
         check_invariants(state)
-
-
-def test_new_game_needs_a_starting_hand():
-    scenario = helpers.make_scenario(player_deck={"ally-lantern": 4, "gandalf": 1})
-    with pytest.raises(DataError, match="player deck has 5 cards, needs at least 6"):
-        new_game(scenario, "test", Random(0))
 
 
 def test_staging_and_shadows_draw_nothing_once_the_encounter_cards_run_out():

@@ -2,6 +2,7 @@
 common random numbers across sweep and grid rows, the fold of a batch
 over worker spans and the output document."""
 
+import json
 import math
 import multiprocessing
 import os
@@ -31,6 +32,8 @@ from questsim.experiments import (
     write_output,
 )
 from questsim.state import DECISION, STAGE_ORDER, StageId
+
+import helpers
 
 M = 2**64
 
@@ -240,6 +243,41 @@ def test_a_single_process_run_loads_no_pool_and_no_csv_module():
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True)
     assert run.stdout.split() == []
+
+
+# A 2-worker batch on a scenario file whose player deck cannot deal the
+# opening hand, with two usable CPUs whatever the machine has. It prints
+# whether multiprocessing was loaded when the DataError came, and the error.
+SHORT_DECK_POOLED_RUN = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from questsim import DataError, ExperimentConfig, parse_policy_map, run_games
+experts = parse_policy_map("planning=expert,commit=expert,defense=expert")
+try:
+    run_games(ExperimentConfig(games=4, master_seed=1, policy_map=experts,
+                               difficulty="test", scenario_path=sys.argv[1],
+                               workers=2))
+except DataError as error:
+    print("multiprocessing" in sys.modules, error)
+"""
+
+
+def test_a_short_player_deck_fails_before_a_pool_starts(tmp_path):
+    """run_games checks the scenario before any game runs: the opening-hand
+    rule is the loader's, so no worker is started to find the fault."""
+    cards_file = tmp_path / "pool.json"
+    cards_file.write_text(json.dumps(helpers.SYNTH_CARDS))
+    scenario_file = tmp_path / "short.json"
+    scenario_file.write_text(json.dumps({
+        **helpers.SYNTH_SCENARIO, "cards": "pool.json",
+        "player_deck": {"ally-lantern": 4, "gandalf": 1}}))
+    src = Path(__file__).parent.parent / "src"
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", SHORT_DECK_POOLED_RUN, str(scenario_file)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True, timeout=120)
+    assert run.stdout == ("False scenario 'testlands': player deck has 5 cards, "
+                          "needs at least 6\n")
 
 
 def in_process_pool(asked: list[int]):

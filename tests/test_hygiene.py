@@ -5,10 +5,12 @@ and a parameter that nothing reads is a setting no caller can change;
 these checks keep both from growing back."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
+import questsim
 from questsim import cards, state
 
 SRC = Path(__file__).parent.parent / "src" / "questsim"
@@ -452,3 +454,35 @@ def test_each_member_is_bound_to_its_own_name(module, enum):
     wrong = [member.name for member in enum
              if getattr(module, member.name, None) is not member]
     assert not wrong, f"{module.__name__} binds no or another member to {wrong}"
+
+
+# The span targets of the traced benchmark (benchmarks/layers.py SPANS)
+# that name no attribute of the package: the traced run prints "no span"
+# for each. The set may only shrink.
+STALE_SPANS = {"search._ruled_inplace", "search._random_inplace",
+               "agents.ExpertPolicy.decide", "agents.RandomPolicy.decide",
+               "agents.FixedTravelPolicy.decide", "agents.FixedAttackPolicy.decide",
+               "search.MctsPolicy.decide", "search.FlatMcPolicy.decide"}
+
+
+def unresolved_spans(layers, spans) -> set[str]:
+    """'owner.attribute' of each span target that layers.installed would
+    skip: its owner or the attribute in the owner's own namespace is
+    missing."""
+    missing = set()
+    for owner_path, attr, _, _ in spans:
+        owner = layers._resolve(questsim, owner_path)
+        if owner is None or vars(owner).get(attr) is None:
+            missing.add(f"{owner_path}.{attr}".lstrip("."))
+    return missing
+
+
+def test_the_benchmark_spans_name_package_attributes():
+    path = Path(__file__).parent.parent / "benchmarks" / "layers.py"
+    spec = importlib.util.spec_from_file_location("benchmark_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    assert unresolved_spans(layers, [("engine", "no_such_rule", "", ""),
+                                     ("", "play_game", "", "")]) == {"engine.no_such_rule"}
+    stale = unresolved_spans(layers, layers.SPANS)
+    assert stale <= STALE_SPANS, f"span targets not in the package: {stale - STALE_SPANS}"

@@ -3,6 +3,7 @@ choice behavior on states with forced outcomes."""
 
 import itertools
 import math
+from collections import Counter
 from random import Random
 
 import pytest
@@ -318,6 +319,24 @@ def test_determinize_redeals_shadows_to_the_same_enemies(synth_scenario):
         shadow = copy.cards[owner.shadow_card]
         assert shadow.attached_to == owner_id
         assert shadow.zone is Zone.ENGAGEMENT_AREA
+
+
+def test_determinize_deals_every_order_of_a_short_deck_evenly():
+    """Over 2,400 seeds, determinize puts a 4-card player deck in each of
+    its 24 orders: the chi-square statistic of the counts stays below
+    49.73, its 0.001 critical value at 23 degrees of freedom."""
+    scenario = helpers.make_scenario(
+        player_deck={"ally-lantern": 4, "ally-banner": 3, "ally-shield": 3})
+    state = new_game(scenario, "test", Random(0))
+    assert len(state.player_deck) == 4
+    orders = Counter()
+    for seed in range(2400):
+        copy = state.clone()
+        determinize(copy, Random(seed))
+        orders[tuple(copy.player_deck)] += 1
+    assert len(orders) == 24
+    expected = 2400 / 24
+    assert sum((n - expected) ** 2 / expected for n in orders.values()) < 49.73
 
 
 class RecordsDefense:
