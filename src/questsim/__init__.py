@@ -27,6 +27,7 @@ from .engine import (
     advance_ruled_stage,
     apply_action,
     check_invariants,
+    determinize,
     legal_actions,
     new_game,
     play_game,
@@ -52,7 +53,6 @@ from .search import (
     SearchNode,
     build_policy,
     build_stage_policies,
-    determinize,
     flat_mc_decide,
     mcts_decide,
     playout,

@@ -21,19 +21,18 @@ that parse_policy_map reads back. search.py builds the stage policies.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from operator import attrgetter
 from random import Random
 from typing import Callable
 
-from .cards import LOCATION, SPIRIT
-from .engine import commit_pool, defender_order, hero_pools, take
+from .cards import SPIRIT
+from .engine import (attack_order, commit_pool, defender_order, hero_pools,
+                      take, travel_order)
 from .errors import ConfigError, StageError
 from .state import (
     COMMIT_CHARACTERS,
     DECLARE_ATTACKERS,
     DECLARE_DEFENDERS,
     PLANNING,
-    STAGING_AREA,
     TRAVEL,
     Action,
     Attack,
@@ -71,43 +70,34 @@ def random_decide(state: GameState, legals: list[Action], rng: Random) -> Action
 # ---- fixed default rules ----------------------------------------------------
 #
 # The expert's rules, these two included, run at every decision of an
-# expert playout, so each makes one pass over the cards it reads and builds
-# its action in canonical order through the actions' _canonical
-# constructor (state.py). The empty actions are shared constants.
+# expert playout, so each reads the cards it needs once and builds its
+# action in canonical order through the actions' _canonical constructor
+# (state.py). The empty actions are shared constants.
 
 _NO_COMMIT = Commit(())
 _STAY = TravelTo(None)
 _NO_DEFENSE = Defend(())
 _NO_ATTACK = Attack(())
 
-_remaining_hp = attrgetter("remaining_hp")
-
 
 def default_travel(state: GameState) -> Action:
-    """Travel to the staging location with the highest threat (ties by id);
-    stay put when a location is already active or none are staged. This is
-    the head of the travel family (engine.travel_actions)."""
-    if state.active_location() is not None:
-        return _STAY
-    best = None
-    for c in state.in_zone(STAGING_AREA):  # in id order: the first best wins
-        if c.defn.kind is LOCATION and (best is None
-                                        or c.defn.threat > best.defn.threat):
-            best = c
-    return _STAY if best is None else TravelTo(best.instance_id)
+    """Travel to the first location in engine.travel_order (highest threat,
+    ties by id); stay put when a location is already active or none are
+    staged. The head of the travel family by construction."""
+    spots = travel_order(state)
+    return TravelTo(spots[0].instance_id) if spots else _STAY
 
 
 def default_attack(state: GameState) -> Action:
-    """All ready characters attack the engaged enemy with the fewest
-    remaining hit points (ties by id); empty when nothing to do."""
-    enemies = state.engaged_enemies()
-    ready = state.ready_characters() if enemies else None
+    """All ready characters attack the first enemy in engine.attack_order
+    (fewest remaining hit points, ties by id); empty when nothing to do.
+    The head of the attack family by construction."""
+    targets = attack_order(state)
+    ready = state.ready_characters() if targets else None
     if not ready:
         return _NO_ATTACK
-    # Enemies come in id order, and min keeps the first of equal keys.
-    target = min(enemies, key=_remaining_hp)
     return Attack._canonical(
-        ((target.instance_id, tuple([c.instance_id for c in ready])),))
+        ((targets[0].instance_id, tuple([c.instance_id for c in ready])),))
 
 
 # ---- expert agent -----------------------------------------------------------

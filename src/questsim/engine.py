@@ -25,8 +25,9 @@ clone of the state before each stage with the state after it, and takes
 the clone only when tracing.
 
 RNG discipline: only new_game, the random stages and the agents consume
-the injected random.Random. Ruled stages and action application never touch
-an RNG, so replaying the same seeds and decisions reproduces a game exactly.
+the injected random.Random, and determinize draws from the search's rng.
+Ruled stages and action application never touch an RNG, so replaying the
+same seeds and decisions reproduces a game exactly.
 """
 
 from __future__ import annotations
@@ -142,11 +143,33 @@ def new_game(scenario: Scenario, difficulty: str, rng: Random) -> GameState:
     return state
 
 
+def determinize(state: GameState, rng: Random) -> GameState:
+    """Reshuffle the hidden zones in place: both face-down decks, with dealt
+    shadow cards returned to the encounter deck, reshuffled and re-dealt to
+    the same enemies (in id order)."""
+    rng.shuffle(state.zone_ids[PLAYER_DECK.slot])
+    owners = [c for c in state.in_zone(ENGAGEMENT_AREA)
+              if c.shadow_card is not None]
+    for owner in owners:
+        state.move(state.cards[owner.shadow_card], ENCOUNTER_DECK)
+        owner.shadow_card = None
+    deck = state.zone_ids[ENCOUNTER_DECK.slot]
+    rng.shuffle(deck)
+    for owner in owners:
+        sid = deck[-1]
+        shadow = state.cards[sid]
+        state.move(shadow, ENGAGEMENT_AREA)
+        shadow.attached_to = owner.instance_id
+        owner.shadow_card = sid
+    return state
+
+
 # ---- shared helpers ---------------------------------------------------------
 
 
 def _instance(state: GameState, iid: object) -> CardInstance:
-    if not isinstance(iid, int) or not 0 <= iid < len(state.cards):
+    # A bool is an int to isinstance, but no instance id.
+    if type(iid) is not int or not 0 <= iid < len(state.cards):
         raise IllegalActionError(f"unknown instance id {iid!r}")
     return state.cards[iid]
 
@@ -352,17 +375,19 @@ def _commit_actions(state: GameState) -> list[Action]:
     return [Commit(ids) for _, ids in qualifying] + [Commit(())]
 
 
+def travel_order(state: GameState) -> list[CardInstance]:
+    """Staging-area locations in travel preference: descending threat, ties
+    by id; none while a location is active."""
+    if state.active_location() is not None:
+        return []
+    return sorted([c for c in state.in_zone(STAGING_AREA)
+                   if c.defn.kind is LOCATION],
+                  key=lambda c: (-c.defn.threat, c.instance_id))
+
+
 def travel_actions(state: GameState) -> list[Action]:
-    """Staging-area locations by descending threat (ties by id), then
-    staying put; only staying put while a location is active."""
-    actions: list[Action] = []
-    if state.active_location() is None:
-        spots = [c for c in state.in_zone(STAGING_AREA)
-                 if c.defn.kind is LOCATION]
-        spots.sort(key=lambda c: (-c.defn.threat, c.instance_id))
-        actions.extend(TravelTo(c.instance_id) for c in spots)
-    actions.append(TravelTo(None))
-    return actions
+    """Travel to each location in travel_order, then staying put."""
+    return [TravelTo(c.instance_id) for c in travel_order(state)] + [TravelTo(None)]
 
 
 def defender_order(state: GameState) -> list[CardInstance]:
@@ -408,14 +433,19 @@ def _defend_actions(state: GameState) -> list[Action]:
     return [Defend(assign) for _, assign in found]
 
 
+def attack_order(state: GameState) -> list[CardInstance]:
+    """Engaged enemies in attack-target preference: weakest (fewest
+    remaining hit points) first, ties by id."""
+    return sorted(state.engaged_enemies(),
+                  key=lambda e: (e.remaining_hp, e.instance_id))
+
+
 def _attack_actions(state: GameState) -> list[Action]:
     """Every mapping of ready characters to an engaged enemy or to abstaining;
     above 512 mappings only the all-in-on-one-enemy options and the no-attack
-    are offered. Enemies are tried weakest (lowest remaining hit points)
-    first and the no-attack action always comes last."""
-    targets = sorted(state.engaged_enemies(),
-                     key=lambda e: (e.remaining_hp, e.instance_id))
-    enemies = [e.instance_id for e in targets]
+    are offered. Enemies are tried in attack_order and the no-attack action
+    always comes last."""
+    enemies = [e.instance_id for e in attack_order(state)]
     chars = [c.instance_id for c in state.ready_characters()]
     if (len(enemies) + 1) ** len(chars) > MAX_ATTACK_ACTIONS:
         everyone = tuple(chars)

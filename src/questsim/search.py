@@ -3,11 +3,12 @@
 Both deciders spend exactly `playout_budget` playouts per decision (single
 legal actions short-circuit with zero) and call their optional on_playout
 argument once per playout. Hidden information is respected by
-determinization: every playout starts from a snapshot whose face-down decks
-and dealt shadow cards are reshuffled with the playout rng, so search never
-exploits the true deck order. A playout plays one of agents.PLAYOUT_KINDS
-at every configurable stage and the expert at Travel and DeclareAttackers;
-playout() checks the name it is given, SearchConfig the deciders' names.
+determinization (engine.determinize): every playout starts from a snapshot
+whose face-down decks and dealt shadow cards are reshuffled with the
+playout rng, so search never exploits the true deck order. A playout plays
+one of agents.PLAYOUT_KINDS at every configurable stage and the expert at
+Travel and DeclareAttackers; playout() checks the name it is given,
+SearchConfig the deciders' names.
 
 The MCTS tree is open-loop over decision stages: random stages between tree
 levels are re-sampled each iteration instead of branching into chance nodes,
@@ -31,13 +32,11 @@ from .agents import (
     SearchConfig,
     StagePolicyMap,
 )
-from .engine import _apply_inplace, _run, apply_action, legal_actions
+from .engine import (_apply_inplace, _run, apply_action, determinize,
+                      legal_actions)
 from .errors import ConfigError
 from .state import (
     DECLARE_ATTACKERS,
-    ENCOUNTER_DECK,
-    ENGAGEMENT_AREA,
-    PLAYER_DECK,
     TRAVEL,
     WIN,
     Action,
@@ -67,28 +66,7 @@ def ucb_score(wins: int, visits: int, parent_visits: int, c: float) -> float:
     return wins / visits + c * math.sqrt(2.0 * math.log(parent_visits) / visits)
 
 
-# ---- determinization and playouts -------------------------------------------
-
-
-def determinize(state: GameState, rng: Random) -> GameState:
-    """Reshuffle the hidden zones in place: both face-down decks, with dealt
-    shadow cards returned to the encounter deck, reshuffled and re-dealt to
-    the same enemies (in id order)."""
-    rng.shuffle(state.zone_ids[PLAYER_DECK.slot])
-    owners = [c for c in state.in_zone(ENGAGEMENT_AREA)
-              if c.shadow_card is not None]
-    for owner in owners:
-        state.move(state.cards[owner.shadow_card], ENCOUNTER_DECK)
-        owner.shadow_card = None
-    deck = state.zone_ids[ENCOUNTER_DECK.slot]
-    rng.shuffle(deck)
-    for owner in owners:
-        sid = deck[-1]
-        shadow = state.cards[sid]
-        state.move(shadow, ENGAGEMENT_AREA)
-        shadow.attached_to = owner.instance_id
-        owner.shadow_card = sid
-    return state
+# ---- playouts ---------------------------------------------------------------
 
 
 def _finish(state: GameState, policies: dict, rng: Random,

@@ -41,6 +41,7 @@ from questsim.engine import (
     check_invariants,
     commit_pool,
     defender_order,
+    determinize,
     hero_pools,
     legal_actions,
     new_game,
@@ -49,7 +50,7 @@ from questsim.engine import (
     travel_actions,
 )
 from questsim.errors import IllegalActionError, StageError
-from questsim.search import _PLAYOUTS, _finish, determinize
+from questsim.search import _PLAYOUTS, _finish
 from questsim.state import (
     Attack,
     Commit,

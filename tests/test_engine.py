@@ -580,6 +580,21 @@ def test_wrong_stage_action_is_rejected(game):
         apply_action(game, Commit(()))
 
 
+@pytest.mark.parametrize("stage, make", [
+    (StageId.PLANNING, lambda enemy: PlayCards((True,))),
+    (StageId.COMMIT_CHARACTERS, lambda enemy: Commit((True,))),
+    (StageId.TRAVEL, lambda enemy: TravelTo(True)),
+    (StageId.DECLARE_DEFENDERS, lambda enemy: Defend(((enemy, True),))),
+    (StageId.DECLARE_ATTACKERS, lambda enemy: Attack(((enemy, (True,)),))),
+], ids=["play", "commit", "travel", "defend", "attack"])
+def test_a_bool_is_no_instance_id(game, stage, make):
+    """True equals 1, the id of a ready hero here, but names no card."""
+    at_stage(game, stage)
+    enemy = put(game, "enemy-wolf", Zone.ENGAGEMENT_AREA)
+    with pytest.raises(IllegalActionError, match="unknown instance id True"):
+        apply_action(game, make(enemy.instance_id))
+
+
 def test_actions_rejected_after_game_over(game):
     game.outcome = Outcome.WIN
     with pytest.raises(StageError, match="over"):

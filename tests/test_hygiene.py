@@ -486,3 +486,56 @@ def test_the_benchmark_spans_name_package_attributes():
                                      ("", "play_game", "", "")]) == {"engine.no_such_rule"}
     stale = unresolved_spans(layers, layers.SPANS)
     assert stale <= STALE_SPANS, f"span targets not in the package: {stale - STALE_SPANS}"
+
+
+# GameState and the engine alone know where the cards are: state.py keeps
+# the board, the engine's setup, stages and determinize change it. Other
+# modules read it through engine and GameState queries, never by naming a
+# zone, and never write a card or game-state field or shuffle a deck.
+BOARD_MODULES = ("state.py", "engine.py")
+ZONE_MEMBERS = {zone.name for zone in state.Zone}
+BOARD_FIELDS = set(state.CardInstance.__slots__) | set(state.GameState.__slots__)
+
+
+def board_touches(tree: ast.Module) -> list[str]:
+    """'line what' for each zone member named (as name_reads finds it),
+    each store to a card or game-state field, setattr included, and each
+    .shuffle( call."""
+    found = name_reads(tree, ZONE_MEMBERS)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and node.attr in BOARD_FIELDS):
+            found.append(f"{node.lineno} .{node.attr} =")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "shuffle"):
+            found.append(f"{node.lineno} .shuffle(")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "setattr" and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)
+              and node.args[1].value in BOARD_FIELDS):
+            found.append(f"{node.lineno} setattr {node.args[1].value}")
+    return sorted(found, key=lambda touch: int(touch.split()[0]))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.name not in BOARD_MODULES],
+                         ids=lambda p: p.name)
+def test_only_the_engine_knows_the_board(path):
+    touches = board_touches(parse(path))
+    assert not touches, f"{path.name}: the board read or written at {touches}"
+
+
+def test_board_check_sees_each_kind_of_touch():
+    tree = ast.parse("from .state import HAND\n"
+                     "def f(state, card, rng):\n"
+                     "    rng.shuffle(state.zone_ids[0])\n"
+                     "    card.shadow_card = None\n"
+                     "    state.threat_level += 1\n"
+                     "    setattr(card, 'damage', 2)\n"
+                     "    node.visits = card.zone is state.Zone.STAGING_AREA\n")
+    assert board_touches(tree) == ["1 HAND", "3 .shuffle(", "4 .shadow_card =",
+                                   "5 .threat_level =", "6 setattr damage",
+                                   "7 STAGING_AREA"]
+    touches = " ".join(board_touches(parse(SRC / "engine.py")))
+    assert all(kind in touches
+               for kind in (".shuffle(", ".shadow_card =", "STAGING_AREA"))

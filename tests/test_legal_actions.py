@@ -12,7 +12,9 @@ from questsim.engine import (
     MAX_DEFEND_ACTIONS,
     MAX_PLANNING_ACTIONS,
     apply_action,
+    attack_order,
     legal_actions,
+    travel_order,
 )
 from questsim.errors import StageError
 from questsim.state import (
@@ -215,6 +217,19 @@ def test_travel_only_pass_while_location_active(game):
     assert legal_actions(game) == [TravelTo(None)]
 
 
+def test_travel_order_puts_the_lower_id_first_among_equal_threats(game):
+    clearing = put(game, "loc-clearing", Zone.STAGING_AREA)  # threat 1
+    first = put(game, "loc-ridge", Zone.STAGING_AREA)        # threat 2
+    second = put(game, "loc-ridge", Zone.STAGING_AREA)
+    assert travel_order(game) == [first, second, clearing]
+
+
+def test_travel_order_is_empty_while_a_location_is_active(game):
+    put(game, "loc-clearing", Zone.ACTIVE_LOCATION)
+    put(game, "loc-ridge", Zone.STAGING_AREA)
+    assert travel_order(game) == []
+
+
 # ---- defend -----------------------------------------------------------------
 
 
@@ -415,6 +430,18 @@ def test_attack_first_action_is_all_in_on_weakest(game):
     wolf = put(game, "enemy-wolf", Zone.ENGAGEMENT_AREA)  # 2 hp, weakest
     legals = legal_actions(game)
     assert legals[0] == Attack(((wolf.instance_id, (0, 1, 2)),))
+
+
+def test_attack_order_puts_the_lower_id_first_among_equal_remaining_hp(game):
+    warg = put(game, "enemy-warg", Zone.ENGAGEMENT_AREA, damage=2)  # 2 of 4 hp
+    wolf = put(game, "enemy-wolf", Zone.ENGAGEMENT_AREA)            # 2 of 2 hp
+    assert attack_order(game) == [warg, wolf]
+
+
+def test_attack_order_reads_remaining_not_printed_hit_points(game):
+    wolf = put(game, "enemy-wolf", Zone.ENGAGEMENT_AREA)             # 2 of 2 hp
+    troll = put(game, "enemy-troll", Zone.ENGAGEMENT_AREA, damage=5)  # 1 of 6 hp
+    assert attack_order(game) == [troll, wolf]
 
 
 def test_attack_family_order_matches_oracle(game):

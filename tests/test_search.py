@@ -8,6 +8,7 @@ from random import Random
 
 import pytest
 
+import questsim
 from questsim import search
 from questsim.agents import (
     default_attack,
@@ -20,6 +21,7 @@ from questsim.agents import (
 from questsim.engine import (
     ROUND_CAP,
     advance_ruled_stage,
+    determinize,
     legal_actions,
     new_game,
     play_game,
@@ -32,7 +34,6 @@ from questsim.search import (
     best_child_index,
     build_policy,
     build_stage_policies,
-    determinize,
     flat_mc_decide,
     mcts_decide,
     playout,
@@ -272,6 +273,10 @@ def rich_hidden_state(synth_scenario):
     e1.shadow_card = s1.instance_id
     e2.shadow_card = s2.instance_id
     return state
+
+
+def test_determinize_is_the_engines_under_every_name():
+    assert search.determinize is questsim.determinize is determinize
 
 
 def test_determinize_preserves_visible_state(synth_scenario):
