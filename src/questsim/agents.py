@@ -239,6 +239,9 @@ class SearchConfig:
     playout_policy: str = "random"
 
     def __post_init__(self):
+        if type(self.playout_budget) is not int:  # a bool is no count
+            raise ConfigError(f"playout budget must be an int, "
+                              f"got {self.playout_budget!r}")
         if self.playout_budget < 1:
             raise ConfigError(f"playout budget must be >= 1, "
                               f"got {self.playout_budget}")

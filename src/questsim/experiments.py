@@ -63,6 +63,8 @@ def winrate_ci(wins: int, n: int, z: float = Z_DEFAULT) -> tuple[float, float, f
         raise ValueError(f"need at least one game, got n={n}")
     if not 0 <= wins <= n:
         raise ValueError(f"wins={wins} outside [0, {n}]")
+    if not 0 < z < math.inf:  # also rejects nan
+        raise ValueError(f"z must be finite and positive, got {z}")
     p = wins / n
     zz = z * z / n
     centre = (p + zz / 2) / (1 + zz)
@@ -84,6 +86,10 @@ class ExperimentConfig:
     z: float = Z_DEFAULT
 
     def __post_init__(self):
+        for name in ("games", "workers", "master_seed"):
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool is no count
+                raise ConfigError(f"{name} must be an int, got {value!r}")
         if self.games < 1:
             raise ConfigError(f"games must be >= 1, got {self.games}")
         if self.workers < 1:

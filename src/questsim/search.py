@@ -2,11 +2,13 @@
 
 Both deciders spend exactly `playout_budget` playouts per decision (single
 legal actions short-circuit with zero) and call their optional on_playout
-argument once per playout. Hidden information is respected by
-determinization (engine.determinize): every playout starts from a snapshot
-whose face-down decks and dealt shadow cards are reshuffled with the
-playout rng, so search never exploits the true deck order. A playout plays
-one of agents.PLAYOUT_KINDS at every configurable stage and the expert at
+argument as they spend each: flat MC once per playout() of a share, MCTS
+once per iteration. playout() samples a visible state (engine.determinize
+reshuffles its face-down decks and dealt shadow cards with the playout
+rng, so search never exploits the true deck order) and plays it out;
+_finish plays out a state already sampled, playout()'s copy or the MCTS
+leaf of a snapshot sampled at the iteration's start. A playout plays one
+of agents.PLAYOUT_KINDS at every configurable stage and the expert at
 Travel and DeclareAttackers; playout() checks the name it is given,
 SearchConfig the deciders' names.
 
@@ -69,13 +71,10 @@ def ucb_score(wins: int, visits: int, parent_visits: int, c: float) -> float:
 # ---- playouts ---------------------------------------------------------------
 
 
-def _finish(state: GameState, policies: dict, rng: Random,
-            on_playout: Callable[[], None] | None = None) -> Outcome:
-    """Play the (already determinized) state to its end, mutating it, and
-    call on_playout, when given, once. Actions get their effect alone: the
-    playout policies pick only legal ones (see the engine docstring)."""
-    if on_playout is not None:
-        on_playout()
+def _finish(state: GameState, policies: dict, rng: Random) -> Outcome:
+    """Play the already sampled state to its end, mutating it. Actions get
+    their effect alone: the playout policies pick only legal ones (see the
+    engine docstring)."""
     _run(state, policies, rng, False)
     return state.outcome
 
@@ -109,23 +108,19 @@ def flat_mc_decide(state: GameState, legals: list[Action],
                    config: SearchConfig, rng: Random,
                    on_playout: Callable[[], None] | None = None) -> Action:
     """Depth-1 search: the budget is floor-divided over the legal actions
-    (remainder to the earliest), each share played out from that action's
-    successor, and the most-winning action returned (ties to the first)."""
+    (remainder to the earliest), each share played as playout() of that
+    action's successor, the most-winning action returned (ties to first)."""
     if len(legals) == 1:
         return legals[0]
-    policies = _PLAYOUTS[config.playout_policy]
     base, extra = divmod(config.playout_budget, len(legals))
     wins = [0] * len(legals)
-    for i, action in enumerate(legals):
-        share = base + (1 if i < extra else 0)
-        if share == 0:
-            continue
+    # Shares never grow down the family: past the budget's reach all are 0.
+    for i, action in enumerate(legals[:config.playout_budget]):
         child = apply_action(state, action)
-        for _ in range(share):
-            trial = child.clone()
-            determinize(trial, rng)
-            if _finish(trial, policies, rng, on_playout) is WIN:
-                wins[i] += 1
+        for _ in range(base + (i < extra)):
+            if on_playout is not None:
+                on_playout()
+            wins[i] += playout(child, config.playout_policy, rng) is WIN
     return legals[best_child_index(wins)]
 
 
@@ -177,7 +172,9 @@ def mcts_decide(state: GameState, legals: list[Action],
                 break
             level = legal_actions(trial)
 
-        won = _finish(trial, policies, rng, on_playout) is WIN
+        if on_playout is not None:
+            on_playout()
+        won = _finish(trial, policies, rng) is WIN
         for visited in path:
             visited.visits += 1
             visited.wins += won

@@ -202,6 +202,37 @@ def test_active_location_soaks_progress_first(game):
     assert nxt.quest_progress == 1  # 4 - 3 after exploring the location
 
 
+@pytest.mark.parametrize("committed, explored", [((1, 2), True), ((1,), False)])
+def test_a_location_given_exactly_its_points_is_explored(game, committed,
+                                                          explored):
+    """Crown and Axe bring 3 willpower, the Ridge's 3 quest points: it is
+    explored and the quest gains nothing. Crown alone brings 2, which stay
+    on the location."""
+    at_stage(game, StageId.QUEST_RESOLUTION)
+    loc = put(game, "loc-ridge", Zone.ACTIVE_LOCATION)
+    for i in committed:
+        hero = game.heroes()[i]
+        hero.committed = True
+        hero.exhausted = True
+    nxt = advance_ruled_stage(game)  # nothing staged: threat 0
+    after = nxt.cards[loc.instance_id]
+    assert after.zone is (Zone.ENCOUNTER_DISCARD if explored
+                          else Zone.ACTIVE_LOCATION)
+    if not explored:
+        assert after.progress == 2
+    assert nxt.quest_progress == 0
+
+
+@pytest.mark.parametrize("threat, engaged", [(15, True), (14, False)])
+def test_an_enemy_engages_at_a_threat_equal_to_its_cost(game, threat, engaged):
+    at_stage(game, StageId.ENGAGEMENT_CHECKS)
+    game.threat_level = threat
+    wolf = put(game, "enemy-wolf", Zone.STAGING_AREA)  # engages at 15
+    nxt = advance_ruled_stage(game)
+    assert nxt.cards[wolf.instance_id].zone is (Zone.ENGAGEMENT_AREA if engaged
+                                                else Zone.STAGING_AREA)
+
+
 def test_engagement_is_a_fixpoint(game):
     at_stage(game, StageId.ENGAGEMENT_CHECKS)
     wolf = put(game, "enemy-wolf", Zone.STAGING_AREA)    # engages at 15
@@ -440,6 +471,16 @@ def test_item_attaches_to_matching_sphere_hero(game):
     assert nxt.cards[charm.instance_id].attached_to == star.instance_id
     assert star.willpower == 5
     assert star.buffs == (1, 0, 0, 0)
+
+
+def test_item_attaches_to_the_first_hero_of_its_sphere_not_the_first_hero(game):
+    planning_state(game, ["item-blade"], (0, 0, 1))  # tactics: Axe, the third
+    blade = by_id(game, "item-blade", Zone.HAND)[0]
+    nxt = apply_action(game, PlayCards((blade.instance_id,)))
+    star, crown, axe = nxt.heroes()
+    assert nxt.cards[blade.instance_id].attached_to == axe.instance_id
+    assert axe.buffs == (0, 1, 0, 0)
+    assert star.buffs is crown.buffs is None
 
 
 def test_item_without_matching_hero_attaches_to_first(game):

@@ -116,6 +116,12 @@ def test_winrate_ci_rejects_impossible_counts(wins, n):
         winrate_ci(wins, n)
 
 
+@pytest.mark.parametrize("z", [-1.0, 0.0, math.inf, math.nan])
+def test_winrate_ci_rejects_a_z_that_is_not_finite_and_positive(z):
+    with pytest.raises(ValueError, match="z must be finite and positive"):
+        winrate_ci(1, 2, z)
+
+
 # ---- common random numbers --------------------------------------------------
 
 CRN_AGENTS = "planning=flat:{}:random,commit=expert,defense=random"
@@ -188,6 +194,15 @@ def test_a_batch_needs_a_game_and_a_worker(field, message):
     settings = {"games": 1, "workers": 1, field: 0}
     with pytest.raises(ConfigError, match=re.escape(message)):
         ExperimentConfig(master_seed=0, policy_map=EXPERTS, **settings)
+
+
+@pytest.mark.parametrize("value", [2.5, True, "3"])
+@pytest.mark.parametrize("field", ["games", "workers", "master_seed"])
+def test_a_batch_count_must_be_an_int(field, value):
+    settings = {"games": 1, "workers": 1, "master_seed": 0, field: value}
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{field} must be an int, got {value!r}")):
+        ExperimentConfig(policy_map=EXPERTS, **settings)
 
 
 # ---- the fold of a batch ----------------------------------------------------

@@ -7,6 +7,7 @@ these checks keep both from growing back."""
 import ast
 import importlib.util
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -539,3 +540,68 @@ def test_board_check_sees_each_kind_of_touch():
     touches = " ".join(board_touches(parse(SRC / "engine.py")))
     assert all(kind in touches
                for kind in (".shuffle(", ".shadow_card =", "STAGING_AREA"))
+
+
+# Randomness is drawn at fixed places: the engine's setup, determinize and
+# encounter reshuffle, and the random agent; a Random is built only where a
+# game or a batch span is seeded. A game's draws all come from one stream,
+# so a draw added anywhere else would shift every later one, search's too.
+RANDOM_METHODS = {name for name in dir(Random) if not name.startswith("_")}
+RANDOM_SITES = {
+    "agents.py": ["random_decide .randrange("],
+    "cli.py": ["_cmd_play Random("],
+    "engine.py": ["new_game .shuffle(", "new_game .shuffle(",
+                  "determinize .shuffle(", "determinize .shuffle(",
+                  "_draw_encounter .shuffle("],
+    "experiments.py": ["_play_span Random("],
+}
+
+
+def random_sites(node: ast.AST, function: str = "<module>") -> list[str]:
+    """'line function what' for each call of a Random method name, on any
+    receiver, each Random or SystemRandom built and each import of the
+    random module or of a name from it other than Random; function is the
+    innermost def around the site."""
+    found = []
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    if isinstance(node, ast.Call):
+        attribute = isinstance(node.func, ast.Attribute)
+        name = node.func.attr if attribute else getattr(node.func, "id", None)
+        if name in ("Random", "SystemRandom"):
+            found.append(f"{node.lineno} {function} {name}(")
+        elif attribute and name in RANDOM_METHODS:
+            found.append(f"{node.lineno} {function} .{name}(")
+    elif isinstance(node, ast.Import):
+        found += [f"{node.lineno} {function} import random"
+                  for alias in node.names if alias.name == "random"]
+    elif isinstance(node, ast.ImportFrom) and node.module == "random":
+        found += [f"{node.lineno} {function} import {alias.name}"
+                  for alias in node.names if alias.name != "Random"]
+    for child in ast.iter_child_nodes(node):
+        found += random_sites(child, function)
+    return sorted(found, key=lambda site: int(site.split()[0]))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_randomness_is_drawn_only_at_its_sites(path):
+    sites = [site.split(" ", 1)[1] for site in random_sites(parse(path))]
+    assert sites == RANDOM_SITES.get(path.name, []), (
+        f"{path.name}: randomness drawn or seeded at {random_sites(parse(path))}")
+
+
+def test_random_site_check_sees_each_kind_of_draw():
+    tree = ast.parse("import random\n"
+                     "from random import Random, shuffle\n"
+                     "def f(state, rng: Random):\n"
+                     "    rng.shuffle(state.deck)\n"
+                     "    return Random(3).random\n"
+                     "def g(args):\n"
+                     "    def pick(x):\n"
+                     "        return twin.choice(x)\n"
+                     "    twin = random.SystemRandom(args.seed)\n"
+                     "    return [pick(x) for x in args.choices]\n")
+    assert random_sites(tree) == [
+        "1 <module> import random", "2 <module> import shuffle",
+        "4 f .shuffle(", "5 f Random(", "8 pick .choice(",
+        "9 g SystemRandom("]

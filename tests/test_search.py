@@ -21,6 +21,7 @@ from questsim.agents import (
 from questsim.engine import (
     ROUND_CAP,
     advance_ruled_stage,
+    apply_action,
     determinize,
     legal_actions,
     new_game,
@@ -88,6 +89,13 @@ def test_search_config_validation():
         SearchConfig(playout_budget=1, exploration_c=1.01)
     with pytest.raises(ConfigError):
         SearchConfig(playout_budget=1, playout_policy="greedy")
+
+
+@pytest.mark.parametrize("budget", [2.5, True, "3"])
+def test_search_config_refuses_a_budget_that_is_no_int(budget):
+    with pytest.raises(ConfigError,
+                       match=f"playout budget must be an int, got {budget!r}"):
+        SearchConfig(playout_budget=budget)
 
 
 def test_best_child_index_ties_to_first():
@@ -220,6 +228,29 @@ def test_single_legal_action_skips_search(synth_scenario):
     assert mcts_decide(state, legals, config, Random(0),
                        on_playout) == Defend(())
     assert count[0] == 0
+
+
+@pytest.mark.parametrize("budget, shares", [(1, [1, 0]), (7, [4, 3]),
+                                            (40, [20, 20])])
+@pytest.mark.parametrize("playout_policy", ["random", "expert"])
+def test_flat_mc_plays_each_share_as_a_playout_of_the_successor(
+        synth_scenario, monkeypatch, budget, shares, playout_policy):
+    """Every flat playout is search.playout of its action's successor with
+    the agent's playout policy, share by share in family order."""
+    state = forced_commit_state(synth_scenario)
+    legals = legal_actions(state)
+    handed, real = [], search.playout
+
+    def recorded(child, policy, rng):
+        handed.append((child.fingerprint(), policy))
+        return real(child, policy, rng)
+
+    monkeypatch.setattr(search, "playout", recorded)
+    config = SearchConfig(playout_budget=budget, playout_policy=playout_policy)
+    flat_mc_decide(state, legals, config, Random(1))
+    assert handed == [(apply_action(state, action).fingerprint(), playout_policy)
+                      for action, share in zip(legals, shares)
+                      for _ in range(share)]
 
 
 def test_flat_budget_one_evaluates_only_the_first_action(synth_scenario):
